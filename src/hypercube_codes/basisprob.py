@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .gf2 import rank_ints
+from .gf2 import independent_subsets
 
 MAX_T = 64
 
@@ -138,12 +138,9 @@ class SimplexPoint:
 
 @lru_cache(maxsize=None)
 def _basis_subsets(t: int) -> tuple[tuple[int, ...], ...]:
-    """All t-subsets of nonzero vectors of GF(2)^t having rank t."""
-    import itertools
-
-    vectors = range(1, 1 << t)
-    return tuple(s for s in itertools.combinations(vectors, t)
-                 if rank_ints(s) == t)
+    """Bases of GF(2)^t as index t-subsets of the nonzero vectors, where
+    index i stands for the vector i + 1 (the order of dist.probs)."""
+    return tuple(independent_subsets(range(1, 1 << t), t))
 
 
 def basis_probability(dist: SimplexPoint) -> Fraction:
@@ -161,8 +158,8 @@ def basis_probability(dist: SimplexPoint) -> Fraction:
     total = 0
     for subset in _basis_subsets(t):
         prod = 1
-        for v in subset:
-            prod *= scaled[v - 1]
+        for i in subset:
+            prod *= scaled[i]
         total += prod
     return Fraction(math.factorial(t) * total, denom ** t)
 

@@ -7,18 +7,15 @@ Each subcommand computes one table or report.  Output formats:
 * csv: the same rows flattened, header line first
 * text: the rows aligned for reading
 
---threads (default from HYPERCUBE_CODES_THREADS) only affects wall
-time, never any number in the output.  Exit status: 0 on success, 1 on
-bad input or an out-of-regime request, 2 when a computed value
-disagrees with the bundled reference manifest or a requested
-verification fails.
+Exit status: 0 on success, 1 on bad input or an out-of-regime request,
+2 when a computed value disagrees with the bundled reference manifest or
+a requested verification fails.
 """
 
 import argparse
 import csv
 import decimal
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -72,14 +69,6 @@ def load_reference_manifest() -> dict:
     """The bundled regression manifest (exact reference values)."""
     path = resources.files("hypercube_codes").joinpath("reference_values.json")
     return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("HYPERCUBE_CODES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _decimal_places(x: Fraction, places: int = 12) -> str:
@@ -383,8 +372,7 @@ def cmd_save(args) -> int:
 def cmd_build_verify(args) -> int:
     """Construct a code and scan every d-subcube for its occupancy."""
     code, residue, extras = _construct_code(args)
-    report = max_subcube_count(code, args.d, threads=args.threads,
-                               budget=args.budget)
+    report = max_subcube_count(code, args.d, budget=args.budget)
     if args.out:
         save_code(args.out, code)
     construction_upper = None
@@ -436,8 +424,7 @@ def cmd_build_verify(args) -> int:
 def cmd_verify(args) -> int:
     """Scan a code file for the maximum occupancy of a d-subcube."""
     code = load_code(args.in_path)
-    report = max_subcube_count(code, args.d, threads=args.threads,
-                               budget=args.budget)
+    report = max_subcube_count(code, args.d, budget=args.budget)
     ok = None
     if args.list_size is not None:
         ok = report.max_count <= args.list_size
@@ -647,11 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", help="output format (default text)")
 
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=_default_threads(),
-                         help="worker threads for subcube scans; never "
-                              "changes the numbers")
-
     build_flags = argparse.ArgumentParser(add_help=False)
     build_flags.add_argument("--n", type=int, required=True,
                              help="number of coordinates")
@@ -710,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_save)
 
-    p = sub.add_parser("build-verify", parents=[fmt, threads, build_flags],
+    p = sub.add_parser("build-verify", parents=[fmt, build_flags],
                        help="construct a code and scan all d-subcubes")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
@@ -720,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the code here")
     p.set_defaults(func=cmd_build_verify)
 
-    p = sub.add_parser("verify", parents=[fmt, threads],
+    p = sub.add_parser("verify", parents=[fmt],
                        help="scan a code file for d-subcube occupancy")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--d", type=int, required=True)

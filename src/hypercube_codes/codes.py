@@ -21,8 +21,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .basisprob import independent_draw_probability, limit_interval
-from .errors import ConstructionError
-from .gf2 import MAX_BITS, rank_ints
+from .errors import ConstructionError, OutOfRegimeError
+from .gf2 import MAX_BITS, independent_subsets
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +73,16 @@ class LayerAssignment:
                 raise ValueError("layer vectors must be nonzero and fit the layer weight")
 
 
+def _draw_vectors(key: list[int], n: int, dim: int) -> tuple[int, ...]:
+    """n nonzero vectors of GF(2)^dim from a PCG64 stream keyed by key."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    return tuple(int(v) for v in rng.integers(1, 1 << dim, size=n))
+
+
 def _draw_layer(n: int, r: int, seed: int, retry: int) -> LayerAssignment:
-    """Deterministic layer draw from a PCG64 stream keyed by (seed, layer,
-    retry), so every layer and retry gets an independent substream."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r, retry])))
-    vectors = tuple(int(v) for v in rng.integers(1, 1 << r, size=n))
-    return LayerAssignment(n, r, vectors, seed, retry)
+    """Deterministic layer draw keyed by (seed, layer, retry), so every
+    layer and retry gets an independent substream."""
+    return LayerAssignment(n, r, _draw_vectors([seed, r, retry], n, r), seed, retry)
 
 
 def build_layer_vectors(n: int, seed: int = 0) -> dict[int, LayerAssignment]:
@@ -88,18 +92,15 @@ def build_layer_vectors(n: int, seed: int = 0) -> dict[int, LayerAssignment]:
     return {r: _draw_layer(n, r, seed, 0) for r in range(1, n + 1)}
 
 
+def _support_word(support) -> int:
+    """The packed word whose ones sit exactly on the given coordinates."""
+    return sum(1 << i for i in support)
+
+
 def layer_words(assignment: LayerAssignment) -> frozenset:
     """Weight-r words whose support vectors form a basis of GF(2)^r."""
-    n, r = assignment.n, assignment.weight
-    vectors = assignment.vectors
-    out = []
-    for support in itertools.combinations(range(n), r):
-        if rank_ints(vectors[i] for i in support) == r:
-            word = 0
-            for i in support:
-                word |= 1 << i
-            out.append(word)
-    return frozenset(out)
+    return frozenset(map(_support_word,
+                         independent_subsets(assignment.vectors, assignment.weight)))
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,15 @@ def best_residue_subcode(code: Code, modulus: int) -> ResidueSelection:
 
 def weight_class_code(n: int, modulus: int, residue: int) -> Code:
     """All words of GF(2)^n whose weight is congruent to residue mod
-    modulus.  modulus=2, residue=0 gives the even-weight code."""
+    modulus.  modulus=2, residue=0 gives the even-weight code.
+
+    Raises:
+        OutOfRegimeError: for n > MAX_N, before any word is enumerated.
+    """
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"n must be in [0, {MAX_BITS}]")
+    if n > MAX_N:
+        raise OutOfRegimeError(f"weight-class codes are enumerated for n <= {MAX_N}")
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if not 0 <= residue < modulus:
@@ -228,39 +235,27 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     """
     if n < 1 or k < 0 or n + k > MAX_N:
         raise ValueError(f"need n >= 1, k >= 0 and n + k <= {MAX_N}")
-    dependent: dict[int, frozenset] = {}
+    # the empty support is independent, so layer 0 has no dependent word
+    dependent: dict[int, frozenset] = {0: frozenset()}
     for r in range(1, n + 1):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        vectors = tuple(int(v) for v in rng.integers(1, 1 << (r + k), size=n))
-        kept = []
-        for support in itertools.combinations(range(n), r):
-            if rank_ints(vectors[i] for i in support) < r:
-                word = 0
-                for i in support:
-                    word |= 1 << i
-                kept.append(word)
-        dependent[r] = frozenset(kept)
+        independent = set(independent_subsets(_draw_vectors([seed, r], n, r + k), r))
+        dependent[r] = frozenset(_support_word(s) for s in itertools.combinations(range(n), r)
+                                 if s not in independent)
 
     target = 1 << (n - k) if k <= n else 1
-    tail = sum(len(dependent[r]) for r in range(1, n + 1))
     # raising the cutoff swaps a dependent subset for its full layer, so
     # the total size is non-decreasing in c; take the largest c that fits
     cutoff = -1
-    running = tail
+    running = sum(map(len, dependent.values()))
     prefix = 0
     for c in range(0, n + 1):
         prefix += math.comb(n, c)
-        if c >= 1:
-            running -= len(dependent[c])
+        running -= len(dependent[c])
         if prefix + running <= target:
             cutoff = c
     words: set[int] = set()
     for r in range(0, cutoff + 1):
-        for support in itertools.combinations(range(n), r):
-            word = 0
-            for i in support:
-                word |= 1 << i
-            words.add(word)
+        words.update(map(_support_word, itertools.combinations(range(n), r)))
     for r in range(cutoff + 1, n + 1):
         words |= dependent[r]
     met = len(words) <= target

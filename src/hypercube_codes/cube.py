@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -154,7 +153,7 @@ class VerificationReport:
     histogram: dict
 
 
-def _scan_free_sets(code: Code, d: int, free_sets: list) -> tuple[dict, int, Optional[Subcube]]:
+def _scan_free_sets(code: Code, d: int, free_sets: Iterable) -> tuple[dict, int, Optional[Subcube]]:
     n = code.n
     full = (1 << n) - 1
     per_free = 1 << (n - d)
@@ -194,36 +193,18 @@ def _bases_of(n: int, free: tuple[int, ...]) -> Iterator[int]:
         yield _spread_base(pattern, fixed)
 
 
-def max_subcube_count(code: Code, d: int, threads: int = 1,
+def max_subcube_count(code: Code, d: int,
                       budget: int = DEFAULT_SCAN_BUDGET) -> VerificationReport:
     """Scan every d-subcube and report the maximum occupancy.
 
     Codewords are bucketed by projection per free set, so the cost is
-    O(C(n, d) * len(code)) instead of one pass per subcube.  threads
-    partitions the free sets; the merged result is independent of the
-    partition, so thread count never changes the numbers.
+    O(C(n, d) * len(code)) instead of one pass per subcube.
     """
     n = code.n
     total = subcube_total(n, d)
     if total > budget:
         raise OutOfRegimeError(f"{total} subcubes exceed the budget {budget}")
-    free_sets = list(free_sets_colex(n, d))
-    if threads <= 1 or len(free_sets) < 2:
-        histogram, best, witness = _scan_free_sets(code, d, free_sets)
-    else:
-        chunk = (len(free_sets) + threads - 1) // threads
-        parts = [free_sets[i:i + chunk] for i in range(0, len(free_sets), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _scan_free_sets(code, d, p), parts))
-        histogram = {}
-        best = -1
-        witness = None
-        for part_hist, part_best, part_witness in results:
-            for k, v in part_hist.items():
-                histogram[k] = histogram.get(k, 0) + v
-            if part_best > best:
-                best = part_best
-                witness = part_witness
+    histogram, best, witness = _scan_free_sets(code, d, free_sets_colex(n, d))
     assert witness is not None
     return VerificationReport(d, best, witness, histogram)
 

@@ -16,12 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .basisprob import uniform_basis_probability
 from .errors import OutOfRegimeError
-from .gf2 import GF2Matrix, rank_ints
+from .gf2 import GF2Matrix, independent_subsets
 
 # Cap on (candidate matrices) * (column subsets per matrix) for the
 # exhaustive basis-subset search.
@@ -58,14 +57,6 @@ class BasisSubsetBounds:
     deletion_upper: Optional[int]
 
 
-@lru_cache(maxsize=None)
-def _independent_subset_table(k: int) -> frozenset:
-    """Sorted k-tuples of distinct nonzero vectors of GF(2)^k with rank k."""
-    return frozenset(
-        s for s in itertools.combinations(range(1, 1 << k), k)
-        if rank_ints(s) == k)
-
-
 def _search_size(k: int, d: int) -> int:
     """Candidate matrices times submatrices tested per matrix.
 
@@ -96,23 +87,12 @@ def max_basis_subsets(k: int, d: int,
     if size > work_budget:
         raise OutOfRegimeError(
             f"search size {size} for (k={k}, d={d}) exceeds budget {work_budget}")
-    table = _independent_subset_table(k) if k <= 4 else None
     identity = [1 << i for i in range(k)]
-    index_sets = list(itertools.combinations(range(d), k))
     best = -1
     best_cols: tuple[int, ...] = ()
     for rest in itertools.combinations_with_replacement(range(1, 1 << k), d - k):
         cols = identity + list(rest)
-        count = 0
-        for idx in index_sets:
-            values = [cols[i] for i in idx]
-            if len(set(values)) < k:
-                continue
-            if table is not None:
-                if tuple(sorted(values)) in table:
-                    count += 1
-            elif rank_ints(values) == k:
-                count += 1
+        count = sum(1 for _ in independent_subsets(cols, k))
         if count > best:
             best = count
             best_cols = tuple(cols)

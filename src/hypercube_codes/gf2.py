@@ -9,9 +9,8 @@ inputs give identical outputs on every platform.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRegimeError
 
@@ -89,6 +88,55 @@ def rank_ints(vectors: Iterable[int]) -> int:
                 break
             v ^= p
     return rank
+
+
+def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
+    """Index r-subsets of `vectors` whose vectors are linearly independent,
+    in itertools.combinations order.
+
+    Supports are walked depth-first.  The chosen prefix is kept reduced
+    with the lowest-set-bit pivots of rank_ints, so each extension costs
+    one reduction, and a prefix that becomes dependent is pruned with its
+    whole subtree.  Zero and repeated vectors are simply dependent.
+    """
+    if r < 0:
+        raise ValueError("subset size must be non-negative")
+    vectors = tuple(vectors)
+    n = len(vectors)
+    if r > n:
+        return
+    if r == 0:
+        yield ()
+        return
+    pivots: dict[int, int] = {}
+    lows: list[int] = []
+    prefix: list[int] = []
+    stop = n - r + 1  # the open slot must start below stop to be filled
+    i = 0
+    while True:
+        if i < stop:
+            v = vectors[i]
+            while v:
+                low = v & -v
+                p = pivots.get(low)
+                if p is None:
+                    break
+                v ^= p
+            if v:
+                if len(prefix) == r - 1:
+                    yield (*prefix, i)
+                else:
+                    pivots[low] = v
+                    lows.append(low)
+                    prefix.append(i)
+                    stop += 1
+            i += 1
+        elif prefix:
+            i = prefix.pop() + 1
+            del pivots[lows.pop()]
+            stop -= 1
+        else:
+            return
 
 
 def is_basis(vectors: Sequence[BitWord]) -> bool:
@@ -240,11 +288,7 @@ def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     k = matrix.rows
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
-    count = 0
-    for sub in itertools.combinations(matrix.columns, k):
-        if rank_ints(sub) == k:
-            count += 1
-    return count
+    return sum(1 for _ in independent_subsets(matrix.columns, k))
 
 
 def code_from_parity_check(matrix: GF2Matrix):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .gf2 import rank_ints
+from .gf2 import independent_subsets
 
 DEFAULT_COPY_BUDGET = 5_000_000
 DEFAULT_EDGE_BUDGET = 5_000_000
@@ -116,11 +116,7 @@ def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     if m > 6:
         raise OutOfRegimeError("materialized only for r + k <= 6")
     n = (1 << m) - 1
-    edges = frozenset(
-        tuple(v - 1 for v in combo)
-        for combo in itertools.combinations(range(1, n + 1), r)
-        if rank_ints(combo) == r)
-    return UniformHypergraph(r, n, edges)
+    return UniformHypergraph(r, n, frozenset(independent_subsets(range(1, n + 1), r)))
 
 
 def linear_independence_density(r: int, k: int) -> Fraction:
@@ -357,9 +353,4 @@ def basis_hypergraph(t: int) -> UniformHypergraph:
         raise ValueError("need t >= 1")
     if t > 4:
         raise OutOfRegimeError("basis hypergraph materialized for t <= 4 only")
-    n = (1 << t) - 1
-    edges = frozenset(
-        tuple(v - 1 for v in combo)
-        for combo in itertools.combinations(range(1, n + 1), t)
-        if rank_ints(combo) == t)
-    return UniformHypergraph(t, n, edges)
+    return linear_independence_hypergraph(t, 0)

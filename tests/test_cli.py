@@ -1,6 +1,7 @@
 """Command line surface: output shapes, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,13 @@ def test_hitting_command(capsys):
     assert doc["missed"] is None
 
 
+def test_hitting_command_when_no_cutoff_fits(capsys):
+    code, doc, _ = run_json(capsys, ["hitting", "--n", "16", "--k", "3"])
+    assert code == 0
+    assert doc["small_layer_cutoff"] == -1
+    assert doc["met_target"] is False
+
+
 def test_json_output_is_byte_identical(capsys):
     argv = ["build-verify", "--n", "9", "--d", "3", "--modulus", "6",
             "--seed", "2", "--format", "json"]
@@ -191,16 +199,6 @@ def test_json_output_is_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
-
-
-def test_threads_never_change_numbers(capsys):
-    base = ["build-verify", "--n", "9", "--d", "3", "--modulus", "6",
-            "--seed", "2", "--format", "json"]
-    cli.main(base + ["--threads", "1"])
-    one = json.loads(capsys.readouterr().out)
-    cli.main(base + ["--threads", "3"])
-    three = json.loads(capsys.readouterr().out)
-    assert one == three
 
 
 def test_argparse_rejects_unknown_command(capsys):
@@ -215,3 +213,12 @@ def test_out_of_regime_is_reported(capsys):
                                 "--list-size", "3"])
     assert code == 1
     assert "error:" in err
+
+
+def test_weight_class_beyond_max_n_fails_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["build", "--construction", "weight-class",
+                                "--n", "60", "--modulus", "2"])
+    assert code == 1
+    assert "error:" in err and "n <= 24" in err
+    assert time.perf_counter() - start < 5

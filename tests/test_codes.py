@@ -232,3 +232,14 @@ def test_subcube_hitting_set_structure():
     # the same parameters reproduce exactly
     again = subcube_hitting_set(9, 1, seed=0)
     assert again.code.words == code.words
+
+
+def test_subcube_hitting_set_when_no_cutoff_fits():
+    # even the dependent words alone overshoot the target, so no layer
+    # enters in full and the zero word stays out
+    result = subcube_hitting_set(16, 3, seed=0)
+    assert result.small_layer_cutoff == -1
+    assert result.met_target is False
+    assert result.target_size == 8192
+    assert len(result.code) == 8973
+    assert 0 not in result.code.words

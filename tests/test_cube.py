@@ -110,14 +110,6 @@ def test_fast_scan_matches_naive_oracle():
         assert weighted == len(code) * len(list(free_sets_colex(n, d)))
 
 
-def test_scan_thread_invariance():
-    rng = random.Random(77)
-    code = random_code(rng, 9, 60)
-    one = max_subcube_count(code, 2, threads=1)
-    many = max_subcube_count(code, 2, threads=4)
-    assert one == many
-
-
 def test_scan_budget_and_degenerate_dimensions():
     rng = random.Random(3)
     code = random_code(rng, 6, 10)

@@ -29,6 +29,7 @@ KNOWN_MAXIMA = {
     (3, 7): 28,
     (4, 7): 28,
     (4, 8): 56,
+    (5, 8): 40,
 }
 
 

@@ -12,6 +12,7 @@ from hypercube_codes.gf2 import (
     GF2Matrix,
     code_from_parity_check,
     count_nonsingular_submatrices,
+    independent_subsets,
     is_basis,
     min_distance,
     orthogonal_complement,
@@ -138,6 +139,23 @@ def test_orthogonal_complement_duality_exhaustive():
         assert rank_ints(m.rows_as_ints() + again.rows_as_ints()) == 2
         checked += 1
     assert checked == 210
+
+
+def test_independent_subsets_match_rank_oracle():
+    # zero and repeated vectors, and r from 0 through len(vs) + 1
+    rng = random.Random(11)
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        vs = [rng.randrange(1 << m) for _ in range(rng.randint(0, 9))]
+        if vs:
+            vs[rng.randrange(len(vs))] = 0
+            vs[rng.randrange(len(vs))] = vs[rng.randrange(len(vs))]
+        for r in range(len(vs) + 2):
+            want = [s for s in itertools.combinations(range(len(vs)), r)
+                    if rank_ints(vs[i] for i in s) == r]
+            assert list(independent_subsets(vs, r)) == want
+    with pytest.raises(ValueError):
+        list(independent_subsets([1], -1))
 
 
 def test_count_nonsingular_examples():
