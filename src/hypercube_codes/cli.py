@@ -4,8 +4,9 @@ Each subcommand computes one table or report.  Output formats:
 
 * json: a single object with sorted keys and a schema field, so
   identical invocations give byte-identical output
-* csv: the same rows flattened, header line first
-* text: the rows aligned for reading
+* csv: the payload as (quantity, value) rows, one per key, header line
+  first; `constants` and `bounds-table` are tables with their own columns
+* text: the same rows aligned for reading
 
 Exit status: 0 on success, 1 on bad input or an out-of-regime request,
 2 when a computed value disagrees with the bundled reference manifest or
@@ -14,6 +15,7 @@ a requested verification fails.
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import json
 import sys
@@ -90,40 +92,48 @@ def _subcube_pattern(cube: Subcube) -> str:
                    for i in range(cube.n))
 
 
-def _emit(args, payload: dict, headers: Sequence[str],
-          rows: Sequence[Sequence]) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _emit(args, payload: dict, headers: Sequence[str] = ("quantity", "value"),
+          rows: Optional[Sequence[Sequence]] = None) -> None:
+    """Write the payload as JSON, or as a text/CSV table.  By default the
+    table has one (key, value) row per payload key except `command`, in
+    insertion order; a list shows as its items joined by spaces and None
+    as an empty cell."""
     if args.format == "json":
-        doc = dict(payload)
-        doc["schema"] = SCHEMA_VERSION
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2))
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(["" if c is None else c for c in row])
-    else:
-        table = [list(map(str, headers))]
-        table += [["" if c is None else str(c) for c in row] for row in rows]
-        widths = [max(len(line[i]) for line in table)
-                  for i in range(len(headers))]
-        for line in table:
-            out = "  ".join(line[i].ljust(widths[i])
-                            for i in range(len(headers)))
-            sys.stdout.write(out.rstrip() + "\n")
+        doc = {**payload, "schema": SCHEMA_VERSION}
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return
+    if rows is None:
+        rows = [[k, v] for k, v in payload.items() if k != "command"]
+    table = [[_cell(c) for c in row] for row in [headers, *rows]]
+    if args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
+        return
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        out = "  ".join(c.ljust(w) for c, w in zip(line, widths))
+        sys.stdout.write(out.rstrip() + "\n")
 
 
-def _report_mismatches(mismatches: list) -> int:
-    for text in mismatches:
-        print(f"reference mismatch: {text}", file=sys.stderr)
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+def _fail(messages: Sequence[str], prefix: str) -> int:
+    """Report each failed check on stderr; the exit code for the lot."""
+    for text in messages:
+        print(f"{prefix}: {text}", file=sys.stderr)
+    return EXIT_MISMATCH if messages else EXIT_OK
 
 
 def cmd_constants(args) -> int:
     """Basis probability per draw count plus the certified limit."""
     t_max = args.t_max
-    if not 1 <= t_max <= 40:
-        raise ValueError("need 1 <= t-max <= 40")
+    if not 2 <= t_max <= 40:
+        raise ValueError("need 2 <= t-max <= 40")
     manifest = load_reference_manifest()
     expected = manifest.get("uniform_basis_probability", {})
     mismatches = []
@@ -156,15 +166,15 @@ def cmd_constants(args) -> int:
             "two_digit_rounding": two_digits,
         },
     }
-    headers = ["quantity", "numerator", "denominator", "decimal"]
     rows = [[f"basis_probability({r['t']})", r["numerator"],
              r["denominator"], r["decimal"]] for r in prob_rows]
     rows.append([f"limit_lower_bound({t_max})", None, None,
-                 _decimal_places(lower)])
+                 payload["limit"]["lower_decimal"]])
     rows.append([f"limit_upper_bound({t_max})", None, None,
-                 _decimal_places(upper)])
-    _emit(args, payload, headers, rows)
-    return _report_mismatches(mismatches)
+                 payload["limit"]["upper_decimal"]])
+    _emit(args, payload, ["quantity", "numerator", "denominator", "decimal"],
+          rows)
+    return _fail(mismatches, "reference mismatch")
 
 
 def cmd_bounds_table(args) -> int:
@@ -179,7 +189,6 @@ def cmd_bounds_table(args) -> int:
             mismatches.append(f"{name} at d={d}: computed {computed}, "
                               f"manifest {ref}")
 
-    rows_payload = []
     for row in table:
         check("product_partition_lower", row.d, row.product_partition_lower)
         check("partition_sum_lower", row.d, row.partition_sum_lower)
@@ -187,169 +196,108 @@ def cmd_bounds_table(args) -> int:
         if row.construction_upper is not None \
                 and row.construction_upper == row.partition_sum_lower:
             check("list_size_exact", row.d, row.construction_upper)
-        rows_payload.append({
-            "d": row.d,
-            "product_partition_lower": row.product_partition_lower,
-            "partition_sum_lower": row.partition_sum_lower,
-            "construction_upper": row.construction_upper,
-        })
-    payload = {"command": "bounds-table", "d_max": args.d_max,
-               "rows": rows_payload}
-    headers = ["d", "product_partition_lower", "partition_sum_lower",
-               "construction_upper"]
-    rows = [[r["d"], r["product_partition_lower"], r["partition_sum_lower"],
-             r["construction_upper"]] for r in rows_payload]
-    _emit(args, payload, headers, rows)
-    return _report_mismatches(mismatches)
+    rows = [dataclasses.asdict(row) for row in table]
+    payload = {"command": "bounds-table", "d_max": args.d_max, "rows": rows}
+    _emit(args, payload, list(rows[0]), [list(r.values()) for r in rows])
+    return _fail(mismatches, "reference mismatch")
 
 
 def cmd_basis_subsets(args) -> int:
     """Maximum number of basis-forming column subsets, with bounds."""
     result = max_basis_subsets(args.k, args.d, work_budget=args.budget)
     bounds = basis_subset_bounds(args.k, args.d, work_budget=args.budget)
-    witness = [BitWord(c, args.k).to01() for c in result.witness.columns]
-    payload = {
+    _emit(args, {
         "command": "basis-subsets",
         "k": args.k,
         "d": args.d,
         "value": result.value,
-        "witness_columns": witness,
+        "witness_columns": [BitWord(c, args.k).to01()
+                            for c in result.witness.columns],
         "random_lower": bounds.random_lower,
         "monotone_upper": bounds.monotone_upper,
         "dense_upper": bounds.dense_upper,
         "deletion_upper": bounds.deletion_upper,
-    }
-    headers = ["quantity", "value"]
-    rows = [
-        ["k", args.k],
-        ["d", args.d],
-        ["maximum", result.value],
-        ["witness_columns", " ".join(witness)],
-        ["random_lower", bounds.random_lower],
-        ["monotone_upper", bounds.monotone_upper],
-        ["dense_upper", bounds.dense_upper],
-        ["deletion_upper", bounds.deletion_upper],
-    ]
-    _emit(args, payload, headers, rows)
+    })
     return EXIT_OK
 
 
 def cmd_partition_max(args) -> int:
     """Partition maximum of the sum of products with one part omitted."""
     result = max_partition_product_sum(args.d)
-    lower = product_partition_lower_bound(args.d)
     payload = {
         "command": "partition-max",
         "d": args.d,
         "value": result.value,
         "parts": list(result.parts),
-        "product_partition_lower": lower,
+        "product_partition_lower": product_partition_lower_bound(args.d),
     }
-    headers = ["quantity", "value"]
-    rows = [
-        ["d", args.d],
-        ["maximum", result.value],
-        ["parts", " ".join(str(p) for p in result.parts)],
-        ["product_partition_lower", lower],
-    ]
     if args.d % 3 == 0 and args.d >= 3:
         growth = partition_growth_check(args.d)
         payload["closed_form"] = _fraction_str(growth.closed_form)
         payload["meets_closed_form"] = growth.meets_closed_form
         payload["all_threes_value"] = growth.all_threes_value
         payload["all_threes_attains"] = growth.all_threes_attains
-        rows.append(["closed_form", _fraction_str(growth.closed_form)])
-        rows.append(["meets_closed_form", growth.meets_closed_form])
-        rows.append(["all_threes_value", growth.all_threes_value])
-        rows.append(["all_threes_attains", growth.all_threes_attains])
-    _emit(args, payload, headers, rows)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _construct_code(args) -> tuple:
-    """Build the requested code; returns (code, residue, extras)."""
+def _size_fields(code: Code) -> dict:
+    return {"size": len(code), "density": _fraction_str(code.density()),
+            "density_float": float(code.density())}
+
+
+def _construct_code(args, command: str) -> tuple:
+    """Build the requested code and write it when --out is given; returns
+    (code, the payload fields that describe it)."""
+    residue = args.residue
     if args.construction == "layered":
+        if residue is not None and not args.modulus:
+            raise ValueError("--residue needs --modulus")
+        if args.modulus and args.modulus < 2:
+            raise ValueError("modulus must be at least 2")
         layers = build_layer_vectors(args.n, seed=args.seed)
-        policy = RetryPolicy(strict=args.strict)
-        code = layered_basis_code(layers, retry=policy)
-        extras = {"construction": "layered", "seed": args.seed,
-                  "size_before_residue": len(code)}
-        residue = None
-        if args.modulus:
-            if args.modulus < 2:
-                raise ValueError("modulus must be at least 2")
-            if args.residue is not None:
-                code = residue_subcode(code, args.modulus, args.residue)
-                residue = args.residue
-            else:
-                selection = best_residue_subcode(code, args.modulus)
-                code = selection.code
-                residue = selection.residue
-        return code, residue, extras
-    if not args.modulus or args.modulus < 2:
-        raise ValueError("weight-class construction needs --modulus >= 2")
-    residue = args.residue if args.residue is not None else 0
-    code = weight_class_code(args.n, args.modulus, residue)
-    extras = {"construction": "weight-class", "seed": args.seed,
-              "size_before_residue": len(code)}
-    return code, residue, extras
-
-
-def _code_summary_rows(code: Code, residue, extras: dict,
-                       modulus: Optional[int]) -> list:
-    rows = [
-        ["n", code.n],
-        ["construction", extras["construction"]],
-        ["seed", extras["seed"]],
-        ["modulus", modulus if modulus else None],
-        ["residue", residue],
-        ["size", len(code)],
-        ["density", _fraction_str(code.density())],
-        ["density_float", float(code.density())],
-    ]
-    return rows
+        code = layered_basis_code(layers, retry=RetryPolicy(strict=args.strict))
+        size_before_residue = len(code)
+        if args.modulus and residue is not None:
+            code = residue_subcode(code, args.modulus, residue)
+        elif args.modulus:
+            selection = best_residue_subcode(code, args.modulus)
+            code, residue = selection.code, selection.residue
+    else:
+        if not args.modulus or args.modulus < 2:
+            raise ValueError("weight-class construction needs --modulus >= 2")
+        if residue is None:
+            residue = 0
+        code = weight_class_code(args.n, args.modulus, residue)
+        size_before_residue = len(code)
+    if args.out:
+        save_code(args.out, code)
+    return code, {
+        "command": command,
+        "n": code.n,
+        "construction": args.construction,
+        "seed": args.seed,
+        "modulus": args.modulus or None,
+        "residue": residue,
+        **_size_fields(code),
+        "size_before_residue": size_before_residue,
+    }
 
 
 def cmd_build(args) -> int:
     """Construct a code and optionally write it to a file."""
-    code, residue, extras = _construct_code(args)
-    if args.out:
-        save_code(args.out, code)
-    payload = {
-        "command": "build",
-        "n": code.n,
-        "modulus": args.modulus if args.modulus else None,
-        "residue": residue,
-        "size": len(code),
-        "density": _fraction_str(code.density()),
-        "density_float": float(code.density()),
-        **extras,
-    }
+    _, payload = _construct_code(args, "build")
     if args.out:
         payload["out"] = args.out
-    _emit(args, payload, ["quantity", "value"],
-          _code_summary_rows(code, residue, extras, args.modulus))
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_load(args) -> int:
     """Read a code file and report its size and density."""
     code = load_code(args.in_path)
-    payload = {
-        "command": "load",
-        "in": args.in_path,
-        "n": code.n,
-        "size": len(code),
-        "density": _fraction_str(code.density()),
-        "density_float": float(code.density()),
-    }
-    rows = [
-        ["n", code.n],
-        ["size", len(code)],
-        ["density", _fraction_str(code.density())],
-        ["density_float", float(code.density())],
-    ]
-    _emit(args, payload, ["quantity", "value"], rows)
+    _emit(args, {"command": "load", "in": args.in_path, "n": code.n,
+                 **_size_fields(code)})
     return EXIT_OK
 
 
@@ -357,130 +305,62 @@ def cmd_save(args) -> int:
     """Rewrite a code file in canonical sorted form."""
     code = load_code(args.in_path)
     save_code(args.out, code)
-    payload = {
-        "command": "save",
-        "in": args.in_path,
-        "out": args.out,
-        "n": code.n,
-        "size": len(code),
-    }
-    rows = [["n", code.n], ["size", len(code)], ["out", args.out]]
-    _emit(args, payload, ["quantity", "value"], rows)
+    _emit(args, {"command": "save", "in": args.in_path, "n": code.n,
+                 "size": len(code), "out": args.out})
     return EXIT_OK
+
+
+def _scan(args, code: Code, payload: dict) -> int:
+    """Scan every d-subcube of the code, emit the payload with the scan's
+    fields added, and check --list-size."""
+    report = max_subcube_count(code, args.d, budget=args.budget)
+    payload["d"] = args.d
+    payload["max_count"] = report.max_count
+    payload["subcubes_at_max"] = report.histogram[report.max_count]
+    payload["witness"] = _subcube_pattern(report.witness)
+    if payload["command"] == "build-verify":
+        upper = max_basis_subsets_any_k(args.d).value if args.d <= 8 else None
+        payload["construction_upper"] = upper
+        payload["within_construction_upper"] = (
+            None if upper is None else report.max_count <= upper)
+    failures = []
+    if args.list_size is not None:
+        payload["list_size"] = args.list_size
+        payload["within_list_size"] = report.max_count <= args.list_size
+        if not payload["within_list_size"]:
+            failures.append(f"max_count {report.max_count} exceeds "
+                            f"list size {args.list_size}")
+    _emit(args, payload)
+    return _fail(failures, "verification failed")
 
 
 def cmd_build_verify(args) -> int:
     """Construct a code and scan every d-subcube for its occupancy."""
-    code, residue, extras = _construct_code(args)
-    report = max_subcube_count(code, args.d, budget=args.budget)
-    if args.out:
-        save_code(args.out, code)
-    construction_upper = None
-    if args.d <= 8:
-        construction_upper = max_basis_subsets_any_k(args.d).value
-    within_upper = (None if construction_upper is None
-                    else report.max_count <= construction_upper)
-    ok = None
-    if args.list_size is not None:
-        ok = report.max_count <= args.list_size
-    payload = {
-        "command": "build-verify",
-        "n": code.n,
-        "d": args.d,
-        "modulus": args.modulus if args.modulus else None,
-        "residue": residue,
-        "size": len(code),
-        "density": _fraction_str(code.density()),
-        "density_float": float(code.density()),
-        "max_count": report.max_count,
-        "subcubes_at_max": report.histogram[report.max_count],
-        "witness": _subcube_pattern(report.witness),
-        "construction_upper": construction_upper,
-        "within_construction_upper": within_upper,
-        **extras,
-    }
-    if args.list_size is not None:
-        payload["list_size"] = args.list_size
-        payload["within_list_size"] = ok
-    rows = _code_summary_rows(code, residue, extras, args.modulus)
-    rows += [
-        ["d", args.d],
-        ["max_count", report.max_count],
-        ["subcubes_at_max", report.histogram[report.max_count]],
-        ["witness", _subcube_pattern(report.witness)],
-        ["construction_upper", construction_upper],
-        ["within_construction_upper", within_upper],
-    ]
-    if args.list_size is not None:
-        rows.append(["within_list_size", ok])
-    _emit(args, payload, ["quantity", "value"], rows)
-    if ok is False:
-        print(f"verification failed: max_count {report.max_count} exceeds "
-              f"list size {args.list_size}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    code, payload = _construct_code(args, "build-verify")
+    return _scan(args, code, payload)
 
 
 def cmd_verify(args) -> int:
     """Scan a code file for the maximum occupancy of a d-subcube."""
     code = load_code(args.in_path)
-    report = max_subcube_count(code, args.d, budget=args.budget)
-    ok = None
-    if args.list_size is not None:
-        ok = report.max_count <= args.list_size
-    payload = {
-        "command": "verify",
-        "in": args.in_path,
-        "n": code.n,
-        "d": args.d,
-        "size": len(code),
-        "max_count": report.max_count,
-        "subcubes_at_max": report.histogram[report.max_count],
-        "witness": _subcube_pattern(report.witness),
-    }
-    rows = [
-        ["n", code.n],
-        ["size", len(code)],
-        ["d", args.d],
-        ["max_count", report.max_count],
-        ["subcubes_at_max", report.histogram[report.max_count]],
-        ["witness", _subcube_pattern(report.witness)],
-    ]
-    if args.list_size is not None:
-        payload["list_size"] = args.list_size
-        payload["within_list_size"] = ok
-        rows.append(["within_list_size", ok])
-    _emit(args, payload, ["quantity", "value"], rows)
-    if ok is False:
-        print(f"verification failed: max_count {report.max_count} exceeds "
-              f"list size {args.list_size}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return _scan(args, code, {"command": "verify", "in": args.in_path,
+                              "n": code.n, "size": len(code)})
 
 
 def cmd_search_max_code(args) -> int:
     """Exact maximum code size under a per-subcube word limit."""
     result = max_code_search(args.n, args.d, args.list_size,
                              node_budget=args.budget)
-    words = sorted(BitWord(w, args.n).to01() for w in result.witness.words)
-    payload = {
+    _emit(args, {
         "command": "search-max-code",
         "n": args.n,
         "d": args.d,
         "list_size": args.list_size,
         "max_size": result.max_size,
         "certified": result.certified,
-        "witness": words,
-    }
-    rows = [
-        ["n", args.n],
-        ["d", args.d],
-        ["list_size", args.list_size],
-        ["max_size", result.max_size],
-        ["certified", result.certified],
-        ["witness", " ".join(words)],
-    ]
-    _emit(args, payload, ["quantity", "value"], rows)
+        "witness": sorted(BitWord(w, args.n).to01()
+                          for w in result.witness.words),
+    })
     return EXIT_OK
 
 
@@ -527,7 +407,7 @@ def cmd_lagrangian(args) -> int:
         graph = _load_hypergraph(args.in_path)
         source = args.in_path
     result = lagrangian(graph, restarts=args.restarts, seed=args.seed)
-    payload = {
+    _emit(args, {
         "command": "lagrangian",
         "source": source,
         "r": graph.r,
@@ -536,17 +416,7 @@ def cmd_lagrangian(args) -> int:
         "value": result.value,
         "point": list(result.point),
         "restarts_used": result.restarts_used,
-    }
-    rows = [
-        ["source", source],
-        ["r", graph.r],
-        ["n_vertices", graph.n_vertices],
-        ["edge_count", graph.edge_count()],
-        ["value", f"{result.value:.12g}"],
-        ["point", " ".join(f"{x:.6f}" for x in result.point)],
-        ["restarts_used", result.restarts_used],
-    ]
-    _emit(args, payload, ["quantity", "value"], rows)
+    })
     return EXIT_OK
 
 
@@ -554,7 +424,7 @@ def cmd_density(args) -> int:
     """Exact edge density of the linear-independence hypergraph."""
     value = linear_independence_density(args.r, args.k)
     threshold = 1 - Fraction(1, 1 << args.k)
-    payload = {
+    _emit(args, {
         "command": "density",
         "r": args.r,
         "k": args.k,
@@ -562,16 +432,7 @@ def cmd_density(args) -> int:
         "density_float": float(value),
         "threshold": _fraction_str(threshold),
         "exceeds_threshold": value > threshold,
-    }
-    rows = [
-        ["r", args.r],
-        ["k", args.k],
-        ["density", _fraction_str(value)],
-        ["density_float", float(value)],
-        ["threshold", _fraction_str(threshold)],
-        ["exceeds_threshold", value > threshold],
-    ]
-    _emit(args, payload, ["quantity", "value"], rows)
+    })
     return EXIT_OK
 
 
@@ -592,33 +453,17 @@ def cmd_hitting(args) -> int:
         "small_layer_cutoff": result.small_layer_cutoff,
         "density_float": float(code.density()),
     }
-    rows = [
-        ["n", args.n],
-        ["k", args.k],
-        ["seed", args.seed],
-        ["size", len(code)],
-        ["target_size", result.target_size],
-        ["met_target", result.met_target],
-        ["small_layer_cutoff", result.small_layer_cutoff],
-        ["density_float", float(code.density())],
-    ]
-    failed = False
+    failures = []
     if args.d is not None:
         report = verify_hitting(code, args.d, budget=args.budget)
         payload["d"] = args.d
         payload["hits_all"] = report.hits_all
         payload["missed"] = (None if report.missed is None
                              else _subcube_pattern(report.missed))
-        rows.append(["d", args.d])
-        rows.append(["hits_all", report.hits_all])
-        rows.append(["missed", payload["missed"]])
-        failed = not report.hits_all
-    _emit(args, payload, ["quantity", "value"], rows)
-    if failed:
-        print(f"verification failed: some {args.d}-subcube is missed",
-              file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+        if not report.hits_all:
+            failures.append(f"some {args.d}-subcube is missed")
+    _emit(args, payload)
+    return _fail(failures, "verification failed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,6 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", help="output format (default text)")
+
+    def add(name, func, *parents):
+        """A subcommand running func, helped by its docstring's first line."""
+        p = sub.add_parser(name, parents=[fmt, *parents],
+                           help=(func.__doc__ or "").split("\n", 1)[0])
+        p.set_defaults(func=func)
+        return p
 
     build_flags = argparse.ArgumentParser(add_help=False)
     build_flags.add_argument("--n", type=int, required=True,
@@ -650,79 +502,52 @@ def build_parser() -> argparse.ArgumentParser:
     build_flags.add_argument("--strict", action="store_true",
                              help="fail instead of keeping deficient layers")
 
-    p = sub.add_parser("constants", parents=[fmt],
-                       help="basis probabilities and their limit")
+    scan_flags = argparse.ArgumentParser(add_help=False)
+    scan_flags.add_argument("--d", type=int, required=True)
+    scan_flags.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+                            help="max number of subcubes to scan")
+    scan_flags.add_argument("--list-size", type=int, default=None,
+                            help="exit 2 if some d-subcube holds more words")
+
+    p = add("constants", cmd_constants)
     p.add_argument("--t-max", type=int, default=8)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("bounds-table", parents=[fmt],
-                       help="lower and upper bounds on the maximum "
-                            "erasure list size")
+    p = add("bounds-table", cmd_bounds_table)
     p.add_argument("--d-max", type=int, default=8)
-    p.set_defaults(func=cmd_bounds_table)
 
-    p = sub.add_parser("basis-subsets", parents=[fmt],
-                       help="maximum number of basis-forming column "
-                            "subsets of a k x d matrix")
+    p = add("basis-subsets", cmd_basis_subsets)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
                    help="work budget for the exact search")
-    p.set_defaults(func=cmd_basis_subsets)
 
-    p = sub.add_parser("partition-max", parents=[fmt],
-                       help="partition maximum of the sum of products "
-                            "with one part left out")
+    p = add("partition-max", cmd_partition_max)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_partition_max)
 
-    p = sub.add_parser("build", parents=[fmt, build_flags],
-                       help="construct a code; --out writes it")
+    p = add("build", cmd_build, build_flags)
     p.add_argument("--out", default=None, help="write the code here")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("load", parents=[fmt],
-                       help="read a code file and summarize it")
+    p = add("load", cmd_load)
     p.add_argument("--in", dest="in_path", required=True)
-    p.set_defaults(func=cmd_load)
 
-    p = sub.add_parser("save", parents=[fmt],
-                       help="rewrite a code file in canonical form")
+    p = add("save", cmd_save)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_save)
 
-    p = sub.add_parser("build-verify", parents=[fmt, build_flags],
-                       help="construct a code and scan all d-subcubes")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
-                   help="max number of subcubes to scan")
-    p.add_argument("--list-size", type=int, default=None,
-                   help="exit 2 if some d-subcube holds more words")
+    p = add("build-verify", cmd_build_verify, build_flags, scan_flags)
     p.add_argument("--out", default=None, help="write the code here")
-    p.set_defaults(func=cmd_build_verify)
 
-    p = sub.add_parser("verify", parents=[fmt],
-                       help="scan a code file for d-subcube occupancy")
+    p = add("verify", cmd_verify, scan_flags)
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--list-size", type=int, default=None,
-                   help="exit 2 if some d-subcube holds more words")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-max-code", parents=[fmt],
-                       help="exact maximum code size with at most "
-                            "list-size words per d-subcube")
+    p = add("search-max-code", cmd_search_max_code)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--list-size", type=int, required=True)
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="search node budget")
-    p.set_defaults(func=cmd_search_max_code)
 
-    p = sub.add_parser("lagrangian", parents=[fmt],
-                       help="hypergraph Lagrangian by multiplicative ascent")
+    p = add("lagrangian", cmd_lagrangian)
     p.add_argument("--t", type=int, default=None,
                    help="use the built-in basis hypergraph on 2^t - 1 "
                         "vertices")
@@ -730,17 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read a hypergraph file instead")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lagrangian)
 
-    p = sub.add_parser("density", parents=[fmt],
-                       help="edge density of the linear-independence "
-                            "hypergraph")
+    p = add("density", cmd_density)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("hitting", parents=[fmt],
-                       help="small set meeting subcubes of codimension k")
+    p = add("hitting", cmd_hitting)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -748,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also verify that every d-subcube is met")
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     p.add_argument("--out", default=None, help="write the set here")
-    p.set_defaults(func=cmd_hitting)
 
     return parser
 

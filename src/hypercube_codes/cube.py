@@ -2,8 +2,8 @@
 
 A d-subcube of the n-cube is a set of free coordinates plus a base word
 fixing the rest.  The canonical enumeration orders free sets in colex
-order and bases in increasing packed-integer order; it is index
-addressable, so scans can be partitioned deterministically.  The fast
+order and bases in increasing packed-integer order, so every scan
+reports the same witness; `subcube_at` addresses it by index.  The fast
 scan buckets codewords by their projection on the fixed coordinates; the
 naive per-subcube count is kept as an oracle.
 """
@@ -153,14 +153,29 @@ class VerificationReport:
     histogram: dict
 
 
-def _scan_free_sets(code: Code, d: int, free_sets: Iterable) -> tuple[dict, int, Optional[Subcube]]:
+def _bases_of(n: int, free: tuple[int, ...]) -> Iterator[int]:
+    fixed = tuple(sorted(set(range(n)) - set(free)))
+    for pattern in range(1 << len(fixed)):
+        yield _spread_base(pattern, fixed)
+
+
+def max_subcube_count(code: Code, d: int,
+                      budget: int = DEFAULT_SCAN_BUDGET) -> VerificationReport:
+    """Scan every d-subcube and report the maximum occupancy.
+
+    Codewords are bucketed by projection per free set, so the cost is
+    O(C(n, d) * len(code)) instead of one pass per subcube.
+    """
     n = code.n
+    total = subcube_total(n, d)
+    if total > budget:
+        raise OutOfRegimeError(f"{total} subcubes exceed the budget {budget}")
     full = (1 << n) - 1
     per_free = 1 << (n - d)
     histogram: dict[int, int] = {}
     best = -1
     witness = None
-    for free in free_sets:
+    for free in free_sets_colex(n, d):
         mask = 0
         for c in free:
             mask |= 1 << c
@@ -184,27 +199,6 @@ def _scan_free_sets(code: Code, d: int, free_sets: Iterable) -> tuple[dict, int,
             else:
                 base = min(b for b, c in counts.items() if c == local_best)
             witness = Subcube(n, free, base)
-    return histogram, best, witness
-
-
-def _bases_of(n: int, free: tuple[int, ...]) -> Iterator[int]:
-    fixed = tuple(sorted(set(range(n)) - set(free)))
-    for pattern in range(1 << len(fixed)):
-        yield _spread_base(pattern, fixed)
-
-
-def max_subcube_count(code: Code, d: int,
-                      budget: int = DEFAULT_SCAN_BUDGET) -> VerificationReport:
-    """Scan every d-subcube and report the maximum occupancy.
-
-    Codewords are bucketed by projection per free set, so the cost is
-    O(C(n, d) * len(code)) instead of one pass per subcube.
-    """
-    n = code.n
-    total = subcube_total(n, d)
-    if total > budget:
-        raise OutOfRegimeError(f"{total} subcubes exceed the budget {budget}")
-    histogram, best, witness = _scan_free_sets(code, d, free_sets_colex(n, d))
     assert witness is not None
     return VerificationReport(d, best, witness, histogram)
 

@@ -305,6 +305,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     restart climbs until the value change drops below tol.  The best of
     `restarts` random interior starts is returned.
     """
+    if restarts < 1:
+        raise ValueError("need restarts >= 1")
     n = graph.n_vertices
     if n == 0 or not graph.edges:
         return LagrangianResult(0.0, (0.0,) * n, 0)

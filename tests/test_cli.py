@@ -1,5 +1,7 @@
 """Command line surface: output shapes, exit codes, determinism."""
 
+import csv
+import io
 import json
 import time
 
@@ -222,3 +224,66 @@ def test_weight_class_beyond_max_n_fails_fast(capsys):
     assert code == 1
     assert "error:" in err and "n <= 24" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lagrangian", "--t", "2", "--restarts", "0"], "need restarts >= 1"),
+    (["build", "--n", "9", "--residue", "3"], "--residue needs --modulus"),
+    (["constants", "--t-max", "1"], "t-max"),
+], ids=["lagrangian", "build", "constants"])
+def test_bad_input_is_an_error_not_a_traceback(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def _rendered(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis-subsets", "--k", "2", "--d", "4"],
+    ["partition-max", "--d", "6"],
+    ["build", "--n", "8", "--out", "{tmp}/built.txt"],
+    ["load", "--in", "{tmp}/code.txt"],
+    ["save", "--in", "{tmp}/code.txt", "--out", "{tmp}/saved.txt"],
+    ["verify", "--in", "{tmp}/code.txt", "--d", "3", "--list-size", "9"],
+    ["build-verify", "--n", "8", "--d", "3", "--modulus", "6",
+     "--list-size", "9"],
+    ["search-max-code", "--n", "3", "--d", "2", "--list-size", "3"],
+    ["lagrangian", "--t", "2", "--restarts", "4"],
+    ["density", "--r", "3", "--k", "2"],
+    ["hitting", "--n", "8", "--k", "1", "--d", "4"],
+], ids=lambda argv: argv[0])
+def test_text_and_csv_rows_are_the_json_payload(capsys, monkeypatch,
+                                                tmp_path, argv):
+    cli.main(["build", "--n", "8", "--modulus", "6",
+              "--out", str(tmp_path / "code.txt")])
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    orders = []
+    emit = cli._emit
+
+    def spy(args, payload, *rest):
+        orders.append([k for k in payload if k != "command"])
+        emit(args, payload, *rest)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    capsys.readouterr()
+    _, doc, _ = run_json(capsys, argv)
+    keys = orders[-1]
+    assert sorted(keys) == sorted(set(doc) - {"command", "schema"})
+    expected = [[k, _rendered(doc[k])] for k in keys]
+
+    _, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert list(csv.reader(io.StringIO(out))) == [["quantity", "value"]] + expected
+
+    _, out, _ = run(capsys, argv + ["--format", "text"])
+    lines = out.splitlines()
+    assert lines[0].split() == ["quantity", "value"]
+    assert [(line.split(maxsplit=1) + [""])[:2] for line in lines[1:]] == expected
