@@ -8,9 +8,10 @@ Each subcommand computes one table or report.  Output formats:
   first; `constants` and `bounds-table` are tables with their own columns
 * text: the same rows aligned for reading
 
-Exit status: 0 on success, 1 on bad input or an out-of-regime request,
-2 when a computed value disagrees with the bundled reference manifest or
-a requested verification fails.
+Exit status: 0 on success, 1 on bad input, an out-of-regime request or
+a closed output pipe (the last without a message), 2 when a computed
+value disagrees with the bundled reference manifest or a requested
+verification fails.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import csv
 import dataclasses
 import decimal
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -576,7 +578,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): end quietly, and point
+        # stdout at devnull so the flush at exit cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass
+        return EXIT_ERROR
     except (ValueError, OutOfRegimeError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -217,6 +217,18 @@ def test_out_of_regime_is_reported(capsys):
     assert "error:" in err
 
 
+def test_closed_stdout_pipe_ends_quietly(capsys, monkeypatch):
+    # `hypercube-codes density ... | head -1`: the reader has gone away
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = cli.main(["density", "--r", "3", "--k", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_weight_class_beyond_max_n_fails_fast(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, ["build", "--construction", "weight-class",

@@ -1,10 +1,14 @@
 """Subcube enumeration, occupancy scans and the exact code search, all
 checked against naive oracles."""
 
+import contextlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypercube_codes import cube
 from hypercube_codes.codes import Code, weight_class_code
 from hypercube_codes.cube import (
     Subcube,
@@ -225,3 +229,96 @@ def test_max_code_validation():
         max_code_search(3, 4, 1)
     with pytest.raises(OutOfRegimeError):
         max_code_search(6, 2, 3)
+
+
+@contextlib.contextmanager
+def bucket_path():
+    """Force the bucket scan, which otherwise runs only for n > MAX_N."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "MAX_N", -1)
+        yield
+
+
+def first_missed(code, d):
+    return next((c for c in enumerate_subcubes(code.n, d)
+                 if subcube_count(code, c) == 0), None)
+
+
+@st.composite
+def codes_with_dimension(draw):
+    n = draw(st.integers(0, 9))
+    d = draw(st.integers(0, n))
+    words = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=24))
+    kind = draw(st.sampled_from(["sparse", "co-sparse", "empty", "full"]))
+    if kind == "co-sparse":
+        words = frozenset(range(1 << n)) - words
+    elif kind != "sparse":
+        words = frozenset(range(1 << n)) if kind == "full" else frozenset()
+    return Code(n, words), d
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(codes_with_dimension())
+def test_dense_walk_bucket_scan_and_naive_oracle_agree(case):
+    code, d = case
+    dense = max_subcube_count(code, d)
+    dense_hit = verify_hitting(code, d)
+    with bucket_path():
+        bucket = max_subcube_count(code, d)
+        bucket_hit = verify_hitting(code, d)
+    assert dense == bucket
+    assert (dense.max_count, dense.witness) == max_subcube_count_naive(code, d)
+    missed = first_missed(code, d)
+    assert dense_hit == bucket_hit
+    assert dense_hit.missed == missed
+    assert dense_hit.hits_all == (missed is None)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["empty", "full"])
+def test_empty_and_full_codes_at_every_dimension(full):
+    for n in range(10):
+        code = Code(n, frozenset(range(1 << n)) if full else frozenset())
+        for d in range(n + 1):
+            count = 1 << d if full else 0
+            first = Subcube(n, tuple(range(d)), 0)
+            reports = [max_subcube_count(code, d), verify_hitting(code, d)]
+            with bucket_path():
+                reports += [max_subcube_count(code, d), verify_hitting(code, d)]
+            scan, hit = reports[0], reports[1]
+            assert reports[2:] == [scan, hit]
+            assert scan.max_count == count
+            assert scan.witness == first
+            assert scan.histogram == {count: subcube_total(n, d)}
+            assert hit.hits_all == full
+            assert hit.missed == (None if full else first)
+
+
+def test_counts_past_a_byte():
+    # 256 words per 8-subcube would wrap to 0 in a uint8 table
+    report = max_subcube_count(Code(9, frozenset(range(1 << 9))), 8)
+    assert report.max_count == 256
+    assert report.histogram == {256: 18}
+    assert report.witness == Subcube(9, tuple(range(8)), 0)
+
+
+def test_histogram_holds_python_ints():
+    rng = random.Random(5)
+    report = max_subcube_count(random_code(rng, 10, 300), 4)
+    assert all(type(k) is int and type(v) is int
+               for k, v in report.histogram.items())
+    assert json.loads(json.dumps(report.histogram)) \
+        == {str(k): v for k, v in report.histogram.items()}
+
+
+def test_long_codes_take_the_bucket_path(monkeypatch):
+    def no_dense_tables(code, d):
+        raise AssertionError("dense tables for a 40-bit code")
+
+    monkeypatch.setattr(cube, "_dense_tables", no_dense_tables)
+    words = frozenset({0, 1 << 39, (1 << 40) - 1, 0x5A5A5A5A5A})
+    code = Code(40, words)
+    report = max_subcube_count(code, 39)
+    assert (report.max_count, report.witness) == max_subcube_count_naive(code, 39)
+    assert sum(report.histogram.values()) == subcube_total(40, 39)
+    hit = verify_hitting(code, 39)
+    assert hit.missed == first_missed(code, 39)
