@@ -1,13 +1,18 @@
 """Extremal counting problems behind the list-size bounds.
 
-Two exhaustive searches live here.  The first maximizes, over k x d
+Two searches live here.  The first exhaustively maximizes, over k x d
 matrices on GF(2), the number of nonsingular k x k column submatrices;
 equivalently, over families of d vectors in GF(2)^k, the number of
 k-subsets forming a basis.  The second maximizes the sum-of-products
 functional over integer partitions, which counts edges of complete
 multipartite uniform hypergraphs and gives the lower bounds on list
-sizes.  A closed-form lower bound from maximum-product partitions and a
-small bounds table round out the module.
+sizes.  It is a branch-and-bound over the anti-lexicographic partition
+walk: a prefix is cut when the largest suffix product and a bound on the
+suffix's leave-one-out sum cannot reach the best value so far.  The cut
+is strict, so tied partitions are still visited and the tie-break of the
+exhaustive walk (max_partition_product_sum_naive, kept as the oracle)
+is unchanged.  A closed-form lower bound from maximum-product partitions
+and a small bounds table round out the module.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .basisprob import uniform_basis_probability
@@ -87,6 +93,13 @@ def max_basis_subsets(k: int, d: int,
     if size > work_budget:
         raise OutOfRegimeError(
             f"search size {size} for (k={k}, d={d}) exceeds budget {work_budget}")
+    return _max_basis_subsets(k, d)
+
+
+@lru_cache(maxsize=None)
+def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
+    """The search itself, cached per (k, d): basis-subsets and its bounds
+    ask for the same maximum more than once."""
     identity = [1 << i for i in range(k)]
     best = -1
     best_cols: tuple[int, ...] = ()
@@ -182,17 +195,19 @@ def _partitions_desc(d: int):
     yield from rec(d, d, ())
 
 
-def max_partition_product_sum(d: int) -> PartitionMaximum:
-    """Exhaustive partition search for the sum-of-products maximum.
+def _check_partition_d(d: int) -> None:
+    if not 1 <= d <= 60:
+        raise ValueError("need 1 <= d <= 60")
 
-    Ties break to the lexicographically largest part tuple, so 2 + 0
-    beats 1 + 1 at d = 2.
+
+def max_partition_product_sum_naive(d: int) -> PartitionMaximum:
+    """Oracle for max_partition_product_sum: every partition of d in
+    anti-lexicographic order, each with and without a zero part.
 
     Raises:
         ValueError: outside 1 <= d <= 60.
     """
-    if not 1 <= d <= 60:
-        raise ValueError("need 1 <= d <= 60")
+    _check_partition_d(d)
     best = -1
     best_parts: tuple[int, ...] = ()
     for parts in _partitions_desc(d):
@@ -207,6 +222,73 @@ def max_partition_product_sum(d: int) -> PartitionMaximum:
         with_zero = parts + (0,)
         if prod > best or (prod == best and with_zero > best_parts):
             best, best_parts = prod, with_zero
+    return PartitionMaximum(d, best, best_parts)
+
+
+def _suffix_bounds(d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Tables over (s, c) for 0 <= s, c <= d: the largest product of a
+    partition of s into parts <= c (1 for the empty partition), and an
+    upper bound on its sum of leave-one-out products (0 when s = 0).
+
+    A suffix led by part a has product a * Q and leave-one-out sum
+    a * F + Q for the rest's Q and F, hence the recurrences."""
+    pmax = [[1] * (d + 1)]
+    upper = [[0] * (d + 1)]
+    for s in range(1, d + 1):
+        p_row = [0] * (d + 1)
+        u_row = [0] * (d + 1)
+        for c in range(1, d + 1):
+            a = min(c, s)
+            p_row[c] = max(p_row[c - 1], a * pmax[s - a][a])
+            u_row[c] = max(u_row[c - 1], a * upper[s - a][a] + pmax[s - a][a])
+        pmax.append(p_row)
+        upper.append(u_row)
+    return pmax, upper
+
+
+def max_partition_product_sum(d: int) -> PartitionMaximum:
+    """Branch-and-bound partition search for the sum-of-products maximum.
+
+    Partitions are walked in the anti-lexicographic order of
+    max_partition_product_sum_naive, each prefix carrying its product P
+    and leave-one-out sum E (appending a gives P*a and E*a + P).  A
+    suffix of product Q <= Pmax and leave-one-out sum F <= U completes
+    the prefix to E*Q + P*F, or to P*Q with a zero part, so a child whose
+    max(E*Pmax + P*U, P*Pmax) falls strictly below the best so far is
+    skipped.  Ties are still visited, so the result is the naive one:
+    ties break to the lexicographically largest part tuple, and 2 + 0
+    beats 1 + 1 at d = 2.
+
+    Raises:
+        ValueError: outside 1 <= d <= 60.
+    """
+    _check_partition_d(d)
+    pmax, upper = _suffix_bounds(d)
+    best = -1
+    best_parts: tuple[int, ...] = ()
+    prefix: list[int] = []
+
+    def walk(remaining: int, cap: int, prod: int, loo: int) -> None:
+        nonlocal best, best_parts
+        if remaining == 0:
+            parts = tuple(prefix)
+            if len(parts) >= 2 and (loo > best or (loo == best and parts > best_parts)):
+                best, best_parts = loo, parts
+            with_zero = parts + (0,)
+            if prod > best or (prod == best and with_zero > best_parts):
+                best, best_parts = prod, with_zero
+            return
+        for a in range(min(cap, remaining), 0, -1):
+            p, e = prod * a, loo * a + prod
+            rest = remaining - a
+            q = pmax[rest][a]
+            if max(e * q + p * upper[rest][a], p * q) < best:
+                continue
+            prefix.append(a)
+            walk(rest, a, p, e)
+            prefix.pop()
+
+    walk(d, d, 1, 0)
     return PartitionMaximum(d, best, best_parts)
 
 

@@ -304,14 +304,26 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     the update stays on the simplex and never decreases P, so each
     restart climbs until the value change drops below tol.  The best of
     `restarts` random interior starts is returned.
+
+    Raises:
+        ValueError: if restarts < 1.
+        OutOfRegimeError: if restarts times the edge count exceeds
+            DEFAULT_EDGE_BUDGET.
     """
     if restarts < 1:
         raise ValueError("need restarts >= 1")
+    if restarts * len(graph.edges) > DEFAULT_EDGE_BUDGET:
+        raise OutOfRegimeError(
+            f"{restarts} restarts over {len(graph.edges)} edges exceed "
+            f"the edge budget {DEFAULT_EDGE_BUDGET}")
     n = graph.n_vertices
     if n == 0 or not graph.edges:
         return LagrangianResult(0.0, (0.0,) * n, 0)
     r = graph.r
     edges = np.array(sorted(graph.edges), dtype=np.int64)
+    flat_edges = edges.ravel()
+    # lagrangian_polynomial's edge order, so the final sums match it bit for bit
+    in_order = np.array(list(graph.edges), dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     best_value = -1.0
     best_point = None
@@ -329,8 +341,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
             if abs(value - prev) < tol * max(value, 1.0):
                 break
             prev = value
-            grad = np.zeros(n)
-            np.add.at(grad, edges, products[:, None] / edge_weights)
+            grad = np.bincount(flat_edges, (products[:, None] / edge_weights).ravel(),
+                               minlength=n)
             x = x * grad / (r * value)
             # projection safeguard: keep strictly positive and on the simplex
             x = np.clip(x, 1e-300, None)
@@ -338,7 +350,7 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
             if not np.isfinite(s) or s <= 0.0:
                 break
             x /= s
-        value = float(lagrangian_polynomial(graph, x))
+        value = float(np.cumsum(x[in_order].prod(axis=1))[-1])
         if value > best_value:
             best_value = value
             best_point = x

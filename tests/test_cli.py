@@ -90,6 +90,28 @@ def test_partition_max_command(capsys):
     assert doc["all_threes_attains"] is False
 
 
+def test_partition_max_at_the_largest_d(capsys):
+    start = time.perf_counter()
+    code, doc, _ = run_json(capsys, ["partition-max", "--d", "60"])
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert doc["value"] == doc["all_threes_value"] == 20 * 3 ** 19
+    assert doc["parts"] == [3] * 20
+    assert doc["closed_form"] == f"{60 * 3 ** 18}/1"
+    assert doc["meets_closed_form"] is True
+    assert doc["all_threes_attains"] is True
+
+
+def test_lagrangian_beyond_the_edge_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lagrangian", "--t", "4",
+                                  "--restarts", "100000000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "edge budget" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_build_verify_weight_class(capsys):
     code, doc, _ = run_json(capsys, [
         "build-verify", "--n", "10", "--d", "3", "--construction",

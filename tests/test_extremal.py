@@ -2,6 +2,7 @@
 cross-checked by naive enumerations."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypercube_codes.extremal import (
     max_basis_subsets,
     max_basis_subsets_any_k,
     max_partition_product_sum,
+    max_partition_product_sum_naive,
     partition_growth_check,
     product_partition_lower_bound,
 )
@@ -108,6 +110,13 @@ def test_input_validation_and_budget():
         max_basis_subsets(5, 10)
 
 
+def test_equal_searches_are_run_once():
+    assert max_basis_subsets(3, 6) is max_basis_subsets(3, 6)
+    assert max_basis_subsets(3, 6) is max_basis_subsets(3, 6, work_budget=10**9)
+    with pytest.raises(OutOfRegimeError):
+        max_basis_subsets(3, 6, work_budget=1)
+
+
 def test_bounds_example():
     bounds = basis_subset_bounds(2, 5)
     assert bounds.random_lower == 7
@@ -167,6 +176,19 @@ def test_partition_maximum_values():
 def test_partition_maximum_matches_enumeration():
     for d in range(1, 13):
         assert max_partition_product_sum(d).value == partition_sum_by_enumeration(d)
+
+
+def test_partition_search_matches_the_naive_walk():
+    for d in range(1, 41):
+        assert max_partition_product_sum(d) == max_partition_product_sum_naive(d)
+
+
+def test_partition_maximum_at_the_largest_d_is_fast():
+    start = time.perf_counter()
+    result = max_partition_product_sum(60)
+    assert time.perf_counter() - start < 1.0
+    assert result.parts == (3,) * 20
+    assert result.value == 23_245_229_340 == 20 * 3 ** 19
 
 
 def test_partition_witnesses():

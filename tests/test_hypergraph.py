@@ -2,8 +2,10 @@
 Lagrangian optimization."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypercube_codes.basisprob import uniform_basis_probability
@@ -11,6 +13,7 @@ from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_partition_product_sum
 from hypercube_codes.gf2 import rank_ints
 from hypercube_codes.hypergraph import (
+    LagrangianResult,
     UniformHypergraph,
     augmented_complete,
     basis_hypergraph,
@@ -194,6 +197,80 @@ def test_lagrangian_monotone_under_edge_addition():
     b = lagrangian(tri, restarts=16).value
     assert b >= a - 1e-12
     assert abs(a - 0.25) < 1e-8  # best point uses one edge fully
+
+
+def lagrangian_by_add_at(graph, restarts, seed, tol=1e-10, max_iters=20_000):
+    """The ascent as first written: gradient by np.add.at and each
+    restart's value by lagrangian_polynomial."""
+    n = graph.n_vertices
+    r = graph.r
+    edges = np.array(sorted(graph.edges), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    best_value = -1.0
+    best_point = None
+    for _ in range(restarts):
+        x = rng.dirichlet(np.ones(n))
+        x = np.clip(x, 1e-12, None)
+        x /= x.sum()
+        prev = -1.0
+        for _ in range(max_iters):
+            edge_weights = x[edges]
+            products = edge_weights.prod(axis=1)
+            value = products.sum()
+            if value <= 0.0:
+                break
+            if abs(value - prev) < tol * max(value, 1.0):
+                break
+            prev = value
+            grad = np.zeros(n)
+            np.add.at(grad, edges, products[:, None] / edge_weights)
+            x = x * grad / (r * value)
+            x = np.clip(x, 1e-300, None)
+            s = x.sum()
+            if not np.isfinite(s) or s <= 0.0:
+                break
+            x /= s
+        value = float(lagrangian_polynomial(graph, x))
+        if value > best_value:
+            best_value = value
+            best_point = x
+    return LagrangianResult(best_value, tuple(float(v) for v in best_point),
+                            restarts)
+
+
+def random_3_uniform(n_vertices, n_edges, seed):
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < n_edges:
+        edges.add(tuple(sorted(rng.sample(range(n_vertices), 3))))
+    return UniformHypergraph(3, n_vertices, frozenset(edges))
+
+
+@pytest.mark.parametrize("graph", [
+    basis_hypergraph(1), basis_hypergraph(2), basis_hypergraph(3),
+    basis_hypergraph(4), complete(2, 5), augmented_complete(2, 4, 3),
+    random_3_uniform(9, 30, seed=5),
+], ids=["basis1", "basis2", "basis3", "basis4", "K5", "augmented", "random3"])
+def test_lagrangian_matches_the_add_at_ascent_bit_for_bit(graph):
+    for seed, restarts in zip(range(4), (8, 16, 24, 32)):
+        assert lagrangian(graph, restarts=restarts, seed=seed) == \
+            lagrangian_by_add_at(graph, restarts, seed)
+
+
+def test_vectorised_final_value_is_the_edge_polynomial():
+    rng = np.random.default_rng(3)
+    for graph in (basis_hypergraph(4), random_3_uniform(9, 30, seed=5)):
+        in_order = np.array(list(graph.edges), dtype=np.int64)
+        for _ in range(20):
+            x = rng.dirichlet(np.ones(graph.n_vertices))
+            assert float(np.cumsum(x[in_order].prod(axis=1))[-1]) == \
+                lagrangian_polynomial(graph, x)
+
+
+def test_lagrangian_restarts_beyond_the_edge_budget_are_refused():
+    with pytest.raises(OutOfRegimeError):
+        lagrangian(basis_hypergraph(4), restarts=5953)  # 5953 * 840 > 5e6
+    assert lagrangian(complete(2, 3), restarts=8).restarts_used == 8
 
 
 def test_basis_hypergraph_counts():
