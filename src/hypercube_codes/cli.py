@@ -30,7 +30,6 @@ from . import __version__
 from .basisprob import limit_constant, limit_interval, uniform_basis_probability
 from .codes import (
     Code,
-    RetryPolicy,
     best_residue_subcode,
     build_layer_vectors,
     layered_basis_code,
@@ -258,7 +257,7 @@ def _construct_code(args, command: str) -> tuple:
         if args.modulus and args.modulus < 2:
             raise ValueError("modulus must be at least 2")
         layers = build_layer_vectors(args.n, seed=args.seed)
-        code = layered_basis_code(layers, retry=RetryPolicy(strict=args.strict))
+        code = layered_basis_code(layers, strict=args.strict)
         size_before_residue = len(code)
         if args.modulus and residue is not None:
             code = residue_subcode(code, args.modulus, residue)

@@ -2,7 +2,8 @@
 
 The layered construction assigns to every layer r a random nonzero
 vector of GF(2)^r per coordinate and keeps the weight-r words whose
-support vectors form a basis.  Taking the best weight-residue subcode
+support vectors form a basis; a layer that keeps too few words is
+redrawn, up to MAX_RETRIES times.  Taking the best weight-residue subcode
 then caps how many codewords any small subcube can hold.  A complement
 variant produces subcube hitting sets.  File round-tripping for codes
 lives here as well.
@@ -14,9 +15,9 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +32,8 @@ MAX_N = 24
 # Certified rational lower bound on the limit constant, used as the
 # per-layer quality threshold for retries.
 DENSITY_THRESHOLD: Fraction = limit_interval(40)[0]
+# Redraws allowed per layer that stays at or below the threshold.
+MAX_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -103,30 +106,19 @@ def layer_words(assignment: LayerAssignment) -> frozenset:
                          independent_subsets(assignment.vectors, assignment.weight)))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Redraw layers whose keep-count is at most min_fraction of the
-    layer size.  strict=True turns an exhausted budget into an error;
-    otherwise the best draw is kept and the shortfall logged."""
-
-    max_retries: int = 64
-    strict: bool = False
-    min_fraction: Fraction = field(default=DENSITY_THRESHOLD)
-
-
 def layered_basis_code(layers: Mapping[int, LayerAssignment],
-                       retry: Optional[RetryPolicy] = None) -> Code:
+                       strict: bool = False) -> Code:
     """The union of the zero word and all per-layer basis-support words.
 
-    With a retry policy, any layer r whose word count is not strictly
-    above min_fraction * C(n, r) is redrawn with the next retry index,
-    keeping the best draw seen.
+    Any layer r whose word count is not strictly above
+    DENSITY_THRESHOLD * C(n, r) is redrawn with the next retry index, up
+    to MAX_RETRIES times, keeping the best draw seen.  A layer still at
+    or below the threshold raises ConstructionError if strict; otherwise
+    its best draw is kept and the shortfall logged.
     """
     if not layers:
         raise ValueError("need at least one layer")
     n = next(iter(layers.values())).n
-    policy = retry if retry is not None else RetryPolicy()
-    threshold = policy.min_fraction
     words: set[int] = {0}
     deficient: list[int] = []
     for r in sorted(layers):
@@ -135,10 +127,10 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
             raise ValueError("layers disagree on the coordinate count")
         if assignment.weight != r:
             raise ValueError(f"layer {r} carries weight {assignment.weight}")
-        target = threshold * math.comb(n, r)
+        target = DENSITY_THRESHOLD * math.comb(n, r)
         best = layer_words(assignment)
         attempt = assignment
-        while len(best) <= target and attempt.retry < policy.max_retries:
+        while len(best) <= target and attempt.retry < MAX_RETRIES:
             attempt = _draw_layer(n, r, assignment.seed, attempt.retry + 1)
             candidate = layer_words(attempt)
             if len(candidate) > len(best):
@@ -147,10 +139,10 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
             deficient.append(r)
         words |= best
     if deficient:
-        if policy.strict:
+        if strict:
             raise ConstructionError(
                 f"layers {deficient} stayed at or below the density threshold "
-                f"after {policy.max_retries} retries")
+                f"after {MAX_RETRIES} retries")
         log.warning("layers %s below the density threshold; keeping best draws",
                     deficient)
     return Code(n, frozenset(words))
@@ -175,15 +167,13 @@ class ResidueSelection:
 def best_residue_subcode(code: Code, modulus: int) -> ResidueSelection:
     """The largest weight-residue subcode; ties break to the smallest
     residue.  By pigeonhole its size is at least len(code) / modulus."""
-    best: Optional[Code] = None
-    best_residue = 0
-    for residue in range(modulus):
-        sub = residue_subcode(code, modulus, residue)
-        if best is None or len(sub) > len(best):
-            best = sub
-            best_residue = residue
-    assert best is not None
-    return ResidueSelection(best, best_residue)
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    counts = [0] * modulus
+    for w in code.words:
+        counts[w.bit_count() % modulus] += 1
+    residue = counts.index(max(counts))
+    return ResidueSelection(residue_subcode(code, modulus, residue), residue)
 
 
 def weight_class_code(n: int, modulus: int, residue: int) -> Code:

@@ -3,7 +3,8 @@
 A d-subcube of the n-cube is a set of free coordinates plus a base word
 fixing the rest.  The canonical enumeration orders free sets in colex
 order and bases in increasing packed-integer order, so every scan
-reports the same witness; `subcube_at` addresses it by index.
+reports the same witness; `subcube_at` addresses it by index, and the
+exact code search (`max_code_search`) numbers its subcubes the same way.
 
 The scans (`max_subcube_count`, `verify_hitting`) walk dense occupancy
 tables for n <= MAX_N: the code as a 0/1 array of shape (2,)*n, and for
@@ -52,10 +53,7 @@ class Subcube:
 
     @property
     def free_mask(self) -> int:
-        m = 0
-        for c in self.free:
-            m |= 1 << c
-        return m
+        return _spread_base((1 << len(self.free)) - 1, self.free)
 
     @property
     def dim(self) -> int:
@@ -63,13 +61,8 @@ class Subcube:
 
     def vertices(self) -> Iterator[int]:
         """The 2^d words of the subcube, in increasing packed order."""
-        free = self.free
-        for pattern in range(1 << len(free)):
-            w = self.base
-            for i, c in enumerate(free):
-                if (pattern >> i) & 1:
-                    w |= 1 << c
-            yield w
+        for pattern in range(1 << len(self.free)):
+            yield self.base | _spread_base(pattern, self.free)
 
     def contains(self, word: int) -> bool:
         return word & ~self.free_mask == self.base
@@ -203,9 +196,8 @@ def _dense_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], np.ndar
 def _bucket_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], dict]]:
     """Per free set in colex order, {base: count} over the occupied
     subcubes: C(n, d) * len(code) dict operations and no 2^n table."""
-    full = (1 << code.n) - 1
     for free in free_sets_colex(code.n, d):
-        fixed_mask = full ^ sum(1 << c for c in free)
+        fixed_mask = _spread_base((1 << (code.n - d)) - 1, _fixed_coords(code.n, free))
         counts: dict[int, int] = {}
         for w in code.words:
             proj = w & fixed_mask
@@ -374,18 +366,13 @@ def max_code_search(n: int, d: int, list_size: int,
     raise OutOfRegimeError("exact search supported for n <= 5")
 
 
-def _subcube_vertex_masks(n: int, d: int) -> list[int]:
-    masks = []
-    for cube in enumerate_subcubes(n, d):
-        m = 0
-        for v in cube.vertices():
-            m |= 1 << v
-        masks.append(m)
-    return masks
+def _subcube_vertices(n: int, d: int) -> list[tuple[int, ...]]:
+    """The vertices of every d-subcube, listed at its canonical index."""
+    return [tuple(cube.vertices()) for cube in enumerate_subcubes(n, d)]
 
 
 def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
-    masks = _subcube_vertex_masks(n, d)
+    masks = [sum(1 << v for v in vertices) for vertices in _subcube_vertices(n, d)]
     best = -1
     best_set = 0
     for subset in range(1 << (1 << n)):
@@ -402,34 +389,23 @@ def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
 def _max_code_branch_bound(n: int, d: int, list_size: int,
                            node_budget: int) -> MaxCodeResult:
     order = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
-    free_sets = list(free_sets_colex(n, d))
-    full = (1 << n) - 1
+    cubes = _subcube_vertices(n, d)
     num_buckets = 1 << (n - d)
-    # bucket id of vertex v under free set f: projection compressed onto
-    # the fixed coordinates
-    vertex_buckets: list[list[int]] = []
-    for v in range(1 << n):
-        ids = []
-        for fi, free in enumerate(free_sets):
-            mask = 0
-            for c in free:
-                mask |= 1 << c
-            fixed = tuple(sorted(set(range(n)) - set(free)))
-            proj = v & (full ^ mask)
-            pattern = 0
-            for i, c in enumerate(fixed):
-                if (proj >> c) & 1:
-                    pattern |= 1 << i
-            ids.append(fi * num_buckets + pattern)
-        vertex_buckets.append(ids)
+    # bucket b is the canonical subcube index, free-set rank * num_buckets
+    # + base pattern; each vertex lies in one bucket per free set
+    vertex_buckets: list[list[int]] = [[] for _ in range(1 << n)]
+    for b, vertices in enumerate(cubes):
+        for v in vertices:
+            vertex_buckets[v].append(b)
 
-    nf = len(free_sets)
-    included = [0] * (nf * num_buckets)
-    possible = [1 << d] * (nf * num_buckets)
+    included = [0] * len(cubes)
+    possible = [1 << d] * len(cubes)
     # per free set, sum over buckets of min(list_size, possible)
-    sum_min = [min(list_size, 1 << d) * num_buckets] * nf
+    sum_min = [min(list_size, 1 << d) * num_buckets] * math.comb(n, d)
 
-    best_size = -1
+    # the empty code always qualifies, so a budget spent before the
+    # first leaf still returns a valid (uncertified) answer
+    best_size = 0
     best_words: list[int] = []
     chosen: list[int] = []
     nodes = 0

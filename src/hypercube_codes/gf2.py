@@ -18,6 +18,9 @@ from .errors import OutOfRegimeError
 # ever needed; everything else derives its limits from this constant.
 MAX_BITS = 64
 
+# Pairs of codewords min_distance may compare.
+DEFAULT_PAIR_BUDGET = 100_000_000
+
 
 @dataclass(frozen=True)
 class BitWord:
@@ -295,10 +298,18 @@ def code_from_parity_check(matrix: GF2Matrix):
     """All length-t words x with A x^T = 0, where t = cols.
 
     Returns a Code on t coordinates; its size is 2 ** (t - rank(A)).
+
+    Raises:
+        OutOfRegimeError: if t - rank(A) exceeds codes.MAX_N, before any
+            word is enumerated.
     """
-    from .codes import Code  # deferred: codes builds on this module
+    from .codes import MAX_N, Code  # deferred: codes builds on this module
 
     t = matrix.cols
+    dimension = t - rank(matrix)
+    if dimension > MAX_N:
+        raise OutOfRegimeError(
+            f"the code has 2^{dimension} words; enumerated for dimension <= {MAX_N}")
     basis = _kernel_of_rows(matrix.rows_as_ints(), t)
     words = [0]
     for b in basis:
@@ -311,10 +322,17 @@ def min_distance(code) -> int:
 
     Raises:
         ValueError: if the code has fewer than two words.
+        OutOfRegimeError: if the code has more than DEFAULT_PAIR_BUDGET
+            pairs of words, before any pair is compared.
     """
-    words = sorted(code.words)
-    if len(words) < 2:
+    size = len(code.words)
+    if size < 2:
         raise ValueError("minimum distance needs at least two codewords")
+    pairs = size * (size - 1) // 2
+    if pairs > DEFAULT_PAIR_BUDGET:
+        raise OutOfRegimeError(
+            f"{pairs} pairs of codewords exceed the budget {DEFAULT_PAIR_BUDGET}")
+    words = sorted(code.words)
     best = code.n + 1
     for i, x in enumerate(words):
         for y in words[i + 1:]:

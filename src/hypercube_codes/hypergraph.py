@@ -22,6 +22,9 @@ from .gf2 import independent_subsets
 
 DEFAULT_COPY_BUDGET = 5_000_000
 DEFAULT_EDGE_BUDGET = 5_000_000
+# stopping rule of each Lagrangian restart
+ASCENT_TOL = 1e-10
+ASCENT_MAX_ITERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -296,13 +299,13 @@ class LagrangianResult:
 
 
 def lagrangian(graph: UniformHypergraph, restarts: int = 64,
-               tol: float = 1e-10, seed: int = 0,
-               max_iters: int = 20_000) -> LagrangianResult:
+               seed: int = 0) -> LagrangianResult:
     """Maximum of the edge polynomial over the probability simplex.
 
     Multiplicative ascent: x_i <- x_i * dP/dx_i / (r P); by homogeneity
     the update stays on the simplex and never decreases P, so each
-    restart climbs until the value change drops below tol.  The best of
+    restart climbs until the relative value change drops below
+    ASCENT_TOL, or for at most ASCENT_MAX_ITERS steps.  The best of
     `restarts` random interior starts is returned.
 
     Raises:
@@ -332,13 +335,13 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         x = np.clip(x, 1e-12, None)
         x /= x.sum()
         prev = -1.0
-        for _ in range(max_iters):
+        for _ in range(ASCENT_MAX_ITERS):
             edge_weights = x[edges]
             products = edge_weights.prod(axis=1)
             value = products.sum()
             if value <= 0.0:
                 break
-            if abs(value - prev) < tol * max(value, 1.0):
+            if abs(value - prev) < ASCENT_TOL * max(value, 1.0):
                 break
             prev = value
             grad = np.bincount(flat_edges, (products[:, None] / edge_weights).ravel(),

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from hypercube_codes import codes
 from hypercube_codes.basisprob import independent_draw_probability
 from hypercube_codes.codes import (
     DENSITY_THRESHOLD,
     Code,
-    RetryPolicy,
     best_residue_subcode,
     build_layer_vectors,
     expected_dependent_fraction,
@@ -115,15 +115,14 @@ def test_layered_code_rejects_mixed_layers():
         layered_basis_code({})
 
 
-def test_retry_policy_strict_and_lenient():
+def test_retry_policy_strict_and_lenient(monkeypatch):
     layers = build_layer_vectors(5, seed=0)
-    impossible = RetryPolicy(max_retries=0, strict=True,
-                             min_fraction=Fraction(1))
+    # no layer can clear a threshold of 1, and no redraw is allowed
+    monkeypatch.setattr(codes, "DENSITY_THRESHOLD", Fraction(1))
+    monkeypatch.setattr(codes, "MAX_RETRIES", 0)
     with pytest.raises(ConstructionError):
-        layered_basis_code(layers, retry=impossible)
-    lenient = RetryPolicy(max_retries=0, strict=False,
-                          min_fraction=Fraction(1))
-    code = layered_basis_code(layers, retry=lenient)
+        layered_basis_code(layers, strict=True)
+    code = layered_basis_code(layers, strict=False)
     assert len(code) > 1  # best draws kept despite the shortfall
 
 
@@ -151,6 +150,9 @@ def test_best_residue_subcode():
     tie = best_residue_subcode(Code(1, frozenset({0, 1})), 2)
     assert tie.residue == 0
     assert tie.code.words == frozenset({0})
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            best_residue_subcode(code, modulus)
 
 
 def test_weight_class_code():

@@ -211,6 +211,29 @@ def test_max_code_budget_degrades_to_uncertified():
     assert not result.certified
     assert result.max_size <= 22
     assert max_subcube_count(result.witness, 2).max_count <= 3
+    # a budget spent before the first leaf (33 nodes at n = 5) leaves the
+    # empty code, which every limit admits
+    for budget in (0, 1, 32):
+        early = max_code_search(5, 3, 6, node_budget=budget)
+        assert (early.max_size, early.witness.words, early.certified) \
+            == (0, frozenset(), False)
+
+
+@pytest.mark.parametrize("n, d, list_size, budget, size, words, certified", [
+    (4, 2, 3, 2_000_000, 11, [0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 14], True),
+    (5, 2, 3, 2_000_000, 22, [0, 1, 2, 4, 7, 9, 10, 11, 12, 13, 14, 17, 18,
+                              19, 20, 21, 22, 24, 27, 29, 30, 31], True),
+    (5, 3, 6, 2_000_000, 24, [0, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15, 17, 18,
+                              20, 21, 22, 23, 24, 25, 26, 27, 29, 30], True),
+    (5, 2, 3, 50, 21, [0, 1, 2, 4, 7, 8, 11, 13, 14, 15, 16, 19, 21, 22, 23,
+                       25, 26, 27, 28, 29, 30], False),
+])
+def test_max_code_witnesses_are_pinned(n, d, list_size, budget, size, words,
+                                       certified):
+    # the first witness in search order; the benchmark gate checks (5, 3, 6)
+    result = max_code_search(n, d, list_size, node_budget=budget)
+    assert (result.max_size, sorted(result.witness.words), result.certified) \
+        == (size, words, certified)
 
 
 def test_max_code_complement_hits_every_square():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hypercube_codes import codes, gf2
 from hypercube_codes.codes import Code
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.gf2 import (
@@ -205,6 +206,27 @@ def test_code_from_parity_check_size_and_membership():
         for w in sorted(code.words)[:8]:
             for row in m.rows_as_ints():
                 assert (w & row).bit_count() % 2 == 0
+
+
+def test_code_from_parity_check_refuses_large_kernels(monkeypatch):
+    # one row on 64 columns leaves 2^63 words
+    with pytest.raises(OutOfRegimeError):
+        code_from_parity_check(GF2Matrix.from_rows(64, [1]))
+    # the kernel dimension t - rank decides, not the row count
+    monkeypatch.setattr(codes, "MAX_N", 3)
+    with pytest.raises(OutOfRegimeError):
+        code_from_parity_check(GF2Matrix.from_rows(5, [0b11, 0b11]))
+    assert len(code_from_parity_check(GF2Matrix.from_rows(5, [0b11, 0b110]))) == 8
+
+
+def test_min_distance_refuses_beyond_the_pair_budget(monkeypatch):
+    # 14143 words make 100,005,153 pairs
+    with pytest.raises(OutOfRegimeError):
+        min_distance(Code(15, frozenset(range(14143))))
+    monkeypatch.setattr(gf2, "DEFAULT_PAIR_BUDGET", 6)
+    assert min_distance(Code(4, frozenset({0, 3, 12, 15}))) == 2
+    with pytest.raises(OutOfRegimeError):
+        min_distance(Code(4, frozenset({0, 3, 12, 15, 5})))
 
 
 def test_min_distance_examples():
