@@ -40,6 +40,7 @@ from .codes import (
     weight_class_code,
 )
 from .cube import (
+    DEFAULT_NODE_BUDGET,
     DEFAULT_SCAN_BUDGET,
     Subcube,
     max_code_search,
@@ -545,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--list-size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="node budget of the n = 5 branch and bound; "
+                        "n <= 4 is always exhaustive and certified")
 
     p = add("lagrangian", cmd_lagrangian)
     p.add_argument("--t", type=int, default=None,

@@ -12,9 +12,10 @@ each free set the table of subcube counts, each one a vectorised sum of
 its parent (the partial zeta transform of Yates 1937).  That costs about
 2 * subcube_total(n, d) array additions, whatever the code size, and
 2^(n+1) bytes of tables at most, 32 MB at n = 24.  Longer codes, which
-only a loaded file can give, bucket the codewords by their projection on
-the fixed coordinates, C(n, d) * len(code) dict operations.  The naive
-per-subcube count is kept as the oracle of both.
+only a loaded file can give, get the same tables by counting the
+codewords' patterns on the fixed coordinates, so both scans keep one
+body; their tables have 2^(n-d) entries, scanned for n - d <= MAX_N.
+The naive per-subcube count is the oracle of both.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import OutOfRegimeError
 from .gf2 import MAX_BITS, BitWord
 
 DEFAULT_SCAN_BUDGET = 100_000_000
+DEFAULT_NODE_BUDGET = 2_000_000
+_MAX_FIXED = MAX_N  # count tables have 2^(n - d) entries, at most 2^MAX_N
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def _colex_unrank(index: int, d: int) -> tuple[int, ...]:
 
 
 def _fixed_coords(n: int, free: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c for c in range(n) if c not in free)
+    return tuple(sorted(set(range(n)).difference(free)))
 
 
 def _spread_base(pattern: int, fixed: tuple[int, ...]) -> int:
@@ -193,26 +196,29 @@ def _dense_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], np.ndar
     yield from walk(occupancy.reshape((2,) * n), ())
 
 
-def _bucket_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], dict]]:
-    """Per free set in colex order, {base: count} over the occupied
-    subcubes: C(n, d) * len(code) dict operations and no 2^n table."""
-    for free in free_sets_colex(code.n, d):
-        fixed_mask = _spread_base((1 << (code.n - d)) - 1, _fixed_coords(code.n, free))
-        counts: dict[int, int] = {}
-        for w in code.words:
-            proj = w & fixed_mask
-            counts[proj] = counts.get(proj, 0) + 1
-        yield free, counts
+def _bucket_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The tables of _dense_tables without a 2^n array: per free set,
+    np.bincount of the codewords' patterns on the fixed coordinates.  A
+    pattern is the place values times the fixed bits, C(n, d) * (n - d)
+    vector passes; float32 keeps it exact, as patterns stay below 2^24."""
+    n = code.n
+    words = np.fromiter(code.words, np.uint64, len(code))
+    bits = ((words >> np.arange(n, dtype=np.uint64)[:, None])
+            & np.uint64(1)).astype(np.float32)
+    place = np.exp2(np.arange(n - d, dtype=np.float32))
+    for free in free_sets_colex(n, d):
+        patterns = place @ bits[list(_fixed_coords(n, free))]
+        yield free, np.bincount(patterns.astype(np.intp), minlength=1 << (n - d))
 
 
-def _first_empty(n: int, free: tuple[int, ...], counts: dict) -> Subcube:
-    """The first subcube of the free set that no key of counts (the
-    occupied bases) lies in."""
-    fixed = _fixed_coords(n, free)
-    pattern = 0
-    while _spread_base(pattern, fixed) in counts:
-        pattern += 1
-    return _leaf_subcube(n, free, pattern)
+def _count_tables(code: Code, d: int,
+                  budget: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Both scans' tables, dense for n <= MAX_N, after the regime checks."""
+    n = code.n
+    _check_budget(n, d, budget)
+    if n - d > _MAX_FIXED:
+        raise OutOfRegimeError(f"tables of 2^{n - d} entries exceed 2^{_MAX_FIXED}")
+    return _dense_tables(code, d) if n <= MAX_N else _bucket_tables(code, d)
 
 
 def max_subcube_count(code: Code, d: int,
@@ -223,22 +229,21 @@ def max_subcube_count(code: Code, d: int,
     each table is one vectorised sum of its parent, so the cost is about
     2 * subcube_total(n, d) array additions plus one bincount per free
     set, independent of the code size, and the largest table holds 2^n
-    bytes.  Longer codes fall back to bucketing the codewords per free
-    set, C(n, d) * len(code) dict operations.
+    bytes.  Longer codes count the same tables from their words
+    (_bucket_tables), C(n, d) * (n - d) vector passes over the code,
+    for n - d <= MAX_N.
 
     Raises:
-        OutOfRegimeError: if the subcube total exceeds the budget, before
-            anything is allocated.
+        OutOfRegimeError: if the subcube total exceeds the budget or
+            n - d > MAX_N, before anything is allocated.
     """
     n = code.n
-    _check_budget(n, d, budget)
-    if n > MAX_N:
-        return _bucket_scan(code, d)
+    tables = _count_tables(code, d, budget)
     # a subcube holds at most min(2^d, len(code)) codewords
     histogram = np.zeros(min(1 << d, len(code)) + 1, np.int64)
     best = -1
     witness = None
-    for free, table in _dense_tables(code, d):
+    for free, table in tables:
         histogram += np.bincount(table, minlength=len(histogram))
         top = int(table.max())
         if top > best:
@@ -247,32 +252,6 @@ def max_subcube_count(code: Code, d: int,
     assert witness is not None
     return VerificationReport(d, best, witness,
                               {k: v for k, v in enumerate(histogram.tolist()) if v})
-
-
-def _bucket_scan(code: Code, d: int) -> VerificationReport:
-    n = code.n
-    per_free = 1 << (n - d)
-    histogram: dict[int, int] = {}
-    best = -1
-    witness = None
-    for free, counts in _bucket_tables(code, d):
-        empty = per_free - len(counts)
-        if empty:
-            histogram[0] = histogram.get(0, 0) + empty
-        local_best = 0 if empty else -1
-        for c in counts.values():
-            histogram[c] = histogram.get(c, 0) + 1
-            if c > local_best:
-                local_best = c
-        if local_best > best:
-            best = local_best
-            if local_best == 0:
-                witness = _first_empty(n, free, counts)
-            else:
-                base = min(b for b, c in counts.items() if c == local_best)
-                witness = Subcube(n, free, base)
-    assert witness is not None
-    return VerificationReport(d, best, witness, histogram)
 
 
 def max_subcube_count_naive(code: Code, d: int,
@@ -319,18 +298,11 @@ class HittingReport:
 def verify_hitting(code: Code, d: int,
                    budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
     """Does the set meet every d-subcube?  On failure the first missed
-    subcube in canonical order is reported.  Same tables, paths and
-    budget check as max_subcube_count; stops at the first free set with
-    an empty subcube."""
+    subcube in canonical order is reported.  Same tables, cost, regime
+    and budget check as max_subcube_count; stops at the first free set
+    with an empty subcube."""
     n = code.n
-    _check_budget(n, d, budget)
-    if n > MAX_N:
-        per_free = 1 << (n - d)
-        for free, counts in _bucket_tables(code, d):
-            if len(counts) < per_free:
-                return HittingReport(False, _first_empty(n, free, counts))
-        return HittingReport(True, None)
-    for free, table in _dense_tables(code, d):
+    for free, table in _count_tables(code, d, budget):
         if not table.all():
             return HittingReport(False, _leaf_subcube(n, free, int(table.argmin())))
     return HittingReport(True, None)
@@ -347,15 +319,18 @@ class MaxCodeResult:
 
 
 def max_code_search(n: int, d: int, list_size: int,
-                    node_budget: int = 2_000_000) -> MaxCodeResult:
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> MaxCodeResult:
     """Largest code on n coordinates with at most list_size words in
-    every d-subcube.  Exhaustive for n <= 4; branch and bound at n = 5.
+    every d-subcube.  Exhaustive and certified for n <= 4; branch and
+    bound at n = 5, the only search that node_budget bounds.
 
     Raises:
         OutOfRegimeError: for n >= 6.
     """
-    if not 1 <= n <= MAX_BITS or not 0 <= d <= n or list_size < 1:
-        raise ValueError("need 1 <= n, 0 <= d <= n and list_size >= 1")
+    if (not 1 <= n <= MAX_BITS or not 0 <= d <= n or list_size < 1
+            or node_budget < 0):
+        raise ValueError("need 1 <= n, 0 <= d <= n, list_size >= 1 "
+                         "and node_budget >= 0")
     if list_size >= 1 << d:
         full = frozenset(range(1 << n))
         return MaxCodeResult(1 << n, Code(n, full), True)

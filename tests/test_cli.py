@@ -264,7 +264,9 @@ def test_weight_class_beyond_max_n_fails_fast(capsys):
     (["lagrangian", "--t", "2", "--restarts", "0"], "need restarts >= 1"),
     (["build", "--n", "9", "--residue", "3"], "--residue needs --modulus"),
     (["constants", "--t-max", "1"], "t-max"),
-], ids=["lagrangian", "build", "constants"])
+    (["search-max-code", "--n", "5", "--d", "2", "--list-size", "3",
+      "--budget", "-7"], "node_budget >= 0"),
+], ids=["lagrangian", "build", "constants", "search-max-code"])
 def test_bad_input_is_an_error_not_a_traceback(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 1

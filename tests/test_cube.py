@@ -1,9 +1,11 @@
 """Subcube enumeration, occupancy scans and the exact code search, all
 checked against naive oracles."""
 
+import collections
 import contextlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,3 +347,39 @@ def test_long_codes_take_the_bucket_path(monkeypatch):
     assert sum(report.histogram.values()) == subcube_total(40, 39)
     hit = verify_hitting(code, 39)
     assert hit.missed == first_missed(code, 39)
+
+
+@pytest.mark.parametrize("d", [62, 63])
+def test_top_bit_of_64_bit_words(d):
+    # 2^64 - 1 and 2^63 need every bit of the uint64 word array
+    rng = random.Random(d)
+    words = {0, 1 << 63, (1 << 64) - 1} | {rng.getrandbits(64) for _ in range(5)}
+    code = Code(64, frozenset(words))
+    report = max_subcube_count(code, d)
+    assert (report.max_count, report.witness) == max_subcube_count_naive(code, d)
+    assert report.histogram == collections.Counter(
+        subcube_count(code, c) for c in enumerate_subcubes(64, d))
+    hit = verify_hitting(code, d)
+    assert hit.missed == first_missed(code, d)
+    assert hit.hits_all == (hit.missed is None)
+
+
+@pytest.mark.parametrize("n, d, budget", [
+    (25, 0, cube.DEFAULT_SCAN_BUDGET),  # 2^25 subcubes, within the budget
+    (40, 5, 10**17),  # C(40, 5) * 2^35 ~ 2.3e16 subcubes
+])
+def test_tables_past_max_n_fixed_coordinates_are_refused(n, d, budget):
+    # a count table has 2^(n - d) entries; over 2^24 the scans refuse at once
+    code = Code(n, frozenset({0, 1 << (n - 1), (1 << n) - 1}))
+    for scan in (max_subcube_count, verify_hitting):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRegimeError, match=f"2\\^{n - d} entries"):
+            scan(code, d, budget=budget)
+        assert time.perf_counter() - start < 1
+
+
+def test_max_code_search_rejects_a_negative_budget():
+    # n <= 4 never spends the budget, but a negative one is still an error
+    for n in (4, 5):
+        with pytest.raises(ValueError, match="node_budget"):
+            max_code_search(n, 2, 3, node_budget=-7)
