@@ -25,6 +25,9 @@ MAX_T = 64
 # rational inputs are checked exactly through the same window).
 SIMPLEX_TOL = 1e-12
 
+# samples * 2^t, the steps monte_carlo_basis_probability may take.
+DEFAULT_SAMPLE_BUDGET = 100_000_000
+
 
 def independent_draw_probability(r: int, m: int) -> Fraction:
     """Probability that r vectors drawn i.i.d. uniformly from the nonzero
@@ -169,10 +172,19 @@ def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 
 
     Deterministic for a fixed seed: draws come from a PCG64 stream keyed
     by the seed alone.
+
+    Raises:
+        OutOfRegimeError: if samples * 2^t exceeds DEFAULT_SAMPLE_BUDGET,
+            before anything is drawn.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     t = dist.t
+    steps = samples * (1 << t)
+    if steps > DEFAULT_SAMPLE_BUDGET:
+        raise OutOfRegimeError(
+            f"{samples} samples at t = {t} take {steps} steps, "
+            f"above the budget {DEFAULT_SAMPLE_BUDGET}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p = np.array([float(x) for x in dist.probs], dtype=float)
     p /= p.sum()

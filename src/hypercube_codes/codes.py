@@ -5,13 +5,15 @@ vector of GF(2)^r per coordinate and keeps the weight-r words whose
 support vectors form a basis; a layer that keeps too few words is
 redrawn, up to MAX_RETRIES times.  Taking the best weight-residue subcode
 then caps how many codewords any small subcube can hold.  A complement
-variant produces subcube hitting sets.  File round-tripping for codes
-lives here as well.
+variant produces subcube hitting sets.  Both constructions take their
+supports from one numpy kernel, gf2.independent_masks, as uint32 masks:
+a layer keeps its independent masks, and the hitting set keeps the
+weight-r masks (picked from one table of weights over the cube) minus
+the independent ones.  File round-tripping for codes lives here as well.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import warnings
@@ -23,7 +25,7 @@ import numpy as np
 
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .gf2 import MAX_BITS, independent_subsets
+from .gf2 import MAX_BITS, independent_masks
 
 log = logging.getLogger(__name__)
 
@@ -95,15 +97,9 @@ def build_layer_vectors(n: int, seed: int = 0) -> dict[int, LayerAssignment]:
     return {r: _draw_layer(n, r, seed, 0) for r in range(1, n + 1)}
 
 
-def _support_word(support) -> int:
-    """The packed word whose ones sit exactly on the given coordinates."""
-    return sum(1 << i for i in support)
-
-
 def layer_words(assignment: LayerAssignment) -> frozenset:
     """Weight-r words whose support vectors form a basis of GF(2)^r."""
-    return frozenset(map(_support_word,
-                         independent_subsets(assignment.vectors, assignment.weight)))
+    return frozenset(independent_masks(assignment.vectors, assignment.weight).tolist())
 
 
 def layered_basis_code(layers: Mapping[int, LayerAssignment],
@@ -176,6 +172,14 @@ def best_residue_subcode(code: Code, modulus: int) -> ResidueSelection:
     return ResidueSelection(residue_subcode(code, modulus, residue), residue)
 
 
+def _weights(n: int) -> np.ndarray:
+    """Hamming weight of every word of GF(2)^n, indexed by packed value."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        weights = np.concatenate((weights, weights + np.uint8(1)))
+    return weights
+
+
 def weight_class_code(n: int, modulus: int, residue: int) -> Code:
     """All words of GF(2)^n whose weight is congruent to residue mod
     modulus.  modulus=2, residue=0 gives the even-weight code.
@@ -191,8 +195,8 @@ def weight_class_code(n: int, modulus: int, residue: int) -> Code:
         raise ValueError("modulus must be positive")
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
-    words = frozenset(w for w in range(1 << n) if w.bit_count() % modulus == residue)
-    return Code(n, words)
+    kept = np.arange(n + 1) % modulus == residue
+    return Code(n, frozenset(np.flatnonzero(kept[_weights(n)]).tolist()))
 
 
 def expected_dependent_fraction(r: int, k: int) -> Fraction:
@@ -225,33 +229,30 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     """
     if n < 1 or k < 0 or n + k > MAX_N:
         raise ValueError(f"need n >= 1, k >= 0 and n + k <= {MAX_N}")
+    weights = _weights(n)
+    layer = [np.flatnonzero(weights == r).astype(np.uint32) for r in range(n + 1)]
     # the empty support is independent, so layer 0 has no dependent word
-    dependent: dict[int, frozenset] = {0: frozenset()}
+    dependent = [np.zeros(0, dtype=np.uint32)]
     for r in range(1, n + 1):
-        independent = set(independent_subsets(_draw_vectors([seed, r], n, r + k), r))
-        dependent[r] = frozenset(_support_word(s) for s in itertools.combinations(range(n), r)
-                                 if s not in independent)
+        independent = independent_masks(_draw_vectors([seed, r], n, r + k), r)
+        dependent.append(np.setdiff1d(layer[r], independent, assume_unique=True))
 
     target = 1 << (n - k) if k <= n else 1
     # raising the cutoff swaps a dependent subset for its full layer, so
     # the total size is non-decreasing in c; take the largest c that fits
     cutoff = -1
-    running = sum(map(len, dependent.values()))
+    running = sum(map(len, dependent))
     prefix = 0
     for c in range(0, n + 1):
         prefix += math.comb(n, c)
         running -= len(dependent[c])
         if prefix + running <= target:
             cutoff = c
-    words: set[int] = set()
-    for r in range(0, cutoff + 1):
-        words.update(map(_support_word, itertools.combinations(range(n), r)))
-    for r in range(cutoff + 1, n + 1):
-        words |= dependent[r]
+    words = frozenset(np.concatenate(layer[:cutoff + 1] + dependent[cutoff + 1:]).tolist())
     met = len(words) <= target
     if not met:
         log.warning("hitting set size %d misses the target %d", len(words), target)
-    return HittingSetResult(Code(n, frozenset(words)), cutoff, target, met)
+    return HittingSetResult(Code(n, words), cutoff, target, met)
 
 
 def save_code(path, code: Code) -> None:

@@ -20,6 +20,7 @@ The naive per-subcube count is the oracle of both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -72,13 +73,16 @@ class Subcube:
 
 
 def free_sets_colex(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """d-subsets of range(n) in colexicographic order."""
-    if d == 0:
-        yield ()
+    """d-subsets of range(n) in colexicographic order.
+
+    Colex order of the free sets is lex order of their complements read
+    from the top coordinate down.
+    """
+    if d > n:
         return
-    for top in range(d - 1, n):
-        for rest in free_sets_colex(top, d - 1):
-            yield rest + (top,)
+    coords = set(range(n))
+    for fixed in itertools.combinations(range(n - 1, -1, -1), n - d):
+        yield tuple(sorted(coords.difference(fixed)))
 
 
 def _colex_unrank(index: int, d: int) -> tuple[int, ...]:

@@ -9,8 +9,11 @@ inputs give identical outputs on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import OutOfRegimeError
 
@@ -20,6 +23,9 @@ MAX_BITS = 64
 
 # Pairs of codewords min_distance may compare.
 DEFAULT_PAIR_BUDGET = 100_000_000
+
+# Column subsets count_nonsingular_submatrices may walk.
+DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -97,9 +103,11 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
     """Index r-subsets of `vectors` whose vectors are linearly independent,
     in itertools.combinations order.
 
-    Supports are walked depth-first.  The chosen prefix is kept reduced
-    with the lowest-set-bit pivots of rank_ints, so each extension costs
-    one reduction, and a prefix that becomes dependent is pruned with its
+    The oracle of independent_masks, and the enumerator of the small
+    callers that need the subsets in order.  Supports are walked
+    depth-first.  The chosen prefix is kept reduced with the
+    lowest-set-bit pivots of rank_ints, so each extension costs one
+    reduction, and a prefix that becomes dependent is pruned with its
     whole subtree.  Zero and repeated vectors are simply dependent.
     """
     if r < 0:
@@ -140,6 +148,67 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
             stop -= 1
         else:
             return
+
+
+def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
+    """Sorted uint32 support masks (bit i = index i) of the index
+    r-subsets of `vectors` whose vectors are linearly independent: the
+    subsets independent_subsets yields, packed as words.
+
+    The walk is level-synchronous and picks indices from the top down.
+    Level j holds one row per independent j-prefix: its last (lowest)
+    index, its support mask and its j basis vectors in reduced echelon
+    form, so each pivot bit (the lowest set bit of a vector when it
+    entered) appears in its own row only.  Reducing a vector then takes
+    one xor per pivot it contains, decided on the unreduced vector.
+    Every row is extended by each admissible next index in turn, and
+    rows whose new vector reduces to zero are dropped.  The last level
+    comes out in descending mask order, so no sort is needed.  At most
+    32 vectors of at most 32 bits each.
+    """
+    if r < 0:
+        raise ValueError("subset size must be non-negative")
+    vectors = tuple(vectors)
+    n = len(vectors)
+    if n > 32 or not all(0 <= v < 1 << 32 for v in vectors):
+        raise ValueError("independent_masks takes at most 32 vectors of at most 32 bits")
+    if r > n:
+        return np.zeros(0, dtype=np.uint32)
+    # position p of the walk is index n - 1 - p
+    vecs = np.array(vectors[::-1], dtype=np.uint32)
+    bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
+    last = np.full(1, -1)
+    masks = np.zeros(1, dtype=np.uint32)
+    pivots = np.zeros(1, dtype=np.uint32)  # union of each row's pivot bits
+    basis: list[np.ndarray] = []           # column i: every row's i-th vector
+    # The ops below (np.where, not a multiply by a mask; w - 1, not -w;
+    # np.repeat, not a broadcast compare) mostly share numpy loops that
+    # a build-verify run loads anyway, which keeps its peak RSS flat.
+    for j in range(r):
+        # a row's children take positions last + 1 .. n - r + j, leaving
+        # r - j - 1 positions after each
+        counts = (n - r + j) - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        start = np.cumsum(counts) - counts
+        nxt = np.arange(len(parent)) - np.repeat(start - last - 1, counts)
+        w = vecs[nxt]
+        hit = w & pivots[parent]
+        for column in basis:
+            b = column[parent]
+            w ^= np.where((hit & b) != 0, b, np.uint32(0))
+        keep = w != 0
+        parent, nxt, w = parent[keep], nxt[keep], w[keep]
+        if j == r - 1:
+            return (masks[parent] | bits[nxt])[::-1]
+        low = w ^ (w & (w - np.uint32(1)))  # lowest set bit
+        # clear the new pivot from the older rows to stay reduced
+        basis = [b ^ np.where((b & low) != 0, w, np.uint32(0))
+                 for b in (column[parent] for column in basis)]
+        basis.append(w)
+        pivots = pivots[parent] | low
+        masks = masks[parent] | bits[nxt]
+        last = nxt
+    return masks  # r == 0: the empty support
 
 
 def is_basis(vectors: Sequence[BitWord]) -> bool:
@@ -287,10 +356,19 @@ def orthogonal_complement(matrix: GF2Matrix) -> GF2Matrix:
 
 def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     """Number of k-subsets of columns forming a nonsingular k x k submatrix,
-    where k = rows.  Requires rows <= cols."""
+    where k = rows.  Requires rows <= cols.
+
+    Raises:
+        OutOfRegimeError: if C(cols, rows) exceeds DEFAULT_SUBSET_BUDGET,
+            before any subset is walked.
+    """
     k = matrix.rows
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
+    subsets = math.comb(matrix.cols, k)
+    if subsets > DEFAULT_SUBSET_BUDGET:
+        raise OutOfRegimeError(
+            f"{subsets} column subsets exceed the budget {DEFAULT_SUBSET_BUDGET}")
     return sum(1 for _ in independent_subsets(matrix.columns, k))
 
 

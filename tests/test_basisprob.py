@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercube_codes import basisprob
 from hypercube_codes.basisprob import (
     SimplexPoint,
     basis_probability,
@@ -199,6 +200,17 @@ def test_monte_carlo_uniform():
     assert abs(est2 - 2 / 3) < 0.005
     est5 = monte_carlo_basis_probability(SimplexPoint.uniform(5), 1_000_000, seed=4)
     assert abs(est5 - float(uniform_basis_probability(5))) < 0.005
+
+
+def test_monte_carlo_refuses_beyond_the_sample_budget(monkeypatch):
+    # 100,000 samples at t = 10 take 102,400,000 steps
+    with pytest.raises(OutOfRegimeError):
+        monte_carlo_basis_probability(SimplexPoint.uniform(10), 100_000)
+    monkeypatch.setattr(basisprob, "DEFAULT_SAMPLE_BUDGET", 80)
+    dist = SimplexPoint.uniform(3)
+    assert 0 <= monte_carlo_basis_probability(dist, 10) <= 1
+    with pytest.raises(OutOfRegimeError):
+        monte_carlo_basis_probability(dist, 11)
 
 
 def test_monte_carlo_concentrated_and_deterministic():

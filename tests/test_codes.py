@@ -1,6 +1,7 @@
 """Randomized layered constructions: determinism, per-layer statistics,
 residue selection and the code file format."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hypercube_codes.codes import (
     weight_class_code,
 )
 from hypercube_codes.errors import ConstructionError
-from hypercube_codes.gf2 import rank_ints
+from hypercube_codes.gf2 import independent_subsets, rank_ints
 
 
 def test_code_validation_and_density():
@@ -162,6 +163,10 @@ def test_weight_class_code():
     assert weight_class_code(3, 3, 0).words == frozenset({0, 0b111})
     sizes = [len(weight_class_code(6, 3, r)) for r in range(3)]
     assert sum(sizes) == 64
+    # a modulus above every weight keeps one weight, or none
+    assert weight_class_code(4, 300, 2).words \
+        == frozenset(w for w in range(16) if w.bit_count() == 2)
+    assert len(weight_class_code(4, 300, 299)) == 0
     with pytest.raises(ValueError):
         weight_class_code(4, 2, 2)
 
@@ -245,3 +250,70 @@ def test_subcube_hitting_set_when_no_cutoff_fits():
     assert result.target_size == 8192
     assert len(result.code) == 8973
     assert 0 not in result.code.words
+
+
+def _reference_words(vectors, r):
+    return frozenset(sum(1 << i for i in s) for s in independent_subsets(vectors, r))
+
+
+def _reference_layered(n, seed, redraws):
+    """Layer by layer with the depth-first walk, redrawing as
+    layered_basis_code does; each redraw is appended to redraws."""
+    words = {0}
+    for r in range(1, n + 1):
+        attempt = codes._draw_layer(n, r, seed, 0)
+        target = DENSITY_THRESHOLD * math.comb(n, r)
+        best = _reference_words(attempt.vectors, r)
+        while len(best) <= target and attempt.retry < codes.MAX_RETRIES:
+            attempt = codes._draw_layer(n, r, seed, attempt.retry + 1)
+            redraws.append((n, seed, r, attempt.retry))
+            candidate = _reference_words(attempt.vectors, r)
+            if len(candidate) > len(best):
+                best = candidate
+        words |= best
+    return frozenset(words)
+
+
+def _reference_hitting(n, k, seed):
+    """Dependent supports by combinations minus the walk's independent
+    ones, and the largest cutoff whose full low layers fit the target."""
+    dependent = {0: frozenset()}
+    for r in range(1, n + 1):
+        vectors = codes._draw_vectors([seed, r], n, r + k)
+        independent = set(independent_subsets(vectors, r))
+        dependent[r] = frozenset(sum(1 << i for i in s)
+                                 for s in itertools.combinations(range(n), r)
+                                 if s not in independent)
+    target = 1 << (n - k) if k <= n else 1
+    cutoff = -1
+    running = sum(map(len, dependent.values()))
+    prefix = 0
+    for c in range(n + 1):
+        prefix += math.comb(n, c)
+        running -= len(dependent[c])
+        if prefix + running <= target:
+            cutoff = c
+    words = {w for w in range(1 << n) if w.bit_count() <= cutoff}
+    for r in range(cutoff + 1, n + 1):
+        words |= dependent[r]
+    return frozenset(words), cutoff, target
+
+
+def test_layered_code_matches_the_walk_assembly():
+    redraws = []
+    for n in (1, 2, 5, 9, 12, 13, 14):
+        for seed in range(3):
+            code = layered_basis_code(build_layer_vectors(n, seed))
+            assert code.words == _reference_layered(n, seed, redraws)
+    assert redraws  # some layers were redrawn, and the redraws agree too
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 13, 14])
+def test_hitting_set_matches_the_walk_assembly(n):
+    for k in range(4):
+        for seed in range(3):
+            result = subcube_hitting_set(n, k, seed)
+            words, cutoff, target = _reference_hitting(n, k, seed)
+            assert result.code.words == words
+            assert (result.small_layer_cutoff, result.target_size) == (cutoff, target)
+            assert result.met_target == (len(words) <= target)

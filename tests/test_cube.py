@@ -60,6 +60,22 @@ def test_free_sets_colex_order():
     assert len(list(free_sets_colex(8, 3))) == 56
 
 
+def _colex_reference(n, d):
+    """Colex order by recursion on the top element."""
+    if d == 0:
+        yield ()
+        return
+    for top in range(d - 1, n):
+        for rest in _colex_reference(top, d - 1):
+            yield rest + (top,)
+
+
+def test_free_sets_colex_matches_the_recursive_order():
+    for n in range(11):
+        for d in range(n + 2):
+            assert list(free_sets_colex(n, d)) == list(_colex_reference(n, d))
+
+
 def test_enumeration_counts():
     assert subcube_total(3, 1) == 12
     assert subcube_total(4, 2) == 24

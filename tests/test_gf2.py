@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercube_codes import codes, gf2
 from hypercube_codes.codes import Code
@@ -13,6 +15,7 @@ from hypercube_codes.gf2 import (
     GF2Matrix,
     code_from_parity_check,
     count_nonsingular_submatrices,
+    independent_masks,
     independent_subsets,
     is_basis,
     min_distance,
@@ -159,6 +162,51 @@ def test_independent_subsets_match_rank_oracle():
         list(independent_subsets([1], -1))
 
 
+@st.composite
+def vector_lists(draw):
+    """Up to 10 vectors of up to 24 bits: free draws, draws from a small
+    pool with zero in it (so zeros and repeats are common), or all equal."""
+    width = draw(st.integers(1, 24))
+    value = st.integers(0, (1 << width) - 1)
+    length = draw(st.integers(0, 10))
+    shape = draw(st.sampled_from(["free", "pool", "equal"]))
+    if shape == "equal":
+        return [draw(value)] * length
+    if shape == "pool":
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)) + [0])
+    return draw(st.lists(value, min_size=length, max_size=length))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(vector_lists())
+def test_independent_masks_match_the_walk(vectors):
+    for r in range(len(vectors) + 2):
+        want = sorted(sum(1 << i for i in s) for s in independent_subsets(vectors, r))
+        got = independent_masks(vectors, r)
+        assert got.dtype == np.uint32
+        assert got.tolist() == want
+
+
+def test_independent_masks_keep_the_basis_reduced():
+    # Indices 0..2 hold 0b01, 0b10 and 0b11 in some order, so {0, 1, 2} is
+    # dependent.  Whichever way a walk visits them, some order has a row
+    # b1 = {p1, p0} with pivots p1 < p0 (0b11 entering with pivot bit 0
+    # before 0b10 takes bit 1), and reducing 0b01 in insertion order
+    # against unreduced rows then ends at b0, not at zero.
+    for vectors in ([2, 3, 1, 4], [3, 2, 1, 4], [1, 2, 3, 4]):
+        assert independent_masks(vectors, 3).tolist() == [0b1011, 0b1101, 0b1110]
+    assert independent_masks([2, 3, 3, 4], 3).tolist() == [0b1011, 0b1101]
+    assert independent_masks([2, 3, 1], 3).size == 0
+    assert independent_masks([], 0).tolist() == [0]
+    assert independent_masks([1], 2).size == 0
+    with pytest.raises(ValueError):
+        independent_masks([1], -1)
+    with pytest.raises(ValueError):
+        independent_masks([1] * 33, 1)
+    with pytest.raises(ValueError):
+        independent_masks([1 << 32], 1)
+
+
 def test_count_nonsingular_examples():
     assert count_nonsingular_submatrices(GF2Matrix.from_columns(2, [1, 2, 3])) == 3
     # a repeated column participates position-wise
@@ -185,6 +233,16 @@ def test_count_matches_determinant_oracle_three_rows():
         d = rng.randint(5, 7)
         m = GF2Matrix(3, tuple(rng.randrange(8) for _ in range(d)))
         assert count_nonsingular_submatrices(m) == count_by_determinant(m)
+
+
+def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):
+    # C(64, 32) column subsets, refused before the walk starts
+    with pytest.raises(OutOfRegimeError):
+        count_nonsingular_submatrices(GF2Matrix(32, (1,) * 64))
+    monkeypatch.setattr(gf2, "DEFAULT_SUBSET_BUDGET", 6)
+    assert count_nonsingular_submatrices(GF2Matrix.from_columns(2, [1, 2, 3, 1])) == 5
+    with pytest.raises(OutOfRegimeError):
+        count_nonsingular_submatrices(GF2Matrix.from_columns(2, [1, 2, 3, 1, 2]))
 
 
 def test_code_from_parity_check_examples():
