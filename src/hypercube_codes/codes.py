@@ -1,15 +1,14 @@
 """Construction of dense codes with bounded subcube occupancy.
 
-The layered construction assigns to every layer r a random nonzero
-vector of GF(2)^r per coordinate and keeps the weight-r words whose
-support vectors form a basis; a layer that keeps too few words is
-redrawn, up to MAX_RETRIES times.  Taking the best weight-residue subcode
-then caps how many codewords any small subcube can hold.  A complement
-variant produces subcube hitting sets.  Both constructions take their
-supports from one numpy kernel, gf2.independent_masks, as uint32 masks:
-a layer keeps its independent masks, and the hitting set keeps the
-weight-r masks (picked from one table of weights over the cube) minus
-the independent ones.  File round-tripping for codes lives here as well.
+A Code holds its words once, as a sorted uint64 array.  The layered
+construction assigns to every layer r a random nonzero vector of GF(2)^r
+per coordinate and keeps the weight-r words whose support vectors form a
+basis; a layer that keeps too few words is redrawn, up to MAX_RETRIES
+times.  Taking the best weight-residue subcode then caps how many
+codewords any small subcube can hold.  A complement variant, keeping the
+dependent supports, produces subcube hitting sets.  Both take uint32
+masks from one numpy kernel, gf2.independent_masks, and pass the arrays
+to Code.  File round-tripping for codes lives here as well.
 """
 
 from __future__ import annotations
@@ -19,13 +18,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .gf2 import MAX_BITS, independent_masks
+from .gf2 import MAX_BITS, _from01, _to01, independent_masks
 
 log = logging.getLogger(__name__)
 
@@ -38,25 +38,49 @@ DENSITY_THRESHOLD: Fraction = limit_interval(40)[0]
 MAX_RETRIES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Code:
-    """A set of binary words on n coordinates, packed as ints."""
+    """A set of binary words on n coordinates, given as any iterable of
+    ints or an integer ndarray.  `array` stores the packed words (bit i =
+    coordinate i + 1) once: sorted, distinct and read-only np.uint64."""
 
     n: int
-    words: frozenset
+    array: np.ndarray
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_BITS:
+    def __init__(self, n: int, words):
+        if not 0 <= n <= MAX_BITS:
             raise ValueError(f"n must be in [0, {MAX_BITS}]")
-        for w in self.words:
-            if not 0 <= w < (1 << self.n):
-                raise ValueError(f"word {w:#x} does not fit in {self.n} coordinates")
+        if not isinstance(words, np.ndarray):
+            words = np.array(list(words), dtype=object)  # ints of any size
+        # checked before the cast, so no negative word wraps around
+        for w in map(int, (words.min(initial=0), words.max(initial=0))):
+            if not 0 <= w < (1 << n):
+                raise ValueError(f"word {w:#x} does not fit in {n} coordinates")
+        array = np.sort(np.asarray(words, dtype=np.uint64))
+        distinct = np.ones(len(array), bool)
+        distinct[1:] = array[1:] != array[:-1]
+        array = array[distinct]
+        array.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "array", array)
+
+    @cached_property
+    def words(self) -> frozenset:
+        """The words as a frozenset of ints, for set semantics."""
+        return frozenset(self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Code) and self.n == other.n
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.array.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.array)
 
     def density(self) -> Fraction:
-        return Fraction(len(self.words), 1 << self.n)
+        return Fraction(len(self), 1 << self.n)
 
 
 @dataclass(frozen=True)
@@ -97,9 +121,9 @@ def build_layer_vectors(n: int, seed: int = 0) -> dict[int, LayerAssignment]:
     return {r: _draw_layer(n, r, seed, 0) for r in range(1, n + 1)}
 
 
-def layer_words(assignment: LayerAssignment) -> frozenset:
-    """Weight-r words whose support vectors form a basis of GF(2)^r."""
-    return frozenset(independent_masks(assignment.vectors, assignment.weight).tolist())
+def layer_words(assignment: LayerAssignment) -> np.ndarray:
+    """Weight-r words, sorted uint32, whose support vectors form a basis of GF(2)^r."""
+    return independent_masks(assignment.vectors, assignment.weight)
 
 
 def layered_basis_code(layers: Mapping[int, LayerAssignment],
@@ -115,7 +139,7 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
     if not layers:
         raise ValueError("need at least one layer")
     n = next(iter(layers.values())).n
-    words: set[int] = {0}
+    words = [np.zeros(1, dtype=np.uint32)]  # the zero word, then each layer
     deficient: list[int] = []
     for r in sorted(layers):
         assignment = layers[r]
@@ -133,7 +157,7 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
                 best = candidate
         if len(best) <= target:
             deficient.append(r)
-        words |= best
+        words.append(best)
     if deficient:
         if strict:
             raise ConstructionError(
@@ -141,7 +165,12 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
                 f"after {MAX_RETRIES} retries")
         log.warning("layers %s below the density threshold; keeping best draws",
                     deficient)
-    return Code(n, frozenset(words))
+    return Code(n, np.concatenate(words))
+
+
+def _code_weights(code: Code) -> np.ndarray:
+    """Hamming weight of every word, in array order, from a byte table."""
+    return _weights(8)[code.array.view(np.uint8)].reshape(-1, 8).sum(1, dtype=np.intp)
 
 
 def residue_subcode(code: Code, modulus: int, residue: int) -> Code:
@@ -150,8 +179,7 @@ def residue_subcode(code: Code, modulus: int, residue: int) -> Code:
         raise ValueError("modulus must be positive")
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
-    kept = frozenset(w for w in code.words if w.bit_count() % modulus == residue)
-    return Code(code.n, kept)
+    return Code(code.n, code.array[_code_weights(code) % modulus == residue])
 
 
 @dataclass(frozen=True)
@@ -165,11 +193,10 @@ def best_residue_subcode(code: Code, modulus: int) -> ResidueSelection:
     residue.  By pigeonhole its size is at least len(code) / modulus."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    counts = [0] * modulus
-    for w in code.words:
-        counts[w.bit_count() % modulus] += 1
-    residue = counts.index(max(counts))
-    return ResidueSelection(residue_subcode(code, modulus, residue), residue)
+    residues = _code_weights(code) % modulus
+    # argmax keeps the first maximum: ties go to the smallest residue
+    residue = int(np.bincount(residues, minlength=1).argmax())
+    return ResidueSelection(Code(code.n, code.array[residues == residue]), residue)
 
 
 def _weights(n: int) -> np.ndarray:
@@ -196,7 +223,7 @@ def weight_class_code(n: int, modulus: int, residue: int) -> Code:
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
     kept = np.arange(n + 1) % modulus == residue
-    return Code(n, frozenset(np.flatnonzero(kept[_weights(n)]).tolist()))
+    return Code(n, np.flatnonzero(kept[_weights(n)]))
 
 
 def expected_dependent_fraction(r: int, k: int) -> Fraction:
@@ -248,19 +275,17 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
         running -= len(dependent[c])
         if prefix + running <= target:
             cutoff = c
-    words = frozenset(np.concatenate(layer[:cutoff + 1] + dependent[cutoff + 1:]).tolist())
-    met = len(words) <= target
+    code = Code(n, np.concatenate(layer[:cutoff + 1] + dependent[cutoff + 1:]))
+    met = len(code) <= target
     if not met:
-        log.warning("hitting set size %d misses the target %d", len(words), target)
-    return HittingSetResult(Code(n, words), cutoff, target, met)
+        log.warning("hitting set size %d misses the target %d", len(code), target)
+    return HittingSetResult(code, cutoff, target, met)
 
 
 def save_code(path, code: Code) -> None:
     """Write `n=<n>` then one 0/1 line per word, sorted by packed value;
     the leftmost character is coordinate 1."""
-    lines = [f"n={code.n}"]
-    for w in sorted(code.words):
-        lines.append("".join("1" if (w >> i) & 1 else "0" for i in range(code.n)))
+    lines = [f"n={code.n}", *(_to01(w, code.n) for w in code.array.tolist())]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -283,14 +308,11 @@ def load_code(path) -> Code:
     for lineno, line in enumerate(lines[1:], start=2):
         if len(line) != n:
             raise ValueError(f"line {lineno}: expected {n} characters, got {len(line)}")
-        word = 0
-        for i, ch in enumerate(line):
-            if ch == "1":
-                word |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"line {lineno}: invalid character {ch!r}")
-        words.append(word)
-    unique = frozenset(words)
-    if len(unique) < len(words):
-        warnings.warn(f"{len(words) - len(unique)} duplicate words collapsed on load")
-    return Code(n, unique)
+        try:
+            words.append(_from01(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    code = Code(n, words)
+    if len(code) < len(words):
+        warnings.warn(f"{len(words) - len(code)} duplicate words collapsed on load")
+    return code

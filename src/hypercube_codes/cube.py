@@ -183,7 +183,7 @@ def _dense_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], np.ndar
     """
     n = code.n
     occupancy = np.zeros(1 << n, np.uint8)
-    occupancy[np.fromiter(code.words, np.int64, len(code))] = 1
+    occupancy[code.array] = 1
 
     def walk(table: np.ndarray, free: tuple[int, ...]):
         summed = len(free)
@@ -206,8 +206,7 @@ def _bucket_tables(code: Code, d: int) -> Iterator[tuple[tuple[int, ...], np.nda
     pattern is the place values times the fixed bits, C(n, d) * (n - d)
     vector passes; float32 keeps it exact, as patterns stay below 2^24."""
     n = code.n
-    words = np.fromiter(code.words, np.uint64, len(code))
-    bits = ((words >> np.arange(n, dtype=np.uint64)[:, None])
+    bits = ((code.array >> np.arange(n, dtype=np.uint64)[:, None])
             & np.uint64(1)).astype(np.float32)
     place = np.exp2(np.arange(n - d, dtype=np.float32))
     for free in free_sets_colex(n, d):
@@ -336,8 +335,7 @@ def max_code_search(n: int, d: int, list_size: int,
         raise ValueError("need 1 <= n, 0 <= d <= n, list_size >= 1 "
                          "and node_budget >= 0")
     if list_size >= 1 << d:
-        full = frozenset(range(1 << n))
-        return MaxCodeResult(1 << n, Code(n, full), True)
+        return MaxCodeResult(1 << n, Code(n, range(1 << n)), True)
     if n <= 4:
         return _max_code_exhaustive(n, d, list_size)
     if n == 5:
@@ -361,7 +359,7 @@ def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
         if all((subset & m).bit_count() <= list_size for m in masks):
             best = size
             best_set = subset
-    words = frozenset(v for v in range(1 << n) if (best_set >> v) & 1)
+    words = [v for v in range(1 << n) if (best_set >> v) & 1]
     return MaxCodeResult(best, Code(n, words), True)
 
 
@@ -426,5 +424,4 @@ def _max_code_branch_bound(n: int, d: int, list_size: int,
                 sum_min[b // num_buckets] += 1
 
     dfs(0, 0)
-    return MaxCodeResult(best_size, Code(n, frozenset(best_words)),
-                         not exhausted)
+    return MaxCodeResult(best_size, Code(n, best_words), not exhausted)

@@ -9,6 +9,7 @@ inputs give identical outputs on every platform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +27,19 @@ DEFAULT_PAIR_BUDGET = 100_000_000
 
 # Column subsets count_nonsingular_submatrices may walk.
 DEFAULT_SUBSET_BUDGET = 10_000_000
+
+
+def _from01(text: str) -> int:
+    """The packed word of a 0/1 string, whose leftmost character is
+    coordinate 1; a ValueError names the first other character."""
+    if bad := text.strip("01"):
+        raise ValueError(f"invalid character {bad[0]!r}")
+    return int("0" + text[::-1], 2)  # the "0" parses the empty word
+
+
+def _to01(word: int, n: int) -> str:
+    """Inverse of _from01 for a word of n coordinates."""
+    return f"{word:0{n}b}"[::-1] if n else ""
 
 
 @dataclass(frozen=True)
@@ -49,17 +63,11 @@ class BitWord:
     @classmethod
     def from01(cls, text: str) -> "BitWord":
         """Parse a 0/1 string; the leftmost character is coordinate 1."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"expected 0/1 characters, got {ch!r} at position {i}")
-        return cls(bits, len(text))
+        return cls(_from01(text), len(text))
 
     def to01(self) -> str:
         """Inverse of from01."""
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return _to01(self.bits, self.n)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -392,7 +400,7 @@ def code_from_parity_check(matrix: GF2Matrix):
     words = [0]
     for b in basis:
         words += [w ^ b for w in words]
-    return Code(t, frozenset(words))
+    return Code(t, words)
 
 
 def min_distance(code) -> int:
@@ -403,21 +411,15 @@ def min_distance(code) -> int:
         OutOfRegimeError: if the code has more than DEFAULT_PAIR_BUDGET
             pairs of words, before any pair is compared.
     """
-    size = len(code.words)
+    size = len(code)
     if size < 2:
         raise ValueError("minimum distance needs at least two codewords")
     pairs = size * (size - 1) // 2
     if pairs > DEFAULT_PAIR_BUDGET:
         raise OutOfRegimeError(
             f"{pairs} pairs of codewords exceed the budget {DEFAULT_PAIR_BUDGET}")
-    words = sorted(code.words)
-    best = code.n + 1
-    for i, x in enumerate(words):
-        for y in words[i + 1:]:
-            d = (x ^ y).bit_count()
-            if d < best:
-                best = d
-    return best
+    return min((x ^ y).bit_count()
+               for x, y in itertools.combinations(code.array.tolist(), 2))
 
 
 def plotkin_bound(t: int, dmin: int) -> int:

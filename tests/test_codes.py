@@ -6,7 +6,9 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercube_codes import codes
 from hypercube_codes.basisprob import independent_draw_probability
@@ -25,7 +27,7 @@ from hypercube_codes.codes import (
     weight_class_code,
 )
 from hypercube_codes.errors import ConstructionError
-from hypercube_codes.gf2 import independent_subsets, rank_ints
+from hypercube_codes.gf2 import BitWord, independent_subsets, rank_ints
 
 
 def test_code_validation_and_density():
@@ -56,7 +58,8 @@ def test_weight_one_layer_is_forced():
     # and every singleton support qualifies
     layers = build_layer_vectors(6, seed=3)
     assert layers[1].vectors == (1,) * 6
-    assert layer_words(layers[1]) == frozenset(1 << i for i in range(6))
+    assert frozenset(layer_words(layers[1]).tolist()) \
+        == frozenset(1 << i for i in range(6))
 
 
 def test_layer_words_match_direct_rank_check():
@@ -317,3 +320,160 @@ def test_hitting_set_matches_the_walk_assembly(n):
             assert result.code.words == words
             assert (result.small_layer_cutoff, result.target_size) == (cutoff, target)
             assert result.met_target == (len(words) <= target)
+
+
+_WORDS = [0, 3, 9, 12]
+
+
+@pytest.mark.parametrize("words", [
+    np.array([9, 3, 12, 3, 0, 9], dtype=np.uint32),
+    np.array([12, 0, 9, 3, 9], dtype=np.int64),
+    [3, 12, 0, 9, 9, 3],
+    {12, 0, 9, 3},
+    (w for w in (12, 3, 0, 9, 3)),
+], ids=["uint32", "int64", "list", "set", "generator"])
+def test_code_stores_one_sorted_distinct_read_only_array(words):
+    code = Code(4, words)
+    assert code.array.dtype == np.uint64
+    assert code.array.tolist() == _WORDS
+    assert code.words == frozenset(_WORDS)
+    assert len(code) == 4
+    with pytest.raises(ValueError):
+        code.array[0] = 1
+    if isinstance(words, np.ndarray):
+        words[:] = 0  # the code keeps its own copy
+        assert code.array.tolist() == _WORDS
+
+
+@pytest.mark.parametrize("n, words", [
+    (4, [-1]),
+    (4, np.array([5, -1], dtype=np.int64)),
+    (4, [16]),
+    (4, np.array([3, 16], dtype=np.uint32)),
+    (64, [0, -1]),
+    (64, np.array([-(1 << 63)], dtype=np.int64)),
+    (64, [1 << 64]),
+])
+def test_code_rejects_words_outside_the_cube(n, words):
+    with pytest.raises(ValueError, match="does not fit"):
+        Code(n, words)
+
+
+def test_code_accepts_the_top_bit_at_64_coordinates():
+    words = [(1 << 64) - 1, 1 << 63, 0]
+    for given_words in (words, np.array(words, dtype=np.uint64)):
+        code = Code(64, given_words)
+        assert code.array.tolist() == sorted(words)
+        assert code.words == frozenset(words)
+
+
+def test_code_equality_and_hash_follow_value():
+    a = Code(3, [7, 0])
+    b = Code(3, np.array([0, 7, 7], dtype=np.int64))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Code(4, [0, 7])
+    assert a != Code(3, [0])
+    assert a != frozenset({0, 7})
+    assert Code(3, []) == Code(3, np.zeros(0, dtype=np.uint8))
+
+
+@st.composite
+def codes_of_any_width(draw):
+    """Codes on 0, 1, 24, 40 or 64 coordinates, with duplicate draws and
+    with words whose top bit is set (bit 63 at n = 64)."""
+    n = draw(st.sampled_from([0, 1, 24, 40, 64]))
+    top = (1 << n) - 1
+    word = st.one_of(st.integers(0, top), st.integers((top + 1) >> 1, top))
+    return Code(n, draw(st.lists(word, max_size=40)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(codes_of_any_width(), st.integers(1, 70), st.integers(0, 69))
+@example(Code(64, [0, 1 << 63, (1 << 64) - 1, 0b111]), 3, 1)
+@example(Code(0, []), 2, 1)
+def test_residue_selection_matches_bit_count(code, modulus, residue):
+    residue %= modulus
+    by_residue = [frozenset(w for w in code.words if w.bit_count() % modulus == r)
+                  for r in range(modulus)]
+    picked = residue_subcode(code, modulus, residue)
+    assert (picked.n, picked.words) == (code.n, by_residue[residue])
+    sizes = [len(words) for words in by_residue]
+    best = sizes.index(max(sizes))
+    selection = best_residue_subcode(code, modulus)
+    assert selection.residue == best
+    assert (selection.code.n, selection.code.words) == (code.n, by_residue[best])
+
+
+def _save_per_character(path, code):
+    """The per-character writer save_code replaced."""
+    lines = [f"n={code.n}"]
+    for w in sorted(code.words):
+        lines.append("".join("1" if (w >> i) & 1 else "0" for i in range(code.n)))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _load_per_character(path):
+    """The per-character reader load_code replaced, on a valid header:
+    (n, the set of words), or ValueError with its message."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    n = int(lines[0][2:])
+    words = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if len(line) != n:
+            raise ValueError(f"line {lineno}: expected {n} characters, got {len(line)}")
+        word = 0
+        for i, ch in enumerate(line):
+            if ch == "1":
+                word |= 1 << i
+            elif ch != "0":
+                raise ValueError(f"line {lineno}: invalid character {ch!r}")
+        words.append(word)
+    return n, frozenset(words)
+
+
+def _load_outcome(load, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(codes_of_any_width(), st.data())
+def test_code_files_match_the_per_character_codec(tmp_path_factory, code, data):
+    old_path = tmp_path_factory.getbasetemp() / "per_character.txt"
+    new_path = tmp_path_factory.getbasetemp() / "codec.txt"
+    _save_per_character(old_path, code)
+    save_code(new_path, code)
+    assert new_path.read_bytes() == old_path.read_bytes()
+    again = load_code(new_path)
+    assert (again.n, again.words) == _load_per_character(new_path) == (code.n, code.words)
+    for w in code.words:
+        assert BitWord(w, code.n).to01() == "".join(
+            "1" if (w >> i) & 1 else "0" for i in range(code.n))
+        assert BitWord.from01(BitWord(w, code.n).to01()).bits == w
+
+    # a duplicated line, a wrong length or a foreign character on one line
+    lines = new_path.read_text(encoding="ascii").splitlines()
+    at = data.draw(st.integers(1, len(lines)))
+    line = lines[at] if at < len(lines) else "0" * code.n
+    change = data.draw(st.sampled_from(["duplicate", "short", "long", "char"]))
+    if change == "duplicate":
+        lines.insert(at, line)
+    elif change == "short":
+        lines.insert(at, line[:-1])
+    elif change == "long":
+        lines.insert(at, line + "1")
+    else:  # one or two foreign characters; the first one is reported
+        for _ in range(data.draw(st.integers(1, 2))):
+            pos = data.draw(st.integers(0, max(0, len(line) - 1)))
+            bad = data.draw(st.sampled_from(["x", "2", " ", "_", "+", "-", "\t", "b"]))
+            line = line[:pos] + bad + line[pos + 1:]
+        lines.insert(at, line)
+    new_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    new = _load_outcome(load_code, new_path)
+    old = _load_outcome(_load_per_character, new_path)
+    assert (new if isinstance(new, str) else (new.n, new.words)) == old
