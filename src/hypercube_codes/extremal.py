@@ -3,16 +3,19 @@
 Two searches live here.  The first exhaustively maximizes, over k x d
 matrices on GF(2), the number of nonsingular k x k column submatrices;
 equivalently, over families of d vectors in GF(2)^k, the number of
-k-subsets forming a basis.  The second maximizes the sum-of-products
-functional over integer partitions, which counts edges of complete
-multipartite uniform hypergraphs and gives the lower bounds on list
-sizes.  It is a branch-and-bound over the anti-lexicographic partition
-walk: a prefix is cut when the largest suffix product and a bound on the
-suffix's leave-one-out sum cannot reach the best value so far.  The cut
-is strict, so tied partitions are still visited and the tie-break of the
-exhaustive walk (max_partition_product_sum_naive, kept as the oracle)
-is unchanged.  A closed-form lower bound from maximum-product partitions
-and a small bounds table round out the module.
+k-subsets forming a basis.  It counts a block of candidate families in
+one gf2.independent_counts pass; the one-walk-per-candidate loop,
+_max_basis_subsets_naive, is kept as its oracle.  The second maximizes
+the sum-of-products functional over integer partitions, which counts
+edges of complete multipartite uniform hypergraphs and gives the lower
+bounds on list sizes.  It is a branch-and-bound over the
+anti-lexicographic partition walk: a prefix is cut when the largest
+suffix product and a bound on the suffix's leave-one-out sum cannot
+reach the best value so far.  The cut is strict, so tied partitions are
+still visited and the tie-break of the exhaustive walk
+(max_partition_product_sum_naive, kept as the oracle) is unchanged.  A
+closed-form lower bound from maximum-product partitions and a small
+bounds table round out the module.
 """
 
 from __future__ import annotations
@@ -24,13 +27,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .basisprob import uniform_basis_probability
 from .errors import OutOfRegimeError
-from .gf2 import GF2Matrix, independent_subsets
+from .gf2 import MAX_BITS, GF2Matrix, independent_counts, independent_subsets
 
 # Cap on (candidate matrices) * (column subsets per matrix) for the
 # exhaustive basis-subset search.
 DEFAULT_WORK_BUDGET = 20_000_000
+# Candidate matrices times column subsets counted in one pass: the pass
+# then holds at most this many rows per level, or one candidate's C(d, k).
+FAMILY_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,20 @@ def _search_size(k: int, d: int) -> int:
     return math.comb((1 << k) - 2 + (d - k), d - k) * math.comb(d, k)
 
 
+def _search_refusal(k: int, d: int, work_budget: int) -> Optional[str]:
+    """Why the search at (k, d), 1 <= k <= d, is out of regime, or None.
+    Columns are int64 in the search and the witness a GF2Matrix, so k
+    stays below MAX_BITS and d at most MAX_BITS; both are checked before
+    2^k is formed."""
+    if k >= MAX_BITS or d > MAX_BITS:
+        return (f"the basis-subset search takes k <= {MAX_BITS - 1} and "
+                f"d <= {MAX_BITS}, got (k={k}, d={d})")
+    size = _search_size(k, d)
+    if size > work_budget:
+        return f"search size {size} for (k={k}, d={d}) exceeds budget {work_budget}"
+    return None
+
+
 def max_basis_subsets(k: int, d: int,
                       work_budget: int = DEFAULT_WORK_BUDGET) -> BasisSubsetMaximum:
     """Exhaustive maximum of the number of basis k-subsets over all
@@ -81,25 +103,64 @@ def max_basis_subsets(k: int, d: int,
 
     The witness is the first maximizer in the canonical enumeration:
     identity columns first, the rest a non-decreasing multiset of nonzero
-    vectors in packed integer order.
+    vectors in packed integer order.  Candidates are counted a block at
+    a time by one gf2.independent_counts pass, and the result is that of
+    counting them one by one (_max_basis_subsets_naive).
 
     Raises:
         ValueError: unless 1 <= k <= d.
-        OutOfRegimeError: if the search would exceed work_budget.
+        OutOfRegimeError: for k >= MAX_BITS or d > MAX_BITS, or if the
+            search would exceed work_budget; before anything is built.
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    size = _search_size(k, d)
-    if size > work_budget:
-        raise OutOfRegimeError(
-            f"search size {size} for (k={k}, d={d}) exceeds budget {work_budget}")
+    refusal = _search_refusal(k, d, work_budget)
+    if refusal:
+        raise OutOfRegimeError(refusal)
     return _max_basis_subsets(k, d)
+
+
+def _multisets(values: int, size: int) -> np.ndarray:
+    """The non-decreasing size-tuples over 1..values as int64 rows, in
+    lexicographic order: what itertools.combinations_with_replacement
+    yields over range(1, values + 1), built a level at a time without
+    that range."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    low = np.ones(1, dtype=np.int64)  # each row's smallest admissible next value
+    for _ in range(size):
+        counts = values - low + 1
+        parent = np.repeat(np.arange(len(low)), counts)
+        start = np.cumsum(counts) - counts
+        low = np.arange(len(parent)) - np.repeat(start - low, counts)
+        rows = np.column_stack((rows[parent], low))
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
     """The search itself, cached per (k, d): basis-subsets and its bounds
-    ask for the same maximum more than once."""
+    ask for the same maximum more than once.  The candidates' tails are
+    built at once (fewer int64s than the search size); each block of
+    candidates is one (families, d) array, and a later block's maximum
+    must be strictly larger to replace the first maximizer."""
+    identity = np.left_shift(1, np.arange(k, dtype=np.int64))
+    tails = _multisets((1 << k) - 1, d - k)
+    per_block = max(1, FAMILY_BLOCK_PAIRS // math.comb(d, k))
+    best, best_index = -1, 0
+    for first in range(0, len(tails), per_block):
+        block = tails[first:first + per_block]
+        families = np.hstack((np.broadcast_to(identity, (len(block), k)), block))
+        counts = independent_counts(families, k)
+        i = int(np.argmax(counts))
+        if counts[i] > best:
+            best, best_index = int(counts[i]), first + i
+    columns = (*identity.tolist(), *tails[best_index].tolist())
+    return BasisSubsetMaximum(k, d, best, GF2Matrix(k, columns))
+
+
+def _max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
+    """Oracle for _max_basis_subsets: one independent_subsets walk per
+    candidate, in the same order."""
     identity = [1 << i for i in range(k)]
     best = -1
     best_cols: tuple[int, ...] = ()
@@ -128,13 +189,13 @@ def basis_subset_bounds(k: int, d: int,
         dense_upper = dense.numerator // dense.denominator
 
     deletion_upper = None
-    if k >= 2 and _search_size(k - 1, d - 1) <= work_budget:
+    if k >= 2 and not _search_refusal(k - 1, d - 1, work_budget):
         smaller = max_basis_subsets(k - 1, d - 1, work_budget).value
         deletion_upper = (d * smaller) // k
 
     monotone_upper = None
-    best_d = max((dd for dd in range(k, d + 1)
-                  if _search_size(k, dd) <= work_budget), default=None)
+    best_d = max((dd for dd in range(k, min(d, MAX_BITS) + 1)
+                  if not _search_refusal(k, dd, work_budget)), default=None)
     if best_d is not None:
         value = max_basis_subsets(k, best_d, work_budget).value
         scaled = Fraction(value * math.comb(d, k), math.comb(best_d, k))

@@ -158,21 +158,75 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
             return
 
 
+def _independent_walk(vecs: np.ndarray, r: int,
+                      bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The independent position r-subsets of each row of vecs, a
+    (families, n) array of vectors, for r >= 1: the flat position
+    (family * n + position) of each subset's last pick and, given
+    `bits` (the mask bit of each position), its support mask.
+
+    The walk is level-synchronous.  Level j holds one row per
+    independent j-prefix: its last flat position, its support mask and
+    its j basis vectors in reduced echelon form, so each pivot bit (the
+    lowest set bit of a vector when it entered) appears in its own row
+    only.  Reducing a vector then takes one xor per pivot it contains,
+    decided on the unreduced vector.  Every row is extended by each
+    admissible next position of its family in turn, and rows whose new
+    vector reduces to zero are dropped.  Rows stay in family order and,
+    within a family, in lexicographic order of their positions.  No
+    level holds more than families * C(n, r) rows.
+    """
+    families, n = vecs.shape
+    flat = vecs.ravel()
+    one, zero = vecs.dtype.type(1), vecs.dtype.type(0)
+    last = np.arange(families) * n - 1  # just before each family's first position
+    # each row's last admissible first pick; one family keeps a plain int,
+    # so independent_masks runs no extra array operation
+    end = np.arange(families) * n + (n - r) if families > 1 else n - r
+    masks = None if bits is None else np.zeros(families, dtype=vecs.dtype)
+    pivots = np.zeros(families, dtype=vecs.dtype)  # union of each row's pivot bits
+    basis: list[np.ndarray] = []                   # column i: every row's i-th vector
+    # The ops below (np.where, not a multiply by a mask; w - 1, not -w;
+    # np.repeat, not a broadcast compare) mostly share numpy loops that
+    # a build-verify run loads anyway, which keeps its peak RSS flat.
+    for j in range(r):
+        # a row's children take positions last + 1 .. end + j, leaving
+        # r - j - 1 positions of its family after each
+        counts = (end + j) - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        start = np.cumsum(counts) - counts
+        nxt = np.arange(len(parent)) - np.repeat(start - last - 1, counts)
+        w = flat[nxt]
+        hit = w & pivots[parent]
+        for column in basis:
+            b = column[parent]
+            w ^= np.where((hit & b) != 0, b, zero)
+        keep = w != 0
+        parent, nxt, w = parent[keep], nxt[keep], w[keep]
+        if masks is not None:
+            masks = masks[parent] | bits[nxt]
+        if j < r - 1:
+            low = w ^ (w & (w - one))  # lowest set bit
+            # clear the new pivot from the older rows to stay reduced
+            basis = [b ^ np.where((b & low) != 0, w, zero)
+                     for b in (column[parent] for column in basis)]
+            basis.append(w)
+            pivots = pivots[parent] | low
+            last = nxt
+            if families > 1:
+                end = end[parent]
+    return nxt, masks
+
+
 def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
     """Sorted uint32 support masks (bit i = index i) of the index
     r-subsets of `vectors` whose vectors are linearly independent: the
     subsets independent_subsets yields, packed as words.
 
-    The walk is level-synchronous and picks indices from the top down.
-    Level j holds one row per independent j-prefix: its last (lowest)
-    index, its support mask and its j basis vectors in reduced echelon
-    form, so each pivot bit (the lowest set bit of a vector when it
-    entered) appears in its own row only.  Reducing a vector then takes
-    one xor per pivot it contains, decided on the unreduced vector.
-    Every row is extended by each admissible next index in turn, and
-    rows whose new vector reduces to zero are dropped.  The last level
-    comes out in descending mask order, so no sort is needed.  At most
-    32 vectors of at most 32 bits each.
+    One family of _independent_walk, picking indices from the top down:
+    position p is index n - 1 - p, so the last level comes out in
+    descending mask order and no sort is needed.  At most 32 vectors of
+    at most 32 bits each.
     """
     if r < 0:
         raise ValueError("subset size must be non-negative")
@@ -182,41 +236,24 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
         raise ValueError("independent_masks takes at most 32 vectors of at most 32 bits")
     if r > n:
         return np.zeros(0, dtype=np.uint32)
-    # position p of the walk is index n - 1 - p
-    vecs = np.array(vectors[::-1], dtype=np.uint32)
+    if r == 0:
+        return np.zeros(1, dtype=np.uint32)  # the empty support
+    vecs = np.array(vectors[::-1], dtype=np.uint32).reshape(1, n)
     bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
-    last = np.full(1, -1)
-    masks = np.zeros(1, dtype=np.uint32)
-    pivots = np.zeros(1, dtype=np.uint32)  # union of each row's pivot bits
-    basis: list[np.ndarray] = []           # column i: every row's i-th vector
-    # The ops below (np.where, not a multiply by a mask; w - 1, not -w;
-    # np.repeat, not a broadcast compare) mostly share numpy loops that
-    # a build-verify run loads anyway, which keeps its peak RSS flat.
-    for j in range(r):
-        # a row's children take positions last + 1 .. n - r + j, leaving
-        # r - j - 1 positions after each
-        counts = (n - r + j) - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        start = np.cumsum(counts) - counts
-        nxt = np.arange(len(parent)) - np.repeat(start - last - 1, counts)
-        w = vecs[nxt]
-        hit = w & pivots[parent]
-        for column in basis:
-            b = column[parent]
-            w ^= np.where((hit & b) != 0, b, np.uint32(0))
-        keep = w != 0
-        parent, nxt, w = parent[keep], nxt[keep], w[keep]
-        if j == r - 1:
-            return (masks[parent] | bits[nxt])[::-1]
-        low = w ^ (w & (w - np.uint32(1)))  # lowest set bit
-        # clear the new pivot from the older rows to stay reduced
-        basis = [b ^ np.where((b & low) != 0, w, np.uint32(0))
-                 for b in (column[parent] for column in basis)]
-        basis.append(w)
-        pivots = pivots[parent] | low
-        masks = masks[parent] | bits[nxt]
-        last = nxt
-    return masks  # r == 0: the empty support
+    return _independent_walk(vecs, r, bits)[1][::-1]
+
+
+def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
+    """Number of linearly independent r-subsets of each row of
+    `families`, a (families, n) int64 array of packed vectors: one
+    _independent_walk over all rows at once."""
+    if r < 0:
+        raise ValueError("subset size must be non-negative")
+    count, n = families.shape
+    if r == 0 or r > n:
+        return np.full(count, int(r == 0), dtype=np.intp)
+    last, _ = _independent_walk(families, r)
+    return np.bincount(last // n, minlength=count)
 
 
 def is_basis(vectors: Sequence[BitWord]) -> bool:

@@ -4,7 +4,9 @@ The linear-independence hypergraph puts an edge on every independent
 r-subset of the nonzero vectors of GF(2)^(r+k); stem augmentation turns
 an s-uniform pattern into an r-uniform one by adding r - s shared fresh
 vertices to every edge.  The Lagrangian is maximized by multiplicative
-(replicator) ascent on the simplex with random restarts.
+(replicator) ascent on the simplex with random restarts, which run
+LAGRANGIAN_BLOCK at a time as the columns of one array; every restart
+still ends bit for bit where ascending it alone would.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ DEFAULT_EDGE_BUDGET = 5_000_000
 # stopping rule of each Lagrangian restart
 ASCENT_TOL = 1e-10
 ASCENT_MAX_ITERS = 20_000
+# Restarts that lagrangian ascends together as the columns of one array.
+# Each holds about r + 2 floats per edge of step buffers (40 kB for
+# basis_hypergraph(4)), which peak memory pays once per block member.
+LAGRANGIAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,105 @@ class LagrangianResult:
     restarts_used: int
 
 
+def _slot_tables(edges: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Where each vertex's gradient terms sit, as one (vertices, slots)
+    pair per degree class.
+
+    Vertices whose degrees have the same bit length form a class, so
+    padding at most doubles a class's table.  Entry (k, i) of its
+    (max degree, class size) slot table is the edge of vertex
+    vertices[i]'s k-th occurrence in the flattened sorted edge array,
+    and len(edges), a zero product row, past that vertex's degree, so
+    summing the gathered terms down the first axis adds each vertex's
+    terms in np.bincount's order.  Isolated vertices are in no class.
+    """
+    m, r = edges.shape
+    flat = edges.ravel()
+    occurrence = np.argsort(flat, kind="stable")  # by vertex, then flat order
+    degree = np.bincount(flat, minlength=n)
+    rank = np.empty(flat.size, dtype=np.intp)  # k of each occurrence
+    rank[occurrence] = np.arange(flat.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    lengths = np.frexp(degree)[1]  # bit length of each degree, 0 if isolated
+    column = np.empty(n, dtype=np.intp)  # each vertex's column in its class
+    classes = []
+    for length in sorted(set(lengths.tolist()) - {0}):
+        vertices = np.flatnonzero(lengths == length)
+        column[vertices] = np.arange(vertices.size)
+        slots = np.full((degree[vertices].max(), vertices.size), m, dtype=np.intp)
+        mine = np.flatnonzero(lengths[flat] == length)
+        slots[rank[mine], column[flat[mine]]] = mine // r
+        classes.append((vertices, slots))
+    return classes
+
+
+def _ascend(x: np.ndarray, r: int, columns: np.ndarray,
+            classes: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Final points of the multiplicative ascents started at the columns
+    of x, an (n_vertices, restarts) array.
+
+    Every column takes the steps of a lone ascent with the same
+    floating-point operations, so it ends bit for bit where that ascent
+    ends.  Edge products multiply the r gathered rows in edge order, as
+    prod does along one edge.  Sums over the edges of one restart, or
+    its vertices, are taken along contiguous rows, as sum does for one
+    point.  Each gradient is the sum of the quotients of _slot_tables.
+    A column leaves the block when it meets its own stopping test.
+    The large arrays are views of buffers sized for the whole block, so
+    steps allocate no more than the few (n_vertices, restarts) arrays.
+    """
+    n, count = x.shape
+    m = columns.shape[1]
+    done = np.empty_like(x)
+    live = np.arange(count)
+    prev = np.full(count, -1.0)
+    products_buf = np.empty((m + 1) * count)
+    scratch_buf = np.empty(m * count)
+    quotient_bufs = [np.empty(slots.size * count) for _, slots in classes]
+    for _ in range(ASCENT_MAX_ITERS):
+        k = live.size
+        products = products_buf[:(m + 1) * k].reshape(m + 1, k)
+        products[m] = 0.0  # the padding slot
+        # mode="clip" (every index is in range) writes to out unbuffered
+        np.take(x, columns[0], axis=0, out=products[:m], mode="clip")
+        for column in columns[1:]:
+            products[:m] *= np.take(x, column, axis=0, mode="clip",
+                                    out=scratch_buf[:m * k].reshape(m, k))
+        by_restart = scratch_buf[:m * k].reshape(k, m)  # the gathers are done
+        np.copyto(by_restart, products[:m].T)
+        value = by_restart.sum(axis=1)
+        stop = (value <= 0.0) | (np.abs(value - prev) < ASCENT_TOL * np.maximum(value, 1.0))
+        grad = np.zeros_like(x)
+        for (vertices, slots), buf in zip(classes, quotient_bufs):
+            quotients = np.take(products, slots, axis=0, mode="clip",
+                                out=buf[:slots.size * k].reshape(*slots.shape, k))
+            quotients /= x[vertices]
+            # np.add.reduce adds down the first axis in sequence, except
+            # that it sums a lone column pairwise
+            if quotients[0].size > 1:
+                grad[vertices] = np.add.reduce(quotients, axis=0)
+            else:
+                grad[vertices] = np.cumsum(quotients, axis=0)[-1]
+        if stop.any():  # these columns end here, unmoved
+            done[:, live[stop]] = x[:, stop]
+            live, x, grad, value = live[~stop], x[:, ~stop], grad[:, ~stop], value[~stop]
+            if not live.size:
+                return done
+        prev = value
+        x = x * grad / (r * value)
+        # projection safeguard: keep strictly positive and on the simplex
+        x = np.clip(x, 1e-300, None)
+        s = np.ascontiguousarray(x.T).sum(axis=1)
+        bad = ~np.isfinite(s) | (s <= 0.0)
+        if bad.any():  # these columns end here, clipped but not rescaled
+            done[:, live[bad]] = x[:, bad]
+            live, x, s, prev = live[~bad], x[:, ~bad], s[~bad], prev[~bad]
+            if not live.size:
+                return done
+        x /= s
+    done[:, live] = x
+    return done
+
+
 def lagrangian(graph: UniformHypergraph, restarts: int = 64,
                seed: int = 0) -> LagrangianResult:
     """Maximum of the edge polynomial over the probability simplex.
@@ -306,7 +411,11 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     the update stays on the simplex and never decreases P, so each
     restart climbs until the relative value change drops below
     ASCENT_TOL, or for at most ASCENT_MAX_ITERS steps.  The best of
-    `restarts` random interior starts is returned.
+    `restarts` random interior starts is returned, the first on ties.
+
+    Restarts run LAGRANGIAN_BLOCK at a time as the columns of one
+    array, and each ends bit for bit where ascending it alone would
+    (see _ascend), so the result does not depend on the block size.
 
     Raises:
         ValueError: if restarts < 1.
@@ -322,41 +431,27 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     n = graph.n_vertices
     if n == 0 or not graph.edges:
         return LagrangianResult(0.0, (0.0,) * n, 0)
-    r = graph.r
-    edges = np.array(sorted(graph.edges), dtype=np.int64)
-    flat_edges = edges.ravel()
+    edges = np.array(sorted(graph.edges), dtype=np.intp)
+    columns = edges.T.copy()
+    classes = _slot_tables(edges, n)
     # lagrangian_polynomial's edge order, so the final sums match it bit for bit
-    in_order = np.array(list(graph.edges), dtype=np.int64)
+    in_order = np.array(list(graph.edges), dtype=np.intp).T.copy()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     best_value = -1.0
     best_point = None
-    for _ in range(restarts):
-        x = rng.dirichlet(np.ones(n))
+    for first in range(0, restarts, LAGRANGIAN_BLOCK):
+        # one row per restart: the draws of successive dirichlet calls
+        x = rng.dirichlet(np.ones(n), size=min(LAGRANGIAN_BLOCK, restarts - first))
         x = np.clip(x, 1e-12, None)
-        x /= x.sum()
-        prev = -1.0
-        for _ in range(ASCENT_MAX_ITERS):
-            edge_weights = x[edges]
-            products = edge_weights.prod(axis=1)
-            value = products.sum()
-            if value <= 0.0:
-                break
-            if abs(value - prev) < ASCENT_TOL * max(value, 1.0):
-                break
-            prev = value
-            grad = np.bincount(flat_edges, (products[:, None] / edge_weights).ravel(),
-                               minlength=n)
-            x = x * grad / (r * value)
-            # projection safeguard: keep strictly positive and on the simplex
-            x = np.clip(x, 1e-300, None)
-            s = x.sum()
-            if not np.isfinite(s) or s <= 0.0:
-                break
-            x /= s
-        value = float(np.cumsum(x[in_order].prod(axis=1))[-1])
-        if value > best_value:
-            best_value = value
-            best_point = x
+        x /= x.sum(axis=1)[:, None]
+        points = _ascend(np.ascontiguousarray(x.T), graph.r, columns, classes)
+        products = points[in_order[0]]
+        for column in in_order[1:]:
+            products *= points[column]
+        for value, point in zip(np.cumsum(products, axis=0)[-1].tolist(), points.T):
+            if value > best_value:
+                best_value = value
+                best_point = point
     assert best_point is not None
     return LagrangianResult(best_value, tuple(float(v) for v in best_point),
                            restarts)

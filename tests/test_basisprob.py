@@ -2,6 +2,7 @@
 certified limit machinery."""
 
 import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -200,6 +201,23 @@ def test_monte_carlo_uniform():
     assert abs(est2 - 2 / 3) < 0.005
     est5 = monte_carlo_basis_probability(SimplexPoint.uniform(5), 1_000_000, seed=4)
     assert abs(est5 - float(uniform_basis_probability(5))) < 0.005
+
+
+def test_monte_carlo_brackets_the_exact_probability():
+    # Each estimate is the mean of `samples` Bernoulli(p) draws, so it lies
+    # within five standard deviations, 5 * sqrt(p (1 - p) / samples) <= 0.008,
+    # of the exact p; the seeds are fixed, so the check is deterministic.
+    samples = 100_000
+    rng = random.Random(1618)
+    for seed in range(20):
+        t = seed % 4 + 1
+        weights = [rng.randint(0, 9) for _ in range((1 << t) - 1)]
+        weights[rng.randrange(len(weights))] += 1
+        dist = SimplexPoint.from_weights(t, weights)
+        exact = basis_probability(dist)
+        estimate = monte_carlo_basis_probability(dist, samples, seed=seed)
+        spread = math.sqrt(exact * (1 - exact) / samples)
+        assert abs(estimate - float(exact)) <= 5 * spread
 
 
 def test_monte_carlo_refuses_beyond_the_sample_budget(monkeypatch):

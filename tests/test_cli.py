@@ -266,7 +266,8 @@ def test_weight_class_beyond_max_n_fails_fast(capsys):
     (["constants", "--t-max", "1"], "t-max"),
     (["search-max-code", "--n", "5", "--d", "2", "--list-size", "3",
       "--budget", "-7"], "node_budget >= 0"),
-], ids=["lagrangian", "build", "constants", "search-max-code"])
+    (["basis-subsets", "--k", "64", "--d", "64"], "k <= 63"),
+], ids=["lagrangian", "build", "constants", "search-max-code", "basis-subsets"])
 def test_bad_input_is_an_error_not_a_traceback(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 1

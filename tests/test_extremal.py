@@ -9,6 +9,9 @@ import pytest
 
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import (
+    _max_basis_subsets,
+    _max_basis_subsets_naive,
+    _search_size,
     basis_subset_bounds,
     list_size_bounds_table,
     max_basis_subsets,
@@ -108,6 +111,33 @@ def test_input_validation_and_budget():
         max_basis_subsets(4, 3)
     with pytest.raises(OutOfRegimeError):
         max_basis_subsets(5, 10)
+
+
+def test_block_search_matches_the_naive_search():
+    # value and witness (the first maximizer) of every small search
+    pairs = [(k, d) for d in range(1, 9) for k in range(1, d + 1)
+             if _search_size(k, d) <= 2_000_000]
+    assert len(pairs) == 36
+    for k, d in pairs:
+        assert _max_basis_subsets(k, d) == _max_basis_subsets_naive(k, d)
+
+
+def test_square_searches_are_answered_or_refused_at_once():
+    # (k, k) has one candidate, the identity.  k = 64 does not fit the
+    # int64 columns, nor d = 65 a GF2Matrix: both are refused up front.
+    start = time.perf_counter()
+    result = max_basis_subsets(24, 24)
+    bounds = basis_subset_bounds(24, 24)
+    assert time.perf_counter() - start < 1.0
+    assert result.value == 1 and result.witness == GF2Matrix.identity(24)
+    assert bounds.monotone_upper == 1 and bounds.deletion_upper == 1
+    assert max_basis_subsets(63, 63).value == 1
+    for k, d in ((64, 64), (1, 65), (10**9, 10**9)):
+        with pytest.raises(OutOfRegimeError):
+            max_basis_subsets(k, d, work_budget=10**30)
+    # bounds skip the sub-searches the regime refuses
+    bounds = basis_subset_bounds(64, 64)
+    assert bounds.monotone_upper is None and bounds.deletion_upper == 1
 
 
 def test_equal_searches_are_run_once():

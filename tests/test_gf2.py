@@ -15,6 +15,7 @@ from hypercube_codes.gf2 import (
     GF2Matrix,
     code_from_parity_check,
     count_nonsingular_submatrices,
+    independent_counts,
     independent_masks,
     independent_subsets,
     is_basis,
@@ -145,23 +146,6 @@ def test_orthogonal_complement_duality_exhaustive():
     assert checked == 210
 
 
-def test_independent_subsets_match_rank_oracle():
-    # zero and repeated vectors, and r from 0 through len(vs) + 1
-    rng = random.Random(11)
-    for _ in range(400):
-        m = rng.randint(1, 5)
-        vs = [rng.randrange(1 << m) for _ in range(rng.randint(0, 9))]
-        if vs:
-            vs[rng.randrange(len(vs))] = 0
-            vs[rng.randrange(len(vs))] = vs[rng.randrange(len(vs))]
-        for r in range(len(vs) + 2):
-            want = [s for s in itertools.combinations(range(len(vs)), r)
-                    if rank_ints(vs[i] for i in s) == r]
-            assert list(independent_subsets(vs, r)) == want
-    with pytest.raises(ValueError):
-        list(independent_subsets([1], -1))
-
-
 @st.composite
 def vector_lists(draw):
     """Up to 10 vectors of up to 24 bits: free draws, draws from a small
@@ -175,6 +159,29 @@ def vector_lists(draw):
     if shape == "pool":
         value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)) + [0])
     return draw(st.lists(value, min_size=length, max_size=length))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(vector_lists())
+def test_independent_subsets_match_rank_oracle(vectors):
+    # r from 0 through len(vectors) + 1
+    for r in range(len(vectors) + 2):
+        want = [s for s in itertools.combinations(range(len(vectors)), r)
+                if rank_ints(vectors[i] for i in s) == r]
+        assert list(independent_subsets(vectors, r)) == want
+    with pytest.raises(ValueError):
+        list(independent_subsets(vectors, -1))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(vector_lists(), min_size=1, max_size=6))
+def test_independent_counts_match_the_walk_per_family(lists):
+    # families are rows of one array, so cut every list to the shortest
+    n = min(len(vectors) for vectors in lists)
+    families = np.array([vectors[:n] for vectors in lists], dtype=np.int64).reshape(len(lists), n)
+    for r in range(n + 2):
+        want = [sum(1 for _ in independent_subsets(row, r)) for row in families.tolist()]
+        assert independent_counts(families, r).tolist() == want
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

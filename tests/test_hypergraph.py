@@ -1,6 +1,7 @@
 """Uniform hypergraphs: construction counts, copy containment and
 Lagrangian optimization."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_partition_product_sum
 from hypercube_codes.gf2 import rank_ints
 from hypercube_codes.hypergraph import (
+    LAGRANGIAN_BLOCK,
     LagrangianResult,
     UniformHypergraph,
     augmented_complete,
@@ -246,13 +248,23 @@ def random_3_uniform(n_vertices, n_edges, seed):
     return UniformHypergraph(3, n_vertices, frozenset(edges))
 
 
+# Vertex 8 is isolated.  Vertex 0 (degree 10) is alone in its degree
+# class, so a block's last restart sums its terms as one column;
+# vertices 1-5 (degrees 5 and 4) share a class padded to degree 5.
+PADDED = UniformHypergraph(3, 9, frozenset(
+    {(0, a, b) for a, b in itertools.combinations(range(1, 6), 2)}
+    | {(1, 6, 7), (2, 6, 7)}))
+
+
 @pytest.mark.parametrize("graph", [
     basis_hypergraph(1), basis_hypergraph(2), basis_hypergraph(3),
     basis_hypergraph(4), complete(2, 5), augmented_complete(2, 4, 3),
-    random_3_uniform(9, 30, seed=5),
-], ids=["basis1", "basis2", "basis3", "basis4", "K5", "augmented", "random3"])
+    random_3_uniform(9, 30, seed=5), PADDED,
+], ids=["basis1", "basis2", "basis3", "basis4", "K5", "augmented", "random3",
+        "padded"])
 def test_lagrangian_matches_the_add_at_ascent_bit_for_bit(graph):
-    for seed, restarts in zip(range(4), (8, 16, 24, 32)):
+    counts = (8, 16, 24, 32, 1, LAGRANGIAN_BLOCK - 1, LAGRANGIAN_BLOCK + 1, 70)
+    for seed, restarts in enumerate(counts):
         assert lagrangian(graph, restarts=restarts, seed=seed) == \
             lagrangian_by_add_at(graph, restarts, seed)
 
