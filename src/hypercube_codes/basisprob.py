@@ -42,16 +42,12 @@ def independent_draw_probability(r: int, m: int) -> Fraction:
     return Fraction(num, ((1 << m) - 1) ** (r - 1)) if r >= 1 else Fraction(1)
 
 
-def _uniform_unchecked(t: int) -> Fraction:
-    return independent_draw_probability(t, t)
-
-
 def uniform_basis_probability(t: int) -> Fraction:
     """Exact probability that t uniform nonzero vectors of GF(2)^t form a
     basis: prod_{i=1}^{t-1} (2^t - 2^i) / (2^t - 1)."""
     if not 1 <= t <= MAX_T:
         raise ValueError(f"t must be in [1, {MAX_T}]")
-    return _uniform_unchecked(t)
+    return independent_draw_probability(t, t)
 
 
 def first_draw_bound(t: int) -> Fraction:
@@ -66,7 +62,8 @@ def basis_recurrence_check(t: int) -> bool:
     """Exact check of P(t) = ((2^t - 2)/(2^t - 1))^(t-1) * P(t-1)."""
     if not 2 <= t <= MAX_T:
         raise ValueError(f"t must be in [2, {MAX_T}]")
-    return _uniform_unchecked(t) == first_draw_bound(t) * _uniform_unchecked(t - 1)
+    return independent_draw_probability(t, t) \
+        == first_draw_bound(t) * independent_draw_probability(t - 1, t - 1)
 
 
 def limit_interval(t: int) -> tuple[Fraction, Fraction]:
@@ -77,7 +74,7 @@ def limit_interval(t: int) -> tuple[Fraction, Fraction]:
     """
     if t < 2:
         raise ValueError("need t >= 2")
-    p = _uniform_unchecked(t)
+    p = independent_draw_probability(t, t)
     return p * (1 - Fraction(2 * t, 1 << t)), p
 
 

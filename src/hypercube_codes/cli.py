@@ -51,9 +51,9 @@ from .errors import ConstructionError, OutOfRegimeError
 from .extremal import (
     DEFAULT_WORK_BUDGET,
     basis_subset_bounds,
+    construction_upper,
     list_size_bounds_table,
     max_basis_subsets,
-    max_basis_subsets_any_k,
     max_partition_product_sum,
     partition_growth_check,
     product_partition_lower_bound,
@@ -321,7 +321,7 @@ def _scan(args, code: Code, payload: dict) -> int:
     payload["subcubes_at_max"] = report.histogram[report.max_count]
     payload["witness"] = _subcube_pattern(report.witness)
     if payload["command"] == "build-verify":
-        upper = max_basis_subsets_any_k(args.d).value if args.d <= 8 else None
+        upper = construction_upper(args.d)
         payload["construction_upper"] = upper
         payload["within_construction_upper"] = (
             None if upper is None else report.max_count <= upper)
@@ -361,7 +361,7 @@ def cmd_search_max_code(args) -> int:
         "max_size": result.max_size,
         "certified": result.certified,
         "witness": sorted(BitWord(w, args.n).to01()
-                          for w in result.witness.words),
+                          for w in result.witness.array.tolist()),
     })
     return EXIT_OK
 

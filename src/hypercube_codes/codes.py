@@ -41,8 +41,9 @@ MAX_RETRIES = 64
 @dataclass(frozen=True, init=False, eq=False)
 class Code:
     """A set of binary words on n coordinates, given as any iterable of
-    ints or an integer ndarray.  `array` stores the packed words (bit i =
-    coordinate i + 1) once: sorted, distinct and read-only np.uint64."""
+    ints or an integer ndarray (not floats or bools).  `array` stores the
+    packed words (bit i = coordinate i + 1) once: sorted, distinct and
+    read-only np.uint64."""
 
     n: int
     array: np.ndarray
@@ -52,7 +53,10 @@ class Code:
             raise ValueError(f"n must be in [0, {MAX_BITS}]")
         if not isinstance(words, np.ndarray):
             words = np.array(list(words), dtype=object)  # ints of any size
-        # checked before the cast, so no negative word wraps around
+        # checked before the cast: no float truncates, no bool or negative word passes
+        for t in set(map(type, words)) if words.dtype == object else {words.dtype.type}:
+            if np.dtype(t).kind not in "iu":
+                raise ValueError(f"words must be integers, got {t.__name__}")
         for w in map(int, (words.min(initial=0), words.max(initial=0))):
             if not 0 <= w < (1 << n):
                 raise ValueError(f"word {w:#x} does not fit in {n} coordinates")

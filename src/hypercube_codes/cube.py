@@ -155,9 +155,8 @@ def subcube_count(code: Code, cube: Subcube) -> int:
     """Number of codewords inside the subcube (naive scan, the oracle)."""
     if code.n != cube.n:
         raise ValueError("code and subcube disagree on n")
-    fixed_mask = ((1 << cube.n) - 1) ^ cube.free_mask
-    base = cube.base
-    return sum(1 for w in code.words if w & fixed_mask == base)
+    fixed = np.uint64(((1 << cube.n) - 1) ^ cube.free_mask)
+    return int(np.count_nonzero(code.array & fixed == np.uint64(cube.base)))
 
 
 @dataclass(frozen=True)
@@ -277,19 +276,17 @@ def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
     least 1."""
     if word.n != code.n:
         raise ValueError("word length does not match the code")
-    if word.bits not in code.words:
+    bits = np.uint64(word.bits)
+    at = np.searchsorted(code.array, bits)
+    if code.array[at:at + 1].tolist() != [word.bits]:
         raise ValueError("word is not a codeword")
     erased = tuple(erased)
     if len(set(erased)) != len(erased):
         raise ValueError("erased coordinates must be distinct")
-    mask = 0
-    for c in erased:
-        if not 0 <= c < code.n:
-            raise ValueError("erased coordinate out of range")
-        mask |= 1 << c
-    keep = ((1 << code.n) - 1) ^ mask
-    target = word.bits & keep
-    return sum(1 for w in code.words if w & keep == target)
+    if not all(0 <= c < code.n for c in erased):
+        raise ValueError("erased coordinate out of range")
+    keep = np.uint64(((1 << code.n) - 1) ^ sum(1 << c for c in erased))
+    return int(np.count_nonzero(code.array & keep == bits & keep))
 
 
 @dataclass(frozen=True)

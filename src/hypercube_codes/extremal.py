@@ -218,20 +218,28 @@ def max_basis_subsets_any_k(d: int) -> ShapeMaximum:
     k is reported.
 
     Raises:
-        OutOfRegimeError: for d > 8.
+        OutOfRegimeError: before any search runs, when _search_refusal
+            refuses some k <= d/2 (d = 10 is refused at k = 5).
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if d > 8:
-        raise OutOfRegimeError("exhaustive shape maximum supported for d <= 8")
-    best_value = -1
-    best_k = 0
-    for k in range(1, max(1, d // 2) + 1):
-        value = max_basis_subsets(k, d).value
-        if value > best_value:
-            best_value = value
-            best_k = k
-    return ShapeMaximum(d, best_value, best_k)
+    ks = range(1, max(1, d // 2) + 1)
+    for k in ks:
+        refusal = _search_refusal(k, d, DEFAULT_WORK_BUDGET)
+        if refusal:
+            raise OutOfRegimeError(f"shape maximum at d={d}: {refusal}")
+    values = [max_basis_subsets(k, d).value for k in ks]
+    return ShapeMaximum(d, max(values), values.index(max(values)) + 1)
+
+
+def construction_upper(d: int) -> Optional[int]:
+    """max_basis_subsets_any_k(d).value, or None where that refuses d (d < 1
+    or out of regime): the construction_upper column of bounds-table and
+    build-verify."""
+    try:
+        return max_basis_subsets_any_k(d).value
+    except (ValueError, OutOfRegimeError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -384,18 +392,14 @@ class ListSizeBoundsRow:
 def list_size_bounds_table(d_max: int) -> list[ListSizeBoundsRow]:
     """Per-dimension lower and upper bounds on the minimum list size that
     still admits positive-density codes.  The upper column is the shape
-    maximum of the basis-subset search, available for d <= 8."""
+    maximum of the basis-subset search (construction_upper), None where
+    that search is out of regime: filled to d = 9, None at d = 10."""
     if not 1 <= d_max <= 10:
         raise ValueError("need 1 <= d_max <= 10")
-    rows = []
-    for d in range(1, d_max + 1):
-        upper = max_basis_subsets_any_k(d).value if d <= 8 else None
-        rows.append(ListSizeBoundsRow(
-            d,
-            product_partition_lower_bound(d),
-            max_partition_product_sum(d).value,
-            upper))
-    return rows
+    return [ListSizeBoundsRow(d, product_partition_lower_bound(d),
+                              max_partition_product_sum(d).value,
+                              construction_upper(d))
+            for d in range(1, d_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -310,36 +310,33 @@ class GF2Matrix:
         for r in row_list:
             if not 0 <= r < (1 << cols):
                 raise ValueError("row does not fit in the declared column count")
-        columns = []
-        for j in range(cols):
-            c = 0
-            for i, r in enumerate(row_list):
-                c |= ((r >> j) & 1) << i
-            columns.append(c)
-        return cls(len(row_list), tuple(columns))
+        return cls(len(row_list), tuple(_transpose(row_list, cols)))
 
     @classmethod
     def identity(cls, k: int) -> "GF2Matrix":
         return cls(k, tuple(1 << i for i in range(k)))
-
-    def column_word(self, j: int) -> BitWord:
-        return BitWord(self.columns[j], self.rows)
 
     def column_words(self) -> list[BitWord]:
         return [BitWord(c, self.rows) for c in self.columns]
 
     def rows_as_ints(self) -> list[int]:
         """Rows as packed ints, bit j = entry in column j."""
-        out = []
-        for i in range(self.rows):
-            r = 0
-            for j, c in enumerate(self.columns):
-                r |= ((c >> i) & 1) << j
-            out.append(r)
-        return out
+        return _transpose(self.columns, self.rows)
 
     def transpose(self) -> "GF2Matrix":
         return GF2Matrix(self.cols, tuple(self.rows_as_ints()))
+
+
+def _transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit transpose: out[j] has bit i equal to bit j of vectors[i], for
+    j < width (columns from rows, or rows from columns)."""
+    out = []
+    for j in range(width):
+        t = 0
+        for i, v in enumerate(vectors):
+            t |= ((v >> j) & 1) << i
+        out.append(t)
+    return out
 
 
 def rank(matrix: GF2Matrix) -> int:

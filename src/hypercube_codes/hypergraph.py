@@ -117,14 +117,16 @@ def complete_multipartite(class_sizes: tuple[int, ...] | list) -> UniformHypergr
 
 def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     """Edges are the independent r-subsets of the nonzero vectors of
-    GF(2)^(r+k); vertex i stands for the vector i + 1.  Materialized
-    only for r + k <= 6; use linear_independence_density beyond."""
-    if r < 1 or k < 0:
-        raise ValueError("need r >= 1 and k >= 0")
-    m = r + k
-    if m > 6:
-        raise OutOfRegimeError("materialized only for r + k <= 6")
-    n = (1 << m) - 1
+    GF(2)^(r+k); vertex i stands for the vector i + 1.  Refused, before
+    any subset is walked, when the edge count (linear_independence_density
+    times C(2^(r+k) - 1, r)) exceeds DEFAULT_EDGE_BUDGET: (3, 5) is built,
+    (4, 3) and (6, 0) are not.  Use linear_independence_density beyond."""
+    edges = linear_independence_density(r, k) * math.comb((1 << (r + k)) - 1, r)
+    if edges > DEFAULT_EDGE_BUDGET:
+        raise OutOfRegimeError(
+            f"the linear-independence hypergraph (r={r}, k={k}) would hold "
+            f"{edges} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
+    n = (1 << (r + k)) - 1
     return UniformHypergraph(r, n, frozenset(independent_subsets(range(1, n + 1), r)))
 
 
@@ -460,9 +462,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
 def basis_hypergraph(t: int) -> UniformHypergraph:
     """t-uniform hypergraph on the nonzero vectors of GF(2)^t whose edges
     are the bases; vertex i stands for the vector i + 1.  Its Lagrangian
-    times t! equals the uniform basis probability."""
+    times t! equals the uniform basis probability.  Under the edge budget
+    of linear_independence_hypergraph(t, 0), t = 5 is built, t = 6 not."""
     if t < 1:
         raise ValueError("need t >= 1")
-    if t > 4:
-        raise OutOfRegimeError("basis hypergraph materialized for t <= 4 only")
     return linear_independence_hypergraph(t, 0)

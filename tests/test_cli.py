@@ -125,6 +125,18 @@ def test_build_verify_weight_class(capsys):
     assert doc["witness"].count("*") == 3
 
 
+def test_build_verify_upper_column_follows_the_shape_maximum(capsys):
+    # d = 0 and d = 10 have no shape maximum: the column is null, not an error
+    for n, d, upper in ((6, 0, None), (10, 9, 88), (10, 10, None)):
+        code, doc, err = run_json(capsys, ["build-verify", "--n", str(n),
+                                           "--d", str(d)])
+        assert (code, err) == (0, "")
+        assert doc["construction_upper"] == upper
+        assert doc["within_construction_upper"] == (
+            None if upper is None else doc["max_count"] <= upper)
+    assert doc["max_count"] == doc["size"]
+
+
 def test_build_verify_list_size_violation(capsys):
     code, _, err = run_json(capsys, [
         "build-verify", "--n", "6", "--d", "2", "--list-size", "0"])

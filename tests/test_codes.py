@@ -38,6 +38,12 @@ def test_code_validation_and_density():
         Code(3, frozenset({8}))
     with pytest.raises(ValueError):
         Code(70, frozenset())
+    # no float is truncated to an int and no bool read as 0/1
+    for words in ([1.5], [1, 2.0], np.array([1.5, 2.0]), np.array([True, False]),
+                  [True], np.array([1.5], dtype=object), [np.float64(1)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Code(3, words)
+    assert Code(3, [np.int64(3), 1, np.uint8(2)]).array.tolist() == [1, 2, 3]
 
 
 def test_layer_draws_are_deterministic():

@@ -164,6 +164,28 @@ def test_erasure_count_equals_subcube_count():
         assert direct >= 1
 
 
+def test_array_counts_match_set_counts_and_cache_no_word_set():
+    rng = random.Random(11)
+    top = [0, 5, 1 << 63, (1 << 64) - 1, (1 << 63) | 6]
+    codes = [Code(n, rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1))))
+             for n in (3, 6, 9, 12)] + [Code(64, top)]
+    for code in codes:
+        n = code.n
+        words = set(code.array.tolist())
+        for _ in range(40):
+            word = rng.choice(sorted(words))
+            erased = tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 5)))))
+            keep = ((1 << n) - 1) ^ sum(1 << c for c in erased)
+            expected = sum(1 for w in words if w & keep == word & keep)
+            assert erasure_list_size(code, BitWord(word, n), erased) == expected
+            base = word & keep
+            assert subcube_count(code, Subcube(n, erased, base)) == expected
+        outside = next(w for w in (1, 2, 3, (1 << n) - 2) if w not in words)
+        with pytest.raises(ValueError, match="not a codeword"):
+            erasure_list_size(code, BitWord(outside, n), ())
+        assert "words" not in vars(code)
+
+
 def test_erasure_validation():
     code = Code(3, frozenset({0b000, 0b011}))
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercube_codes import extremal
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import (
     _max_basis_subsets,
@@ -176,15 +177,27 @@ def test_deletion_bound_is_tight_sometimes():
     assert max_basis_subsets(3, 7).value == 7 * max_basis_subsets(2, 6).value // 3
 
 
-def test_best_shape_per_dimension():
+def test_best_shape_per_dimension(monkeypatch):
     expected = {1: (1, 1), 2: (2, 1), 3: (3, 1), 4: (5, 2),
-                5: (8, 2), 6: (16, 3), 7: (28, 3), 8: (56, 4)}
+                5: (8, 2), 6: (16, 3), 7: (28, 3), 8: (56, 4), 9: (88, 4)}
     for d, (value, best_k) in expected.items():
         shape = max_basis_subsets_any_k(d)
         assert shape.value == value
         assert shape.best_k == best_k
-    with pytest.raises(OutOfRegimeError):
-        max_basis_subsets_any_k(9)
+    # d = 9 is inside the work budget at every k <= 4; the naive loop agrees
+    naive = [_max_basis_subsets_naive(k, 9).value for k in range(1, 5)]
+    assert max(naive) == 88 and naive.index(88) + 1 == 4
+    # (5, 10) has search size 81,807,264: d = 10 is refused before any search
+    assert _search_size(5, 10) == 81_807_264 > extremal.DEFAULT_WORK_BUDGET
+
+    def no_search(k, d, work_budget=None):
+        raise AssertionError(f"searched ({k}, {d})")
+
+    monkeypatch.setattr(extremal, "max_basis_subsets", no_search)
+    with pytest.raises(OutOfRegimeError, match="k=5, d=10"):
+        max_basis_subsets_any_k(10)
+    assert extremal.construction_upper(10) is None
+    assert extremal.construction_upper(0) is None
 
 
 def test_modulus_four_still_respects_the_dimension_five_cap():
@@ -268,7 +281,7 @@ def test_bounds_table_rows():
     assert by_d[6].construction_upper == 16
     assert by_d[10].product_partition_lower == 37
     assert by_d[10].partition_sum_lower == 80
-    assert by_d[9].construction_upper is None
+    assert by_d[9].construction_upper == 88
     assert by_d[10].construction_upper is None
     for row in table:
         assert row.product_partition_lower <= row.partition_sum_lower \

@@ -4,6 +4,7 @@ Lagrangian optimization."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -291,8 +292,30 @@ def test_basis_hypergraph_counts():
     assert basis_hypergraph(3).edge_count() == 28
     assert basis_hypergraph(4).edge_count() == 840
     assert basis_hypergraph(3).n_vertices == 7
+    # t = 5: within the edge budget, and equal to the closed form
+    five = basis_hypergraph(5)
+    assert five.edge_count() == 83_328
+    assert five.edge_count() == linear_independence_density(5, 0) * math.comb(31, 5)
     with pytest.raises(OutOfRegimeError):
-        basis_hypergraph(5)
+        basis_hypergraph(6)
+
+
+def test_independence_hypergraphs_are_refused_by_edge_count_at_once():
+    # exact edge counts 5,249,664, 27,998,208 and 9,921,240, all above
+    # the edge budget of 5,000,000; refused before any subset is walked
+    for r, k, edges in ((5, 1, 5_249_664), (6, 0, 27_998_208), (4, 3, 9_921_240)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRegimeError, match=f"hold {edges} edges"):
+            linear_independence_hypergraph(r, k)
+        assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(OutOfRegimeError, match="hold 27998208 edges"):
+        basis_hypergraph(6)
+    assert time.perf_counter() - start < 0.1
+    # r + k = 7 is admitted when the count fits: 330,708 edges
+    graph = linear_independence_hypergraph(3, 4)
+    assert graph.edge_count() == 330_708
+    assert graph.density() == linear_independence_density(3, 4)
 
 
 def test_basis_lagrangian_matches_probability():
