@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .gf2 import independent_subsets
+from .hypergraph import basis_hypergraph
 
 MAX_T = 64
 
@@ -136,18 +135,11 @@ class SimplexPoint:
         return cls(t, tuple(Fraction(w, total) for w in weights))
 
 
-@lru_cache(maxsize=None)
-def _basis_subsets(t: int) -> tuple[tuple[int, ...], ...]:
-    """Bases of GF(2)^t as index t-subsets of the nonzero vectors, where
-    index i stands for the vector i + 1 (the order of dist.probs)."""
-    return tuple(independent_subsets(range(1, 1 << t), t))
-
-
 def basis_probability(dist: SimplexPoint) -> Fraction:
     """Exact probability that t draws from `dist` form a basis (t <= 4).
 
     Entries are coerced with Fraction(), so floats are taken at their
-    exact binary value.
+    exact binary value.  The bases are the edges of basis_hypergraph(t).
     """
     t = dist.t
     if t > 4:
@@ -156,7 +148,7 @@ def basis_probability(dist: SimplexPoint) -> Fraction:
     denom = math.lcm(*(f.denominator for f in fracs))
     scaled = [int(f * denom) for f in fracs]
     total = 0
-    for subset in _basis_subsets(t):
+    for subset in basis_hypergraph(t).edges.tolist():
         prod = 1
         for i in subset:
             prod *= scaled[i]

@@ -387,15 +387,10 @@ def _load_hypergraph(path) -> UniformHypergraph:
         if not line.strip():
             continue
         try:
-            vertices = tuple(sorted(int(tok) for tok in line.split()))
+            edges.append(tuple(sorted(int(tok) for tok in line.split())))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer vertex") from None
-        if len(vertices) != r or len(set(vertices)) != r:
-            raise ValueError(f"line {lineno}: expected {r} distinct vertices")
-        if vertices and not 0 <= vertices[0] <= vertices[-1] < n:
-            raise ValueError(f"line {lineno}: vertex out of range")
-        edges.append(vertices)
-    return UniformHypergraph(r, n, frozenset(edges))
+    return UniformHypergraph(r, n, edges)
 
 
 def cmd_lagrangian(args) -> int:

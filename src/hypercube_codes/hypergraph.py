@@ -1,6 +1,8 @@
 """Uniform hypergraphs: augmentation, blow-ups, copy search, Lagrangians.
 
-The linear-independence hypergraph puts an edge on every independent
+A UniformHypergraph holds its edges once, as one sorted (m, r) array,
+which every builder below produces and every consumer reads.  The
+linear-independence hypergraph puts an edge on every independent
 r-subset of the nonzero vectors of GF(2)^(r+k); stem augmentation turns
 an s-uniform pattern into an r-uniform one by adding r - s shared fresh
 vertices to every edge.  The Lagrangian is maximized by multiplicative
@@ -33,48 +35,72 @@ ASCENT_MAX_ITERS = 20_000
 LAGRANGIAN_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class UniformHypergraph:
-    """r-uniform hypergraph on vertices 0..n_vertices-1; edges are sorted
-    r-tuples of distinct vertices."""
+    """r-uniform hypergraph on vertices 0..n_vertices-1, given as any
+    iterable of r-tuples or an integer (m, r) array (not floats) whose
+    rows are strictly increasing.  `edges` stores the rows once: sorted
+    lexicographically, distinct and read-only np.intp."""
 
     r: int
     n_vertices: int
-    edges: frozenset
+    edges: np.ndarray
 
-    def __post_init__(self):
-        if self.r < 1 or self.n_vertices < 0:
+    def __init__(self, r: int, n_vertices: int, edges):
+        if r < 1 or n_vertices < 0:
             raise ValueError("need r >= 1 and a non-negative vertex count")
-        for e in self.edges:
-            if len(e) != self.r or list(e) != sorted(set(e)):
-                raise ValueError(f"edge {e} is not a sorted {self.r}-tuple of distinct vertices")
-            if e[0] < 0 or e[-1] >= self.n_vertices:
-                raise ValueError(f"edge {e} leaves the vertex range")
+        if not isinstance(edges, np.ndarray):
+            rows = list(edges)
+            if set(map(len, rows)) - {r}:
+                raise ValueError(f"every edge needs {r} vertices")
+            edges = np.array(rows) if rows else np.empty((0, r), np.intp)
+        if edges.dtype.kind not in "iu":
+            raise ValueError(f"vertices must be integers, got {edges.dtype}")
+        if edges.ndim != 2 or edges.shape[1] != r:
+            raise ValueError(f"edges must be {r}-tuples, not an array of shape {edges.shape}")
+        for bad, why in (((edges[:, 1:] <= edges[:, :-1]).any(axis=1),
+                          f"is not a sorted {r}-tuple of distinct vertices"),
+                         ((edges[:, 0] < 0) | (edges[:, -1] >= n_vertices),
+                          "leaves the vertex range")):
+            if bad.any():
+                raise ValueError(f"edge {tuple(edges[bad.argmax()].tolist())} {why}")
+        edges = edges[np.lexsort(edges.T[::-1])].astype(np.intp, copy=False)
+        distinct = np.ones(len(edges), bool)
+        distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        edges = edges[distinct]
+        edges.flags.writeable = False
+        vars(self).update(r=r, n_vertices=n_vertices, edges=edges)  # past the frozen setattr
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, UniformHypergraph) and self.r == other.r
+                and self.n_vertices == other.n_vertices
+                and np.array_equal(self.edges, other.edges))
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.n_vertices, self.edges.tobytes()))
 
     def edge_count(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n_vertices
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices).tolist()
 
     def density(self) -> Fraction:
         """Edge count over C(n_vertices, r)."""
         total = math.comb(self.n_vertices, self.r)
-        if total == 0:
-            return Fraction(0)
-        return Fraction(len(self.edges), total)
+        return Fraction(len(self.edges), total) if total else Fraction(0)
+
+
+def _rows(tuples, r: int) -> np.ndarray:
+    """An iterable of r-tuples as an (m, r) np.intp array, with no list of tuples."""
+    return np.fromiter(itertools.chain.from_iterable(tuples), np.intp).reshape(-1, r)
 
 
 def complete(r: int, t: int) -> UniformHypergraph:
     """All r-subsets of t vertices."""
     if not 1 <= r <= t:
         raise ValueError("need 1 <= r <= t")
-    return UniformHypergraph(
-        r, t, frozenset(itertools.combinations(range(t), r)))
+    return UniformHypergraph(r, t, _rows(itertools.combinations(range(t), r), r))
 
 
 def augment(graph: UniformHypergraph, r: int) -> UniformHypergraph:
@@ -83,9 +109,9 @@ def augment(graph: UniformHypergraph, r: int) -> UniformHypergraph:
     k = graph.r
     if r < k:
         raise ValueError("target uniformity must be at least the current one")
-    stem = tuple(range(graph.n_vertices, graph.n_vertices + r - k))
-    edges = frozenset(e + stem for e in graph.edges)
-    return UniformHypergraph(r, graph.n_vertices + r - k, edges)
+    n = graph.n_vertices
+    stem = np.broadcast_to(np.arange(n, n + r - k), (graph.edge_count(), r - k))
+    return UniformHypergraph(r, n + r - k, np.hstack([graph.edges, stem]))
 
 
 def augmented_complete(s: int, t: int, r: int) -> UniformHypergraph:
@@ -102,32 +128,37 @@ def complete_multipartite(class_sizes: tuple[int, ...] | list) -> UniformHypergr
     if len(sizes) < 2 or any(a < 0 for a in sizes):
         raise ValueError("need at least two non-negative class sizes")
     k = len(sizes) - 1
-    offsets = [0]
-    for a in sizes:
-        offsets.append(offsets[-1] + a)
-    n = offsets[-1]
-    edges = []
-    for skip in range(len(sizes)):
-        pools = [range(offsets[i], offsets[i + 1])
-                 for i in range(len(sizes)) if i != skip]
-        for combo in itertools.product(*pools):
-            edges.append(tuple(sorted(combo)))
-    return UniformHypergraph(k, n, frozenset(edges))
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    pools = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+    # classes are numbered in order, so each product is a sorted edge
+    edges = itertools.chain.from_iterable(
+        itertools.product(*pools[:skip], *pools[skip + 1:]) for skip in range(k + 1))
+    return UniformHypergraph(k, offsets[-1], _rows(edges, k))
 
 
 def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     """Edges are the independent r-subsets of the nonzero vectors of
     GF(2)^(r+k); vertex i stands for the vector i + 1.  Refused, before
-    any subset is walked, when the edge count (linear_independence_density
-    times C(2^(r+k) - 1, r)) exceeds DEFAULT_EDGE_BUDGET: (3, 5) is built,
-    (4, 3) and (6, 0) are not.  Use linear_independence_density beyond."""
-    edges = linear_independence_density(r, k) * math.comb((1 << (r + k)) - 1, r)
-    if edges > DEFAULT_EDGE_BUDGET:
-        raise OutOfRegimeError(
-            f"the linear-independence hypergraph (r={r}, k={k}) would hold "
-            f"{edges} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
-    n = (1 << (r + k)) - 1
-    return UniformHypergraph(r, n, frozenset(independent_subsets(range(1, n + 1), r)))
+    any subset is walked, when the edge count (at least 2^(r+k) - 1)
+    exceeds DEFAULT_EDGE_BUDGET: (3, 5) and (1, 21) are built, (4, 3)
+    and (6, 0) are not.  Use linear_independence_density beyond."""
+    if r < 1 or k < 0:
+        raise ValueError("need r >= 1 and k >= 0")
+    m = r + k
+    if m > DEFAULT_EDGE_BUDGET.bit_length():
+        edges = f"at least 2^{m} - 1"  # the floor of the count, which is not formed
+    elif (edges := _independent_count(r, m)) <= DEFAULT_EDGE_BUDGET:
+        subsets = independent_subsets(range(1, 1 << m), r)
+        return UniformHypergraph(r, (1 << m) - 1, _rows(subsets, r))
+    raise OutOfRegimeError(
+        f"the linear-independence hypergraph (r={r}, k={k}) would hold "
+        f"{edges} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
+
+
+def _independent_count(r: int, m: int) -> int:
+    """Independent r-subsets of the nonzero vectors of GF(2)^m: at least
+    2^m - 1 for 1 <= r <= m, as the count does not decrease in r there."""
+    return math.prod((1 << m) - (1 << i) for i in range(r)) // math.factorial(r)
 
 
 def linear_independence_density(r: int, k: int) -> Fraction:
@@ -139,11 +170,7 @@ def linear_independence_density(r: int, k: int) -> Fraction:
     m = r + k
     if m > 20:
         raise OutOfRegimeError("density supported for r + k <= 20")
-    ordered = 1
-    for i in range(r):
-        ordered *= (1 << m) - (1 << i)
-    unordered = ordered // math.factorial(r)
-    return Fraction(unordered, math.comb((1 << m) - 1, r))
+    return Fraction(_independent_count(r, m), math.comb((1 << m) - 1, r))
 
 
 def blow_up(graph: UniformHypergraph, b: int,
@@ -156,11 +183,9 @@ def blow_up(graph: UniformHypergraph, b: int,
     total = len(graph.edges) * b ** r
     if total > edge_budget:
         raise OutOfRegimeError(f"blow-up would hold {total} edges")
-    edges = []
-    for e in graph.edges:
-        for copies in itertools.product(range(b), repeat=r):
-            edges.append(tuple(sorted(v * b + c for v, c in zip(e, copies))))
-    return UniformHypergraph(r, graph.n_vertices * b, frozenset(edges))
+    copies = _rows(itertools.product(range(b), repeat=r), r)
+    edges = (graph.edges[:, None, :] * b + copies).reshape(-1, r)
+    return UniformHypergraph(r, graph.n_vertices * b, edges)
 
 
 def _twin_classes(graph: UniformHypergraph) -> list[int]:
@@ -182,10 +207,8 @@ def _twin_classes(graph: UniformHypergraph) -> list[int]:
         for v in range(u + 1, n):
             if find(u) == find(v):
                 continue
-            swapped = frozenset(
-                tuple(sorted(v if x == u else u if x == v else x for x in e))
-                for e in edges)
-            if swapped == edges:
+            swapped = np.where(edges == u, v, np.where(edges == v, u, edges))
+            if UniformHypergraph(graph.r, n, np.sort(swapped, axis=1)) == graph:
                 parent[find(v)] = find(u)
     return [find(x) for x in range(n)]
 
@@ -205,33 +228,25 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
     m = small.n_vertices
     if m > big.n_vertices:
         return None
-    if not small.edges:
+    if not small.edge_count():
         return {i: i for i in range(m)}
 
     small_deg = small.degrees()
     big_deg = big.degrees()
-    small_edges = [tuple(e) for e in small.edges]
+    small_edges = small.edges.tolist()
 
     # order: maximize edges fully anchored, then degree, then index
     order: list[int] = []
-    placed: set[int] = set()
     while len(order) < m:
-        best_v, best_key = -1, None
-        for v in range(m):
-            if v in placed:
-                continue
-            anchored = sum(1 for e in small_edges
-                           if v in e and all(x in placed or x == v for x in e))
-            key = (anchored, small_deg[v], -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        order.append(best_v)
-        placed.add(best_v)
+        placed = set(order)
+        order.append(max(set(range(m)) - placed, key=lambda v: (
+            sum(all(x in placed or x == v for x in e) for e in small_edges if v in e),
+            small_deg[v], -v)))
 
     position = {v: i for i, v in enumerate(order)}
     # edges checkable as soon as their last vertex (in assignment order)
     # is placed
-    anchored_at: list[list[tuple]] = [[] for _ in range(m)]
+    anchored_at: list[list[list[int]]] = [[] for _ in range(m)]
     for e in small_edges:
         anchored_at[max(position[x] for x in e)].append(e)
 
@@ -248,7 +263,7 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
 
     image: dict[int, int] = {}
     used: set[int] = set()
-    edge_set = big.edges
+    edge_set = set(map(tuple, big.edges.tolist()))
     nodes = 0
 
     def dfs(i: int) -> bool:
@@ -291,7 +306,7 @@ def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
     if len(x) != graph.n_vertices:
         raise ValueError("need one weight per vertex")
     total = 0.0
-    for e in graph.edges:
+    for e in graph.edges.tolist():
         p = 1.0
         for v in e:
             p *= x[v]
@@ -431,13 +446,10 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
             f"{restarts} restarts over {len(graph.edges)} edges exceed "
             f"the edge budget {DEFAULT_EDGE_BUDGET}")
     n = graph.n_vertices
-    if n == 0 or not graph.edges:
+    if n == 0 or not graph.edge_count():
         return LagrangianResult(0.0, (0.0,) * n, 0)
-    edges = np.array(sorted(graph.edges), dtype=np.intp)
-    columns = edges.T.copy()
-    classes = _slot_tables(edges, n)
-    # lagrangian_polynomial's edge order, so the final sums match it bit for bit
-    in_order = np.array(list(graph.edges), dtype=np.intp).T.copy()
+    columns = graph.edges.T.copy()
+    classes = _slot_tables(graph.edges, n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     best_value = -1.0
     best_point = None
@@ -447,8 +459,9 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         x = np.clip(x, 1e-12, None)
         x /= x.sum(axis=1)[:, None]
         points = _ascend(np.ascontiguousarray(x.T), graph.r, columns, classes)
-        products = points[in_order[0]]
-        for column in in_order[1:]:
+        # summed in lagrangian_polynomial's edge order, to match it bit for bit
+        products = points[columns[0]]
+        for column in columns[1:]:
             products *= points[column]
         for value, point in zip(np.cumsum(products, axis=0)[-1].tolist(), points.T):
             if value > best_value:

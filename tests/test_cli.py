@@ -191,6 +191,15 @@ def test_lagrangian_command(capsys, tmp_path):
     assert doc2["edge_count"] == 4
     assert abs(doc2["value"] - 0.25) < 1e-8
 
+    # a repeated edge and a line out of order count once each
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("r=2 n=4\n0 1\n2 1\n1 2\n2 3\n0 3\n0 1\n",
+                        encoding="utf-8")
+    code, doc3, _ = run_json(capsys, ["lagrangian", "--in", str(repeated)])
+    assert code == 0
+    assert doc3["edge_count"] == 4
+    assert doc3["value"] == doc2["value"] and doc3["point"] == doc2["point"]
+
     bad = tmp_path / "bad.txt"
     bad.write_text("q=2 n=4\n0 1\n", encoding="utf-8")
     code, _, err = run(capsys, ["lagrangian", "--in", str(bad)])

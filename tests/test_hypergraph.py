@@ -34,9 +34,11 @@ from hypercube_codes.hypergraph import (
 def assert_valid_copy(big, small, image):
     assert image is not None
     assert len(set(image.values())) == small.n_vertices
-    for edge in small.edges:
+    # a set of tuples: `tuple in array` would test elements, not rows
+    big_edges = set(map(tuple, big.edges.tolist()))
+    for edge in small.edges.tolist():
         mapped = tuple(sorted(image[v] for v in edge))
-        assert mapped in big.edges
+        assert mapped in big_edges
 
 
 def test_hypergraph_validation_and_basics():
@@ -53,6 +55,40 @@ def test_hypergraph_validation_and_basics():
         UniformHypergraph(2, 3, frozenset({(1, 0)}))
 
 
+def test_constructor_keeps_one_sorted_read_only_array():
+    edges = [(1, 2), (0, 3), (0, 1), (1, 2)]  # one edge repeated
+    graph = UniformHypergraph(2, 4, edges)
+    assert graph.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+    assert graph.edges.dtype == np.intp
+    assert not graph.edges.flags.writeable
+    assert graph.edge_count() == 3
+    # tuples, an int32 array, a uint8 array and a frozenset give one graph
+    for same in (np.array(edges, dtype=np.int32), np.array(edges, dtype=np.uint8),
+                 frozenset(edges)):
+        other = UniformHypergraph(2, 4, same)
+        assert other == graph and hash(other) == hash(graph)
+    assert graph != UniformHypergraph(2, 5, edges)
+    assert graph != UniformHypergraph(2, 4, edges[1:3])
+    empty = UniformHypergraph(3, 4, [])
+    assert empty.edges.shape == (0, 3) and empty.edges.dtype == np.intp
+    assert empty == UniformHypergraph(3, 4, np.empty((0, 3), dtype=np.int64))
+    for r, n, bad in (
+            (2, 3, [(0, 1, 2)]),  # width
+            (2, 3, [(0, 1), (0, 1, 2)]),  # unequal widths
+            (2, 3, [(0, 1), (1, 0)]),  # a row not increasing
+            (2, 3, [(0, 1), (1, 1)]),  # a repeated vertex
+            (2, 3, [(0, 3)]),  # out of range
+            (2, 3, np.array([[-1, 0]])),  # below range
+            (2, 3, np.array([[1, 0]], dtype=np.uint8)),  # decreasing unsigned
+            (2, 3, np.array([[0.0, 1.0]])),  # floats
+            (2, 3, np.array([[True, False]])),  # bools
+            (2, 3, np.array([[0, 1, 2]])),  # an array of the wrong width
+            (2, 3, np.array([0, 1])),  # not two-dimensional
+            (0, 3, [])):
+        with pytest.raises(ValueError):
+            UniformHypergraph(r, n, bad)
+
+
 def test_complete_counts():
     assert complete(3, 5).edge_count() == 10
     assert complete(1, 4).edge_count() == 4
@@ -64,9 +100,9 @@ def test_stem_augmentation():
     aug = augmented_complete(2, 3, 4)
     assert aug.r == 4
     assert aug.n_vertices == 5
-    assert aug.edges == frozenset({(0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)})
+    assert aug.edges.tolist() == [[0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]]
     # degenerate: no stem needed when r equals s
-    assert augmented_complete(2, 4, 2).edges == complete(2, 4).edges
+    assert augmented_complete(2, 4, 2) == complete(2, 4)
 
 
 def test_complete_multipartite_counts():
@@ -92,7 +128,8 @@ def test_linear_independence_graph_small():
     assert triples.n_vertices == 31
     assert triples.edge_count() == 4340
     assert math.comb(31, 3) == 4495
-    for edge in list(triples.edges)[:50]:
+    # every one of the 4340 distinct edges is independent
+    for edge in triples.edges.tolist():
         assert rank_ints(v + 1 for v in edge) == 3
     with pytest.raises(OutOfRegimeError):
         linear_independence_hypergraph(4, 3)
@@ -207,7 +244,7 @@ def lagrangian_by_add_at(graph, restarts, seed, tol=1e-10, max_iters=20_000):
     restart's value by lagrangian_polynomial."""
     n = graph.n_vertices
     r = graph.r
-    edges = np.array(sorted(graph.edges), dtype=np.int64)
+    edges = np.array(graph.edges, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     best_value = -1.0
     best_point = None
@@ -273,11 +310,13 @@ def test_lagrangian_matches_the_add_at_ascent_bit_for_bit(graph):
 def test_vectorised_final_value_is_the_edge_polynomial():
     rng = np.random.default_rng(3)
     for graph in (basis_hypergraph(4), random_3_uniform(9, 30, seed=5)):
-        in_order = np.array(list(graph.edges), dtype=np.int64)
         for _ in range(20):
             x = rng.dirichlet(np.ones(graph.n_vertices))
-            assert float(np.cumsum(x[in_order].prod(axis=1))[-1]) == \
+            assert float(np.cumsum(x[graph.edges].prod(axis=1))[-1]) == \
                 lagrangian_polynomial(graph, x)
+        for seed in range(4):
+            result = lagrangian(graph, restarts=LAGRANGIAN_BLOCK + 1, seed=seed)
+            assert result.value == lagrangian_polynomial(graph, result.point)
 
 
 def test_lagrangian_restarts_beyond_the_edge_budget_are_refused():
@@ -312,10 +351,39 @@ def test_independence_hypergraphs_are_refused_by_edge_count_at_once():
     with pytest.raises(OutOfRegimeError, match="hold 27998208 edges"):
         basis_hypergraph(6)
     assert time.perf_counter() - start < 0.1
+    # far out of range: refused by the 2^(r+k) - 1 floor of the count,
+    # before any large integer is formed
+    for r, k in ((1, 60), (1, 10**6), (10**6, 0)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRegimeError, match=f"at least 2\\^{r + k} - 1 edges"):
+            linear_independence_hypergraph(r, k)
+        assert time.perf_counter() - start < 0.1
+    # r + k > 20 is admitted when the count fits: 2,097,151 edges, the
+    # nonzero vectors of GF(2)^21 one by one
+    ones = linear_independence_hypergraph(1, 20)
+    assert ones.edge_count() == 2_097_151
+    assert np.array_equal(ones.edges[:, 0], np.arange(2_097_151))
     # r + k = 7 is admitted when the count fits: 330,708 edges
     graph = linear_independence_hypergraph(3, 4)
     assert graph.edge_count() == 330_708
     assert graph.density() == linear_independence_density(3, 4)
+
+
+def test_independence_hypergraph_within_the_budget_is_walked(monkeypatch):
+    # (1, 21) holds 4,194,303 edges, inside the budget: it reaches the
+    # walk, which is stopped here to keep the test short
+    class Walked(Exception):
+        pass
+
+    def walk(vectors, r):
+        raise Walked(len(vectors), r)
+
+    monkeypatch.setattr("hypercube_codes.hypergraph.independent_subsets", walk)
+    with pytest.raises(Walked) as walked:
+        linear_independence_hypergraph(1, 21)
+    assert walked.value.args == (4_194_303, 1)
+    with pytest.raises(OutOfRegimeError, match="hold 8388607 edges"):
+        linear_independence_hypergraph(1, 22)
 
 
 def test_basis_lagrangian_matches_probability():
