@@ -136,14 +136,12 @@ class SimplexPoint:
 
 
 def basis_probability(dist: SimplexPoint) -> Fraction:
-    """Exact probability that t draws from `dist` form a basis (t <= 4).
+    """Exact probability that t draws from `dist` form a basis, t <= 5.
 
     Entries are coerced with Fraction(), so floats are taken at their
     exact binary value.  The bases are the edges of basis_hypergraph(t).
     """
     t = dist.t
-    if t > 4:
-        raise OutOfRegimeError("exact enumeration supported for t <= 4")
     fracs = [Fraction(p) for p in dist.probs]
     denom = math.lcm(*(f.denominator for f in fracs))
     scaled = [int(f * denom) for f in fracs]

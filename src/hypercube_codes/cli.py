@@ -27,7 +27,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from . import __version__
-from .basisprob import limit_constant, limit_interval, uniform_basis_probability
+from .basisprob import MAX_T, limit_constant, limit_interval, uniform_basis_probability
 from .codes import (
     Code,
     best_residue_subcode,
@@ -134,8 +134,8 @@ def _fail(messages: Sequence[str], prefix: str) -> int:
 def cmd_constants(args) -> int:
     """Basis probability per draw count plus the certified limit."""
     t_max = args.t_max
-    if not 2 <= t_max <= 40:
-        raise ValueError("need 2 <= t-max <= 40")
+    if not 2 <= t_max <= MAX_T:
+        raise ValueError(f"need 2 <= t-max <= {MAX_T}")
     manifest = load_reference_manifest()
     expected = manifest.get("uniform_basis_probability", {})
     mismatches = []

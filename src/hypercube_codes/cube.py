@@ -27,13 +27,13 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import codes
 from .codes import MAX_N, Code
 from .errors import OutOfRegimeError
 from .gf2 import MAX_BITS, BitWord
 
 DEFAULT_SCAN_BUDGET = 100_000_000
 DEFAULT_NODE_BUDGET = 2_000_000
-_MAX_FIXED = MAX_N  # count tables have 2^(n - d) entries, at most 2^MAX_N
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ def _count_tables(code: Code, d: int,
     """Both scans' tables, dense for n <= MAX_N, after the regime checks."""
     n = code.n
     _check_budget(n, d, budget)
-    if n - d > _MAX_FIXED:
-        raise OutOfRegimeError(f"tables of 2^{n - d} entries exceed 2^{_MAX_FIXED}")
+    if n - d > codes.MAX_N:  # codes owns the limit; MAX_N below only picks the tables
+        raise OutOfRegimeError(f"tables of 2^{n - d} entries exceed 2^{codes.MAX_N}")
     return _dense_tables(code, d) if n <= MAX_N else _bucket_tables(code, d)
 
 

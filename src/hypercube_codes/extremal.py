@@ -393,9 +393,8 @@ def list_size_bounds_table(d_max: int) -> list[ListSizeBoundsRow]:
     """Per-dimension lower and upper bounds on the minimum list size that
     still admits positive-density codes.  The upper column is the shape
     maximum of the basis-subset search (construction_upper), None where
-    that search is out of regime: filled to d = 9, None at d = 10."""
-    if not 1 <= d_max <= 10:
-        raise ValueError("need 1 <= d_max <= 10")
+    that search is out of regime: filled to d = 9, None from d = 10."""
+    _check_partition_d(d_max)
     return [ListSizeBoundsRow(d, product_partition_lower_bound(d),
                               max_partition_product_sum(d).value,
                               construction_upper(d))

@@ -25,7 +25,7 @@ MAX_BITS = 64
 # Pairs of codewords min_distance may compare.
 DEFAULT_PAIR_BUDGET = 100_000_000
 
-# Column subsets count_nonsingular_submatrices may walk.
+# Subsets one walk may visit, families times C(n, r).
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
@@ -158,6 +158,13 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
             return
 
 
+def _check_subsets(subsets: int, which: str) -> None:
+    """Refuse a walk over more than DEFAULT_SUBSET_BUDGET subsets, named by `which`."""
+    if subsets > DEFAULT_SUBSET_BUDGET:
+        raise OutOfRegimeError(
+            f"{which} subsets exceed the subset budget {DEFAULT_SUBSET_BUDGET}")
+
+
 def _independent_walk(vecs: np.ndarray, r: int,
                       bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """The independent position r-subsets of each row of vecs, a
@@ -226,7 +233,7 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
     One family of _independent_walk, picking indices from the top down:
     position p is index n - 1 - p, so the last level comes out in
     descending mask order and no sort is needed.  At most 32 vectors of
-    at most 32 bits each.
+    at most 32 bits each, and C(n, r) within DEFAULT_SUBSET_BUDGET.
     """
     if r < 0:
         raise ValueError("subset size must be non-negative")
@@ -234,6 +241,7 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
     n = len(vectors)
     if n > 32 or not all(0 <= v < 1 << 32 for v in vectors):
         raise ValueError("independent_masks takes at most 32 vectors of at most 32 bits")
+    _check_subsets(math.comb(n, r), f"C({n}, {r})")
     if r > n:
         return np.zeros(0, dtype=np.uint32)
     if r == 0:
@@ -246,10 +254,12 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
 def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
     """Number of linearly independent r-subsets of each row of
     `families`, a (families, n) int64 array of packed vectors: one
-    _independent_walk over all rows at once."""
+    _independent_walk over all rows at once, if families times C(n, r)
+    is within DEFAULT_SUBSET_BUDGET."""
     if r < 0:
         raise ValueError("subset size must be non-negative")
     count, n = families.shape
+    _check_subsets(count * math.comb(n, r), f"{count} families of C({n}, {r})")
     if r == 0 or r > n:
         return np.full(count, int(r == 0), dtype=np.intp)
     last, _ = _independent_walk(families, r)
@@ -347,9 +357,9 @@ def rank(matrix: GF2Matrix) -> int:
 def _kernel_of_rows(row_ints: Sequence[int], width: int) -> list[int]:
     """Basis of {x : r . x = 0 for every row r}, as packed ints.
 
-    Rows are brought to reduced row echelon form scanning columns left to
-    right; one kernel vector is emitted per free column, in ascending free
-    column order.
+    Rows are reduced until each pivot column (a row's lowest set bit when
+    it entered) is set in its own row only; one kernel vector is emitted per
+    free column, in ascending order, so the rank is width minus their number.
     """
     reduced: list[int] = []
     pivot_cols: list[int] = []
@@ -366,20 +376,9 @@ def _kernel_of_rows(row_ints: Sequence[int], width: int) -> list[int]:
                 reduced[i] = pr ^ r
         reduced.append(r)
         pivot_cols.append(col)
-    order = sorted(range(len(pivot_cols)), key=lambda i: pivot_cols[i])
-    reduced = [reduced[i] for i in order]
-    pivot_cols = [pivot_cols[i] for i in order]
-    pivot_set = set(pivot_cols)
-    kernel = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for pc, pr in zip(pivot_cols, reduced):
-            if (pr >> f) & 1:
-                v |= 1 << pc
-        kernel.append(v)
-    return kernel
+    # free column f and each pivot whose row has bit f: distinct bits, so the sum is their or
+    return [(1 << f) | sum(1 << pc for pc, pr in zip(pivot_cols, reduced) if (pr >> f) & 1)
+            for f in range(width) if f not in pivot_cols]
 
 
 def orthogonal_complement(matrix: GF2Matrix) -> GF2Matrix:
@@ -389,10 +388,9 @@ def orthogonal_complement(matrix: GF2Matrix) -> GF2Matrix:
     Raises:
         ValueError: if the input is rank deficient.
     """
-    row_ints = matrix.rows_as_ints()
-    if rank_ints(row_ints) < matrix.rows:
+    kernel = _kernel_of_rows(matrix.rows_as_ints(), matrix.cols)
+    if matrix.cols - len(kernel) < matrix.rows:
         raise ValueError("matrix must have full row rank")
-    kernel = _kernel_of_rows(row_ints, matrix.cols)
     return GF2Matrix.from_rows(matrix.cols, kernel)
 
 
@@ -407,10 +405,7 @@ def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     k = matrix.rows
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
-    subsets = math.comb(matrix.cols, k)
-    if subsets > DEFAULT_SUBSET_BUDGET:
-        raise OutOfRegimeError(
-            f"{subsets} column subsets exceed the budget {DEFAULT_SUBSET_BUDGET}")
+    _check_subsets(math.comb(matrix.cols, k), f"C({matrix.cols}, {k}) column")
     return sum(1 for _ in independent_subsets(matrix.columns, k))
 
 
@@ -426,11 +421,10 @@ def code_from_parity_check(matrix: GF2Matrix):
     from .codes import MAX_N, Code  # deferred: codes builds on this module
 
     t = matrix.cols
-    dimension = t - rank(matrix)
-    if dimension > MAX_N:
-        raise OutOfRegimeError(
-            f"the code has 2^{dimension} words; enumerated for dimension <= {MAX_N}")
     basis = _kernel_of_rows(matrix.rows_as_ints(), t)
+    if len(basis) > MAX_N:
+        raise OutOfRegimeError(
+            f"the code has 2^{len(basis)} words; enumerated for dimension <= {MAX_N}")
     words = [0]
     for b in basis:
         words += [w ^ b for w in words]

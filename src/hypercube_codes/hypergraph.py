@@ -17,14 +17,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .gf2 import independent_subsets
+from .gf2 import MAX_BITS, independent_subsets
 
 DEFAULT_COPY_BUDGET = 5_000_000
+# Edges a builder may hold; restarts times (edges + vertices) for lagrangian.
 DEFAULT_EDGE_BUDGET = 5_000_000
 # stopping rule of each Lagrangian restart
 ASCENT_TOL = 1e-10
@@ -91,6 +93,17 @@ class UniformHypergraph:
         return Fraction(len(self.edges), total) if total else Fraction(0)
 
 
+def _check_edges(what: str, edges: int, shown: str = "") -> None:
+    """Refuse `what` when `edges`, its edge count or a floor of it, is over
+    DEFAULT_EDGE_BUDGET.  The message shows `shown`, else the count, or
+    past 2^64 the power of two below it."""
+    if edges > DEFAULT_EDGE_BUDGET:
+        bits = edges.bit_length()
+        shown = shown or (f"at least 2^{bits - 1}" if bits > 64 else str(edges))
+        raise OutOfRegimeError(
+            f"{what} {shown} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
+
+
 def _rows(tuples, r: int) -> np.ndarray:
     """An iterable of r-tuples as an (m, r) np.intp array, with no list of tuples."""
     return np.fromiter(itertools.chain.from_iterable(tuples), np.intp).reshape(-1, r)
@@ -145,14 +158,13 @@ def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     m = r + k
-    if m > DEFAULT_EDGE_BUDGET.bit_length():
-        edges = f"at least 2^{m} - 1"  # the floor of the count, which is not formed
-    elif (edges := _independent_count(r, m)) <= DEFAULT_EDGE_BUDGET:
-        subsets = independent_subsets(range(1, 1 << m), r)
-        return UniformHypergraph(r, (1 << m) - 1, _rows(subsets, r))
-    raise OutOfRegimeError(
-        f"the linear-independence hypergraph (r={r}, k={k}) would hold "
-        f"{edges} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
+    what = f"the linear-independence hypergraph (r={r}, k={k}) would hold"
+    bits = DEFAULT_EDGE_BUDGET.bit_length()
+    if m > bits:  # the count, at least 2^m - 1 > 2^bits, is not formed
+        _check_edges(what, 1 << bits, f"at least 2^{m} - 1")
+    _check_edges(what, _independent_count(r, m))
+    subsets = independent_subsets(range(1, 1 << m), r)
+    return UniformHypergraph(r, (1 << m) - 1, _rows(subsets, r))
 
 
 def _independent_count(r: int, m: int) -> int:
@@ -163,26 +175,25 @@ def _independent_count(r: int, m: int) -> int:
 
 def linear_independence_density(r: int, k: int) -> Fraction:
     """Exact edge density of the linear-independence hypergraph, for
-    r + k <= 20: independent r-subsets over all r-subsets.  Always
-    strictly above 1 - 2^-k."""
+    r + k <= MAX_BITS (r factors of MAX_BITS bits): independent r-subsets
+    over all r-subsets.  Always strictly above 1 - 2^-k."""
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     m = r + k
-    if m > 20:
-        raise OutOfRegimeError("density supported for r + k <= 20")
+    if m > MAX_BITS:
+        raise OutOfRegimeError(f"density supported for r + k <= {MAX_BITS}")
     return Fraction(_independent_count(r, m), math.comb((1 << m) - 1, r))
 
 
-def blow_up(graph: UniformHypergraph, b: int,
-            edge_budget: int = DEFAULT_EDGE_BUDGET) -> UniformHypergraph:
+def blow_up(graph: UniformHypergraph, b: int) -> UniformHypergraph:
     """Replace each vertex v by b copies (v*b .. v*b+b-1); each edge by
-    the b^r edges choosing one copy per original vertex."""
+    the b^r edges choosing one copy per original vertex, within DEFAULT_EDGE_BUDGET."""
     if b < 1:
         raise ValueError("need b >= 1")
     r = graph.r
-    total = len(graph.edges) * b ** r
-    if total > edge_budget:
-        raise OutOfRegimeError(f"blow-up would hold {total} edges")
+    _check_edges(f"the blow-up by {b} would hold", len(graph.edges) * b ** r)
+    if not len(graph.edges):  # nothing to copy, so no b^r table of copies
+        return UniformHypergraph(r, graph.n_vertices * b, graph.edges)
     copies = _rows(itertools.product(range(b), repeat=r), r)
     edges = (graph.edges[:, None, :] * b + copies).reshape(-1, r)
     return UniformHypergraph(r, graph.n_vertices * b, edges)
@@ -436,17 +447,15 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
 
     Raises:
         ValueError: if restarts < 1.
-        OutOfRegimeError: if restarts times the edge count exceeds
-            DEFAULT_EDGE_BUDGET.
+        OutOfRegimeError: if restarts times the edge and vertex count
+            exceeds DEFAULT_EDGE_BUDGET, before any table or start.
     """
     if restarts < 1:
         raise ValueError("need restarts >= 1")
-    if restarts * len(graph.edges) > DEFAULT_EDGE_BUDGET:
-        raise OutOfRegimeError(
-            f"{restarts} restarts over {len(graph.edges)} edges exceed "
-            f"the edge budget {DEFAULT_EDGE_BUDGET}")
     n = graph.n_vertices
-    if n == 0 or not graph.edge_count():
+    m = len(graph.edges)
+    _check_edges(f"{restarts} restarts x ({m} edges + {n} vertices) =", restarts * (m + n))
+    if not m:
         return LagrangianResult(0.0, (0.0,) * n, 0)
     columns = graph.edges.T.copy()
     classes = _slot_tables(graph.edges, n)
@@ -479,4 +488,10 @@ def basis_hypergraph(t: int) -> UniformHypergraph:
     of linear_independence_hypergraph(t, 0), t = 5 is built, t = 6 not."""
     if t < 1:
         raise ValueError("need t >= 1")
+    return _bases(t)
+
+
+@lru_cache(maxsize=None)
+def _bases(t: int) -> UniformHypergraph:
+    """basis_hypergraph(t), walked once per t that the edge budget admits."""
     return linear_independence_hypergraph(t, 0)

@@ -112,6 +112,36 @@ def test_lagrangian_beyond_the_edge_budget_fails_fast(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_lagrangian_file_with_too_many_vertices_fails_fast(capsys, tmp_path):
+    graph = tmp_path / "wide.txt"
+    graph.write_text("r=2 n=10000000000\n0 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lagrangian", "--in", str(graph)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "edge budget" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 1
+
+
+def test_constants_and_bounds_table_at_their_owners_limits(capsys):
+    code, doc, _ = run_json(capsys, ["constants", "--t-max", "64"])
+    assert code == 0
+    assert [row["t"] for row in doc["probabilities"]] == list(range(1, 65))
+    # at t = 64 the enclosure is narrower than the twelfth decimal
+    assert doc["limit"]["lower_decimal"] == doc["limit"]["upper_decimal"] \
+        == "0.288788095087"
+    code, _, err = run(capsys, ["constants", "--t-max", "65"])
+    assert code == 1 and "t-max <= 64" in err
+
+    code, doc, _ = run_json(capsys, ["bounds-table", "--d-max", "60"])
+    assert code == 0
+    assert [row["d"] for row in doc["rows"]] == list(range(1, 61))
+    assert {row["construction_upper"] for row in doc["rows"][9:]} == {None}
+    code, _, err = run(capsys, ["bounds-table", "--d-max", "61"])
+    assert code == 1 and err.startswith("error:")
+
+
 def test_build_verify_weight_class(capsys):
     code, doc, _ = run_json(capsys, [
         "build-verify", "--n", "10", "--d", "3", "--construction",

@@ -286,8 +286,13 @@ def test_bounds_table_rows():
     for row in table:
         assert row.product_partition_lower <= row.partition_sum_lower \
             or row.d == 1
+    # d_max is bounded by the partition maximum (d <= 60), not by the
+    # search, which leaves construction_upper null past d = 9
+    eleven = list_size_bounds_table(11)
+    assert eleven[:10] == table
+    assert eleven[10].d == 11 and eleven[10].construction_upper is None
     with pytest.raises(ValueError):
-        list_size_bounds_table(11)
+        list_size_bounds_table(61)
 
 
 def test_growth_check_small():

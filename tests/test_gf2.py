@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):
     assert count_nonsingular_submatrices(GF2Matrix.from_columns(2, [1, 2, 3, 1])) == 5
     with pytest.raises(OutOfRegimeError):
         count_nonsingular_submatrices(GF2Matrix.from_columns(2, [1, 2, 3, 1, 2]))
+
+
+def test_walks_beyond_the_subset_budget_are_refused_at_once():
+    # C(32, 16) = 601,080,390 and C(64, 32) ~ 1.8e18 subsets of one family
+    for walk in (lambda: independent_masks(range(1, 33), 16),
+                 lambda: independent_counts(np.ones((1, 64), np.int64), 32)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRegimeError, match="subset budget"):
+            walk()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_code_from_parity_check_examples():

@@ -161,8 +161,39 @@ def test_blow_up_counts_and_density():
     for b in range(1, 9):
         blown = blow_up(tri, b)
         assert blown.density() == Fraction(2 * b, 3 * b - 1)
+    # 220 * 29^3 = 5,365,580 edges, over the edge budget: refused at once
+    big = complete(3, 12)
+    start = time.perf_counter()
+    with pytest.raises(OutOfRegimeError, match="hold 5365580 edges"):
+        blow_up(big, 29)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_blow_up_refusal_reports_a_floor_of_a_long_count():
+    # 2001 * (10^9)^2000 edges: more than 18,000 digits, never written out
+    graph = complete(2000, 2001)
+    start = time.perf_counter()
+    with pytest.raises(OutOfRegimeError, match="hold at least 2\\^59805 edges") as refused:
+        blow_up(graph, 10**9)
+    assert time.perf_counter() - start < 0.1
+    assert len(str(refused.value)) < 200
+    # no edges: an empty blow-up, without the table of b^r copies
+    start = time.perf_counter()
+    empty = blow_up(UniformHypergraph(3, 2, []), 10**4)
+    assert time.perf_counter() - start < 0.1
+    assert (empty.n_vertices, empty.edge_count()) == (20_000, 0)
+
+
+def test_linear_independence_density_to_max_bits():
+    # the closed form over r + k <= 64 (gf2.MAX_BITS), far past any build
+    for r, k in ((1, 30), (3, 40), (1, 63)):
+        m = r + k
+        density = linear_independence_density(r, k)
+        count = math.prod((1 << m) - (1 << i) for i in range(r)) // math.factorial(r)
+        assert density == Fraction(count, math.comb((1 << m) - 1, r))
+        assert density > 1 - Fraction(1, 1 << k)
     with pytest.raises(OutOfRegimeError):
-        blow_up(complete(3, 12), 10, edge_budget=1000)
+        linear_independence_density(1, 64)
 
 
 def test_blow_up_preserves_lagrangian():
@@ -323,6 +354,16 @@ def test_lagrangian_restarts_beyond_the_edge_budget_are_refused():
     with pytest.raises(OutOfRegimeError):
         lagrangian(basis_hypergraph(4), restarts=5953)  # 5953 * 840 > 5e6
     assert lagrangian(complete(2, 3), restarts=8).restarts_used == 8
+
+
+def test_lagrangian_counts_vertices_against_the_edge_budget():
+    # one edge but 10^10 vertices: refused before the slot tables and the
+    # dirichlet starts, which would each hold a row per vertex
+    graph = UniformHypergraph(2, 10**10, [(0, 1)])
+    start = time.perf_counter()
+    with pytest.raises(OutOfRegimeError, match="10000000000 vertices"):
+        lagrangian(graph)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_basis_hypergraph_counts():
