@@ -10,184 +10,68 @@ The package splits into:
 * ``codes``      randomized layered constructions and weight-class codes
 * ``cube``       subcube enumeration, list-size verification, exact searches
 * ``hypergraph`` uniform hypergraphs, copy containment and Lagrangians
+
+The names in ``__all__`` are loaded lazily (PEP 562): the first access
+to one imports the module that defines it, so ``import hypercube_codes``
+alone loads neither numpy nor any submodule.  This lets ``cli`` set up
+the process (one BLAS thread) before numpy starts.
 """
 
-from .errors import ConstructionError, OutOfRegimeError
-from .gf2 import (
-    MAX_BITS,
-    BitWord,
-    GF2Matrix,
-    code_from_parity_check,
-    count_nonsingular_submatrices,
-    independent_counts,
-    independent_masks,
-    independent_subsets,
-    is_basis,
-    min_distance,
-    orthogonal_complement,
-    plotkin_bound,
-    rank,
-    rank_ints,
-)
-from .basisprob import (
-    MAX_T,
-    SimplexPoint,
-    basis_probability,
-    basis_recurrence_check,
-    first_draw_bound,
-    independent_draw_probability,
-    limit_constant,
-    limit_interval,
-    monte_carlo_basis_probability,
-    prob_first_draw_unrepeated,
-    uniform_basis_probability,
-)
-from .extremal import (
-    BasisSubsetBounds,
-    BasisSubsetMaximum,
-    ListSizeBoundsRow,
-    PartitionGrowthCheck,
-    PartitionMaximum,
-    ShapeMaximum,
-    basis_subset_bounds,
-    list_size_bounds_table,
-    max_basis_subsets,
-    max_basis_subsets_any_k,
-    max_partition_product_sum,
-    max_partition_product_sum_naive,
-    partition_growth_check,
-    product_partition_lower_bound,
-)
-from .codes import (
-    DENSITY_THRESHOLD,
-    Code,
-    HittingSetResult,
-    LayerAssignment,
-    ResidueSelection,
-    best_residue_subcode,
-    build_layer_vectors,
-    expected_dependent_fraction,
-    layer_words,
-    layered_basis_code,
-    load_code,
-    residue_subcode,
-    save_code,
-    subcube_hitting_set,
-    weight_class_code,
-)
-from .cube import (
-    HittingReport,
-    MaxCodeResult,
-    Subcube,
-    VerificationReport,
-    enumerate_subcubes,
-    erasure_list_size,
-    free_sets_colex,
-    max_code_search,
-    max_subcube_count,
-    max_subcube_count_naive,
-    subcube_at,
-    subcube_count,
-    subcube_total,
-    verify_hitting,
-)
-from .hypergraph import (
-    LagrangianResult,
-    UniformHypergraph,
-    augmented_complete,
-    basis_hypergraph,
-    blow_up,
-    complete_multipartite,
-    contains_copy,
-    lagrangian,
-    lagrangian_polynomial,
-    linear_independence_density,
-    linear_independence_hypergraph,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstructionError",
-    "OutOfRegimeError",
-    "MAX_BITS",
-    "BitWord",
-    "GF2Matrix",
-    "code_from_parity_check",
-    "count_nonsingular_submatrices",
-    "independent_counts",
-    "independent_masks",
-    "independent_subsets",
-    "is_basis",
-    "min_distance",
-    "orthogonal_complement",
-    "plotkin_bound",
-    "rank",
-    "rank_ints",
-    "MAX_T",
-    "SimplexPoint",
-    "basis_probability",
-    "basis_recurrence_check",
-    "first_draw_bound",
-    "independent_draw_probability",
-    "limit_constant",
-    "limit_interval",
-    "monte_carlo_basis_probability",
-    "prob_first_draw_unrepeated",
-    "uniform_basis_probability",
-    "BasisSubsetBounds",
-    "BasisSubsetMaximum",
-    "ListSizeBoundsRow",
-    "PartitionGrowthCheck",
-    "PartitionMaximum",
-    "ShapeMaximum",
-    "basis_subset_bounds",
-    "list_size_bounds_table",
-    "max_basis_subsets",
-    "max_basis_subsets_any_k",
-    "max_partition_product_sum",
-    "max_partition_product_sum_naive",
-    "partition_growth_check",
-    "product_partition_lower_bound",
-    "DENSITY_THRESHOLD",
-    "Code",
-    "HittingSetResult",
-    "LayerAssignment",
-    "ResidueSelection",
-    "best_residue_subcode",
-    "build_layer_vectors",
-    "expected_dependent_fraction",
-    "layer_words",
-    "layered_basis_code",
-    "load_code",
-    "residue_subcode",
-    "save_code",
-    "subcube_hitting_set",
-    "weight_class_code",
-    "HittingReport",
-    "MaxCodeResult",
-    "Subcube",
-    "VerificationReport",
-    "enumerate_subcubes",
-    "erasure_list_size",
-    "free_sets_colex",
-    "max_code_search",
-    "max_subcube_count",
-    "max_subcube_count_naive",
-    "subcube_at",
-    "subcube_count",
-    "subcube_total",
-    "verify_hitting",
-    "LagrangianResult",
-    "UniformHypergraph",
-    "augmented_complete",
-    "basis_hypergraph",
-    "blow_up",
-    "complete_multipartite",
-    "contains_copy",
-    "lagrangian",
-    "lagrangian_polynomial",
-    "linear_independence_density",
-    "linear_independence_hypergraph",
-    "__version__",
-]
+# module -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "errors": ("ConstructionError", "OutOfRegimeError"),
+    "gf2": ("MAX_BITS", "BitWord", "GF2Matrix", "code_from_parity_check",
+            "count_nonsingular_submatrices", "independent_counts",
+            "independent_masks", "independent_subsets", "is_basis",
+            "min_distance", "orthogonal_complement", "plotkin_bound", "rank",
+            "rank_ints"),
+    "basisprob": ("MAX_T", "SimplexPoint", "basis_probability",
+                  "basis_recurrence_check", "first_draw_bound",
+                  "independent_draw_probability", "limit_constant",
+                  "limit_interval", "monte_carlo_basis_probability",
+                  "prob_first_draw_unrepeated", "uniform_basis_probability"),
+    "extremal": ("BasisSubsetBounds", "BasisSubsetMaximum", "ListSizeBoundsRow",
+                 "PartitionGrowthCheck", "PartitionMaximum", "ShapeMaximum",
+                 "basis_subset_bounds", "list_size_bounds_table",
+                 "max_basis_subsets", "max_basis_subsets_any_k",
+                 "max_partition_product_sum", "max_partition_product_sum_naive",
+                 "partition_growth_check", "product_partition_lower_bound"),
+    "codes": ("DENSITY_THRESHOLD", "Code", "HittingSetResult", "LayerAssignment",
+              "ResidueSelection", "best_residue_subcode", "build_layer_vectors",
+              "expected_dependent_fraction", "layer_words", "layered_basis_code",
+              "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
+              "weight_class_code"),
+    "cube": ("HittingReport", "MaxCodeResult", "Subcube", "VerificationReport",
+             "enumerate_subcubes", "erasure_list_size", "free_sets_colex",
+             "max_code_search", "max_subcube_count", "max_subcube_count_naive",
+             "subcube_at", "subcube_count", "subcube_total", "verify_hitting"),
+    "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
+                   "basis_hypergraph", "blow_up", "complete_multipartite",
+                   "contains_copy", "lagrangian", "lagrangian_polynomial",
+                   "linear_independence_density",
+                   "linear_independence_hypergraph"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """A public name or a submodule of the table, imported on first
+    access and kept in the package namespace."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

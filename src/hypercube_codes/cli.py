@@ -26,6 +26,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
+# Before numpy loads (the package imports it lazily): OpenBLAS would start
+# a thread pool, about 70 ms of CPU per process on a 2-vCPU x86-64 VM, for
+# the one BLAS product (cube._bucket_tables), which is exact at any thread
+# count.  A user's own OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .basisprob import MAX_T, limit_constant, limit_interval, uniform_basis_probability
 from .codes import (

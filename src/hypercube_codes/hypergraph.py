@@ -66,10 +66,17 @@ class UniformHypergraph:
                           "leaves the vertex range")):
             if bad.any():
                 raise ValueError(f"edge {tuple(edges[bad.argmax()].tolist())} {why}")
-        edges = edges[np.lexsort(edges.T[::-1])].astype(np.intp, copy=False)
-        distinct = np.ones(len(edges), bool)
-        distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
-        edges = edges[distinct]
+        later, earlier = edges[1:], edges[:-1]
+        # the rows strictly increase when each is greater than the one before
+        # at the first column where the two differ; then neither sort nor dedup
+        first = (later != earlier).argmax(axis=1)[:, None]
+        if np.take_along_axis(later > earlier, first, axis=1).all():
+            edges = edges.astype(np.intp)  # a copy, so the caller's array stays writable
+        else:
+            edges = edges[np.lexsort(edges.T[::-1])].astype(np.intp, copy=False)
+            distinct = np.ones(len(edges), bool)
+            distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+            edges = edges[distinct]
         edges.flags.writeable = False
         vars(self).update(r=r, n_vertices=n_vertices, edges=edges)  # past the frozen setattr
 
@@ -110,9 +117,15 @@ def _rows(tuples, r: int) -> np.ndarray:
 
 
 def complete(r: int, t: int) -> UniformHypergraph:
-    """All r-subsets of t vertices."""
+    """All r-subsets of t vertices, within DEFAULT_EDGE_BUDGET."""
     if not 1 <= r <= t:
         raise ValueError("need 1 <= r <= t")
+    what = f"the complete {r}-uniform hypergraph on {t} vertices would hold"
+    s = min(r, t - r)
+    bits = DEFAULT_EDGE_BUDGET.bit_length()
+    if s > bits:  # C(t, s) >= 2^s is over the budget; the slow math.comb is skipped
+        _check_edges(what, 1 << bits, f"at least 2^{s}")
+    _check_edges(what, math.comb(t, s))
     return UniformHypergraph(r, t, _rows(itertools.combinations(range(t), r), r))
 
 
@@ -136,16 +149,30 @@ def augmented_complete(s: int, t: int, r: int) -> UniformHypergraph:
 def complete_multipartite(class_sizes: tuple[int, ...] | list) -> UniformHypergraph:
     """k-uniform complete multipartite hypergraph with k + 1 classes:
     edges take at most one vertex per class.  Its edge count is
-    sum_i prod_{j != i} size_j, the partition functional."""
+    sum_i prod_{j != i} size_j, the partition functional, and must be
+    within DEFAULT_EDGE_BUDGET."""
     sizes = tuple(int(a) for a in class_sizes)
     if len(sizes) < 2 or any(a < 0 for a in sizes):
         raise ValueError("need at least two non-negative class sizes")
     k = len(sizes) - 1
+    # min(edge count, cap) from the products left and right of each class,
+    # each taken as min(product, cap), so no huge integer is formed
+    cap = DEFAULT_EDGE_BUDGET + 1
+
+    def times(p: int, a: int) -> int:
+        return min(p * a, cap)
+    left = itertools.accumulate(sizes[:-1], times, initial=1)
+    right = list(itertools.accumulate(sizes[:0:-1], times, initial=1))
+    count = min(sum(map(times, left, reversed(right))), cap)
+    _check_edges(f"the complete multipartite hypergraph on {len(sizes)} classes would hold",
+                 count, f"at least {cap}" if count == cap else "")
     offsets = list(itertools.accumulate(sizes, initial=0))
     pools = [range(a, b) for a, b in zip(offsets, offsets[1:])]
-    # classes are numbered in order, so each product is a sorted edge
+    # classes are numbered in order, so each product is a sorted edge;
+    # one with an empty pool has no edges but would copy the other pools
+    others = (pools[:skip] + pools[skip + 1:] for skip in range(k + 1))
     edges = itertools.chain.from_iterable(
-        itertools.product(*pools[:skip], *pools[skip + 1:]) for skip in range(k + 1))
+        itertools.product(*pool) for pool in others if all(pool))
     return UniformHypergraph(k, offsets[-1], _rows(edges, k))
 
 

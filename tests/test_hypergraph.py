@@ -89,10 +89,51 @@ def test_constructor_keeps_one_sorted_read_only_array():
             UniformHypergraph(r, n, bad)
 
 
+def test_sorted_input_skips_the_sort_with_the_same_result():
+    rng = np.random.default_rng(5)
+    rows = np.array(list(itertools.combinations(range(9), 3)))  # sorted, distinct
+    shuffled = rows[rng.permutation(len(rows))]
+    repeated = np.concatenate([shuffled, rows[::3]])
+    graphs = [UniformHypergraph(3, 9, edges) for edges in (
+        rows, rows.astype(np.uint8), rows.astype(np.int32), shuffled, repeated,
+        rows.tolist(), shuffled.tolist())]
+    for graph in graphs:
+        assert np.array_equal(graph.edges, rows)
+        assert graph.edges.dtype == np.intp
+        assert not graph.edges.flags.writeable
+        assert graph == graphs[0] and hash(graph) == hash(graphs[0])
+    # the sorted path copies: the caller's array stays its own and writable
+    assert rows.flags.writeable and not np.shares_memory(rows, graphs[0].edges)
+    for few in (rows[:0], rows[:1], rows[:2], rows[1::-1], rows[[0, 0]]):
+        graph = UniformHypergraph(3, 9, few)
+        assert list(map(tuple, graph.edges.tolist())) == sorted(set(map(tuple, few.tolist())))
+
+
 def test_complete_counts():
     assert complete(3, 5).edge_count() == 10
     assert complete(1, 4).edge_count() == 4
     assert complete(2, 4).density() == Fraction(1)
+    # edges are the budget's unit: 1,313,400 and 2,001 edges are built
+    assert complete(3, 200).edge_count() == math.comb(200, 3)
+    assert complete(2000, 2001).edge_count() == 2001
+
+
+def test_complete_graphs_over_the_edge_budget_are_refused_at_once():
+    for build, shown in ((lambda: complete(3, 320), "hold 5410240 edges"),
+                         (lambda: complete(500_000, 1_000_000), "hold at least 2\\^500000 edges"),
+                         (lambda: complete(3, 10**12), "hold at least 2\\^117 edges"),
+                         (lambda: complete_multipartite((2000, 2000, 2000)), "hold at least 5000001 edges"),
+                         (lambda: complete_multipartite((1000,) * 4), "hold at least 5000001 edges"),
+                         (lambda: complete_multipartite((2,) * 100), "hold at least 5000001 edges")):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRegimeError, match=shown):
+            build()
+        assert time.perf_counter() - start < 0.1
+    # a zero-edge product is skipped, not walked: no copy of the 10^9 class
+    start = time.perf_counter()
+    empty = complete_multipartite((10**9, 0, 0))
+    assert time.perf_counter() - start < 0.1
+    assert (empty.n_vertices, empty.edge_count()) == (10**9, 0)
 
 
 def test_stem_augmentation():
