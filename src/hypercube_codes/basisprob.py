@@ -2,7 +2,9 @@
 
 All closed forms are exact Fractions; Monte Carlo estimation and the
 distribution-dependent quantities accept arbitrary simplex points over
-the 2^t - 1 nonzero vectors.
+the 2^t - 1 nonzero vectors.  basis_probability and
+monte_carlo_basis_probability import hypergraph and numpy when called,
+so the closed forms behind `constants` load no numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import OutOfRegimeError
-from .hypergraph import basis_hypergraph
 
 MAX_T = 64
 
@@ -141,6 +140,7 @@ def basis_probability(dist: SimplexPoint) -> Fraction:
     Entries are coerced with Fraction(), so floats are taken at their
     exact binary value.  The bases are the edges of basis_hypergraph(t).
     """
+    from .hypergraph import basis_hypergraph
     t = dist.t
     fracs = [Fraction(p) for p in dist.probs]
     denom = math.lcm(*(f.denominator for f in fracs))
@@ -172,6 +172,7 @@ def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 
         raise OutOfRegimeError(
             f"{samples} samples at t = {t} take {steps} steps, "
             f"above the budget {DEFAULT_SAMPLE_BUDGET}")
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p = np.array([float(x) for x in dist.probs], dtype=float)
     p /= p.sum()

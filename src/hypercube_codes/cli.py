@@ -14,6 +14,8 @@ value disagrees with the bundled reference manifest or a requested
 verification fails.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import dataclasses
@@ -24,49 +26,24 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-# Before numpy loads (the package imports it lazily): OpenBLAS would start
-# a thread pool, about 70 ms of CPU per process on a 2-vCPU x86-64 VM, for
-# the one BLAS product (cube._bucket_tables), which is exact at any thread
-# count.  A user's own OPENBLAS_NUM_THREADS wins.
+# Before any command loads numpy: OpenBLAS would start a thread pool,
+# about 70 ms of CPU per process on a 2-vCPU x86-64 VM, for the one BLAS
+# product (cube._bucket_tables), which is exact at any thread count.  A
+# user's own OPENBLAS_NUM_THREADS wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .basisprob import MAX_T, limit_constant, limit_interval, uniform_basis_probability
-from .codes import (
-    Code,
-    best_residue_subcode,
-    build_layer_vectors,
-    layered_basis_code,
-    load_code,
-    residue_subcode,
-    save_code,
-    subcube_hitting_set,
-    weight_class_code,
-)
-from .cube import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_SCAN_BUDGET,
-    Subcube,
-    max_code_search,
-    max_subcube_count,
-    verify_hitting,
-)
 from .errors import ConstructionError, OutOfRegimeError
-from .extremal import (
-    DEFAULT_WORK_BUDGET,
-    basis_subset_bounds,
-    construction_upper,
-    list_size_bounds_table,
-    max_basis_subsets,
-    max_partition_product_sum,
-    partition_growth_check,
-    product_partition_lower_bound,
-)
-from .gf2 import BitWord
-from .hypergraph import UniformHypergraph, basis_hypergraph, lagrangian
-from .hypergraph import linear_independence_density
+
+# Each command imports the modules it runs when it starts, so `constants`,
+# `partition-max` and `--version` never load numpy; a --budget left out
+# takes the owning module's default then.
+if TYPE_CHECKING:
+    from .codes import Code
+    from .cube import Subcube
+    from .hypergraph import UniformHypergraph
 
 SCHEMA_VERSION = 1
 
@@ -139,6 +116,7 @@ def _fail(messages: Sequence[str], prefix: str) -> int:
 
 def cmd_constants(args) -> int:
     """Basis probability per draw count plus the certified limit."""
+    from .basisprob import MAX_T, limit_constant, limit_interval, uniform_basis_probability
     t_max = args.t_max
     if not 2 <= t_max <= MAX_T:
         raise ValueError(f"need 2 <= t-max <= {MAX_T}")
@@ -187,6 +165,7 @@ def cmd_constants(args) -> int:
 
 def cmd_bounds_table(args) -> int:
     """Bounds on the maximum erasure list size per subcube dimension."""
+    from .extremal import list_size_bounds_table
     table = list_size_bounds_table(args.d_max)
     manifest = load_reference_manifest()
     mismatches = []
@@ -212,8 +191,11 @@ def cmd_bounds_table(args) -> int:
 
 def cmd_basis_subsets(args) -> int:
     """Maximum number of basis-forming column subsets, with bounds."""
-    result = max_basis_subsets(args.k, args.d, work_budget=args.budget)
-    bounds = basis_subset_bounds(args.k, args.d, work_budget=args.budget)
+    from .extremal import DEFAULT_WORK_BUDGET, basis_subset_bounds, max_basis_subsets
+    from .gf2 import BitWord
+    budget = DEFAULT_WORK_BUDGET if args.budget is None else args.budget
+    result = max_basis_subsets(args.k, args.d, work_budget=budget)
+    bounds = basis_subset_bounds(args.k, args.d, work_budget=budget)
     _emit(args, {
         "command": "basis-subsets",
         "k": args.k,
@@ -231,6 +213,8 @@ def cmd_basis_subsets(args) -> int:
 
 def cmd_partition_max(args) -> int:
     """Partition maximum of the sum of products with one part omitted."""
+    from .extremal import (max_partition_product_sum, partition_growth_check,
+                           product_partition_lower_bound)
     result = max_partition_product_sum(args.d)
     payload = {
         "command": "partition-max",
@@ -257,6 +241,8 @@ def _size_fields(code: Code) -> dict:
 def _construct_code(args, command: str) -> tuple:
     """Build the requested code and write it when --out is given; returns
     (code, the payload fields that describe it)."""
+    from .codes import (best_residue_subcode, build_layer_vectors, layered_basis_code,
+                        residue_subcode, save_code, weight_class_code)
     residue = args.residue
     if args.construction == "layered":
         if residue is not None and not args.modulus:
@@ -303,6 +289,7 @@ def cmd_build(args) -> int:
 
 def cmd_load(args) -> int:
     """Read a code file and report its size and density."""
+    from .codes import load_code
     code = load_code(args.in_path)
     _emit(args, {"command": "load", "in": args.in_path, "n": code.n,
                  **_size_fields(code)})
@@ -311,6 +298,7 @@ def cmd_load(args) -> int:
 
 def cmd_save(args) -> int:
     """Rewrite a code file in canonical sorted form."""
+    from .codes import load_code, save_code
     code = load_code(args.in_path)
     save_code(args.out, code)
     _emit(args, {"command": "save", "in": args.in_path, "n": code.n,
@@ -320,13 +308,18 @@ def cmd_save(args) -> int:
 
 def _scan(args, code: Code, payload: dict) -> int:
     """Scan every d-subcube of the code, emit the payload with the scan's
-    fields added, and check --list-size."""
-    report = max_subcube_count(code, args.d, budget=args.budget)
+    fields added, and check --list-size.  Its callers import cube (and
+    extremal) before the code exists: imported after the code's arrays,
+    they raised the peak RSS of build-verify --n 15 from 37.1 to 37.8 MB."""
+    from .cube import DEFAULT_SCAN_BUDGET, max_subcube_count
+    budget = DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
+    report = max_subcube_count(code, args.d, budget=budget)
     payload["d"] = args.d
     payload["max_count"] = report.max_count
     payload["subcubes_at_max"] = report.histogram[report.max_count]
     payload["witness"] = _subcube_pattern(report.witness)
     if payload["command"] == "build-verify":
+        from .extremal import construction_upper
         upper = construction_upper(args.d)
         payload["construction_upper"] = upper
         payload["within_construction_upper"] = (
@@ -344,12 +337,17 @@ def _scan(args, code: Code, payload: dict) -> int:
 
 def cmd_build_verify(args) -> int:
     """Construct a code and scan every d-subcube for its occupancy."""
+    # what _scan runs is imported before the code exists (see there)
+    from .cube import max_subcube_count  # noqa: F401
+    from .extremal import construction_upper  # noqa: F401
     code, payload = _construct_code(args, "build-verify")
     return _scan(args, code, payload)
 
 
 def cmd_verify(args) -> int:
     """Scan a code file for the maximum occupancy of a d-subcube."""
+    from .cube import max_subcube_count  # noqa: F401 -- before the code, see _scan
+    from .codes import load_code
     code = load_code(args.in_path)
     return _scan(args, code, {"command": "verify", "in": args.in_path,
                               "n": code.n, "size": len(code)})
@@ -357,8 +355,10 @@ def cmd_verify(args) -> int:
 
 def cmd_search_max_code(args) -> int:
     """Exact maximum code size under a per-subcube word limit."""
-    result = max_code_search(args.n, args.d, args.list_size,
-                             node_budget=args.budget)
+    from .cube import DEFAULT_NODE_BUDGET, max_code_search
+    from .gf2 import BitWord
+    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+    result = max_code_search(args.n, args.d, args.list_size, node_budget=budget)
     _emit(args, {
         "command": "search-max-code",
         "n": args.n,
@@ -375,6 +375,7 @@ def cmd_search_max_code(args) -> int:
 def _load_hypergraph(path) -> UniformHypergraph:
     """Read a hypergraph file: first line `r=<int> n=<int>`, then one
     edge per line as space-separated 0-based vertex indices."""
+    from .hypergraph import UniformHypergraph
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -401,6 +402,7 @@ def _load_hypergraph(path) -> UniformHypergraph:
 
 def cmd_lagrangian(args) -> int:
     """Lagrangian of a hypergraph (built-in basis family or a file)."""
+    from .hypergraph import basis_hypergraph, lagrangian
     if (args.t is None) == (args.in_path is None):
         raise ValueError("give exactly one of --t and --in")
     if args.t is not None:
@@ -425,6 +427,7 @@ def cmd_lagrangian(args) -> int:
 
 def cmd_density(args) -> int:
     """Exact edge density of the linear-independence hypergraph."""
+    from .hypergraph import linear_independence_density
     value = linear_independence_density(args.r, args.k)
     threshold = 1 - Fraction(1, 1 << args.k)
     _emit(args, {
@@ -441,6 +444,9 @@ def cmd_density(args) -> int:
 
 def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
+    from .codes import save_code, subcube_hitting_set
+    if args.d is not None:  # before the set exists, see _scan
+        from .cube import DEFAULT_SCAN_BUDGET, verify_hitting
     result = subcube_hitting_set(args.n, args.k, seed=args.seed)
     code = result.code
     if args.out:
@@ -458,7 +464,8 @@ def cmd_hitting(args) -> int:
     }
     failures = []
     if args.d is not None:
-        report = verify_hitting(code, args.d, budget=args.budget)
+        budget = DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
+        report = verify_hitting(code, args.d, budget=budget)
         payload["d"] = args.d
         payload["hits_all"] = report.hits_all
         payload["missed"] = (None if report.missed is None
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan_flags = argparse.ArgumentParser(add_help=False)
     scan_flags.add_argument("--d", type=int, required=True)
-    scan_flags.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+    scan_flags.add_argument("--budget", type=int, default=None,
                             help="max number of subcubes to scan")
     scan_flags.add_argument("--list-size", type=int, default=None,
                             help="exit 2 if some d-subcube holds more words")
@@ -521,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("basis-subsets", cmd_basis_subsets)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="work budget for the exact search")
 
     p = add("partition-max", cmd_partition_max)
@@ -547,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--list-size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="node budget of the n = 5 branch and bound; "
                         "n <= 4 is always exhaustive and certified")
 
@@ -570,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=None,
                    help="also verify that every d-subcube is met")
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None, help="write the set here")
 
     return parser

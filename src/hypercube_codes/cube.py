@@ -27,8 +27,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import codes
+# by name first: -X importtime does not time `from . import codes`
 from .codes import MAX_N, Code
+from . import codes
 from .errors import OutOfRegimeError
 from .gf2 import MAX_BITS, BitWord
 

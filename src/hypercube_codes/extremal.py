@@ -25,13 +25,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .basisprob import uniform_basis_probability
 from .errors import OutOfRegimeError
-from .gf2 import MAX_BITS, GF2Matrix, independent_counts, independent_subsets
+
+# numpy and gf2 are imported by the functions of the basis-subset search
+# that use them, so the partition side (`partition-max`) loads neither.
+if TYPE_CHECKING:
+    import numpy as np
+    from .gf2 import GF2Matrix
 
 # Cap on (candidate matrices) * (column subsets per matrix) for the
 # exhaustive basis-subset search.
@@ -87,6 +90,7 @@ def _search_refusal(k: int, d: int, work_budget: int) -> Optional[str]:
     Columns are int64 in the search and the witness a GF2Matrix, so k
     stays below MAX_BITS and d at most MAX_BITS; both are checked before
     2^k is formed."""
+    from .gf2 import MAX_BITS
     if k >= MAX_BITS or d > MAX_BITS:
         return (f"the basis-subset search takes k <= {MAX_BITS - 1} and "
                 f"d <= {MAX_BITS}, got (k={k}, d={d})")
@@ -125,6 +129,7 @@ def _multisets(values: int, size: int) -> np.ndarray:
     lexicographic order: what itertools.combinations_with_replacement
     yields over range(1, values + 1), built a level at a time without
     that range."""
+    import numpy as np
     rows = np.zeros((1, 0), dtype=np.int64)
     low = np.ones(1, dtype=np.int64)  # each row's smallest admissible next value
     for _ in range(size):
@@ -143,6 +148,8 @@ def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
     built at once (fewer int64s than the search size); each block of
     candidates is one (families, d) array, and a later block's maximum
     must be strictly larger to replace the first maximizer."""
+    import numpy as np
+    from .gf2 import GF2Matrix, independent_counts
     identity = np.left_shift(1, np.arange(k, dtype=np.int64))
     tails = _multisets((1 << k) - 1, d - k)
     per_block = max(1, FAMILY_BLOCK_PAIRS // math.comb(d, k))
@@ -161,6 +168,7 @@ def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
 def _max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
     """Oracle for _max_basis_subsets: one independent_subsets walk per
     candidate, in the same order."""
+    from .gf2 import GF2Matrix, independent_subsets
     identity = [1 << i for i in range(k)]
     best = -1
     best_cols: tuple[int, ...] = ()
@@ -177,6 +185,7 @@ def basis_subset_bounds(k: int, d: int,
                         work_budget: int = DEFAULT_WORK_BUDGET) -> BasisSubsetBounds:
     """Bounds on the basis-subset maximum computable without the full
     search at (k, d)."""
+    from .gf2 import MAX_BITS
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     p = uniform_basis_probability(k)

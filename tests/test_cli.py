@@ -327,6 +327,32 @@ def test_bad_input_is_an_error_not_a_traceback(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("module, constant, low, argv, message", [
+    ("cube", "DEFAULT_SCAN_BUDGET", 5, ["verify", "--d", "2"], "exceed the budget 5"),
+    ("cube", "DEFAULT_SCAN_BUDGET", 5, ["hitting", "--n", "6", "--k", "1", "--d", "2"],
+     "exceed the budget 5"),
+    ("cube", "DEFAULT_NODE_BUDGET", -1,
+     ["search-max-code", "--n", "5", "--d", "2", "--list-size", "3"], "node_budget >= 0"),
+    ("extremal", "DEFAULT_WORK_BUDGET", 10, ["basis-subsets", "--k", "4", "--d", "8"],
+     "exceeds budget 10"),
+], ids=["verify", "hitting", "search-max-code", "basis-subsets"])
+def test_default_budget_is_read_from_its_owner(capsys, monkeypatch, tmp_path,
+                                               module, constant, low, argv, message):
+    """Without --budget a command takes the owning module's constant as it
+    is when the command runs, and answers as if --budget had named it."""
+    if argv[0] == "verify":
+        path = str(tmp_path / "c.txt")
+        assert cli.main(["build", "--n", "6", "--out", path]) == 0
+        capsys.readouterr()
+        argv = argv + ["--in", path]
+    explicit = run(capsys, argv + ["--budget", str(low)])
+    monkeypatch.setattr(f"hypercube_codes.{module}.{constant}", low)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == explicit
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def _rendered(value) -> str:
     if value is None:
         return ""

@@ -1,7 +1,7 @@
 """The package namespace and process set-up, each checked in a fresh
 interpreter: the public names load lazily, `import hypercube_codes`
-loads no numpy, and the CLI runs BLAS on one thread unless told
-otherwise."""
+loads no numpy, each CLI command imports only the modules it runs, and
+the CLI runs BLAS on one thread unless told otherwise."""
 
 import os
 import subprocess
@@ -70,20 +70,66 @@ print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hyp
 
 
 def test_cli_sets_one_blas_thread_unless_preset():
+    # cli itself loads no numpy, so the variable is in place before the
+    # first command that does
     code = """
 import os, sys
 import hypercube_codes.cli
-print("numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"])
+before = "numpy" in sys.modules
+import numpy
+print(before, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"])
 """
-    assert python(code).split() == ["True", "1"]
-    assert python(code, OPENBLAS_NUM_THREADS="2").split() == ["True", "2"]
+    assert python(code).split() == ["False", "True", "1"]
+    assert python(code, OPENBLAS_NUM_THREADS="2").split() == ["False", "True", "2"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
 def test_cli_process_has_one_thread():
+    # a numpy command run through the CLI, so OpenBLAS has started
     out = python("""
-import os
-import hypercube_codes.cli
+import contextlib, io, os, sys
+from hypercube_codes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["lagrangian", "--t", "3"]) == 0
+assert "numpy" in sys.modules
 print(len(os.listdir("/proc/self/task")))
 """)
     assert out.split() == ["1"]
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["--version"], {"hypercube_codes.cli"}, {"numpy"}),
+    (["constants", "--t-max", "40"], {"hypercube_codes.basisprob"}, {"numpy"}),
+    (["partition-max", "--d", "50"], {"hypercube_codes.extremal"}, {"numpy"}),
+    (["lagrangian", "--t", "3"], {"hypercube_codes.hypergraph", "numpy"},
+     {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
+    (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
+     {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
+    (["build-verify", "--n", "10", "--d", "3"],
+     {"hypercube_codes.cube", "hypercube_codes.extremal"}, {"hypercube_codes.hypergraph"}),
+    (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"}, {"hypercube_codes.cube"}),
+], ids=["version", "constants", "partition-max", "lagrangian", "density", "build-verify",
+        "hitting"])
+def test_each_command_imports_only_what_it_runs(argv, loaded, absent):
+    out = python(f"""
+import contextlib, io, sys
+from hypercube_codes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        status = cli.main({argv!r})
+    except SystemExit as exc:  # --version
+        status = exc.code
+assert status == 0, status
+print(sorted({loaded!r} - set(sys.modules)), sorted({absent!r} & set(sys.modules)))
+""")
+    assert out.split() == ["[]", "[]"]
+
+
+def test_cli_import_loads_only_errors():
+    out = python("""
+import sys
+import hypercube_codes.cli
+print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hypercube")))
+""")
+    assert out.split() == ["False", "['hypercube_codes',", "'hypercube_codes.cli',",
+                           "'hypercube_codes.errors']"]
