@@ -25,7 +25,7 @@ import numpy as np
 
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .gf2 import MAX_BITS, _from01, _to01, independent_masks
+from .gf2 import MAX_BITS, _from01, independent_masks
 
 log = logging.getLogger(__name__)
 
@@ -288,15 +288,40 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
 
 def save_code(path, code: Code) -> None:
     """Write `n=<n>` then one 0/1 line per word, sorted by packed value;
-    the leftmost character is coordinate 1."""
-    lines = [f"n={code.n}", *(_to01(w, code.n) for w in code.array.tolist())]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    the leftmost character is coordinate 1.  The lines are one uint8
+    array of shape (words, n + 1), written as it lies in memory."""
+    n = code.n
+    lines = np.empty((len(code), n + 1), np.uint8)
+    octets = code.array.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    np.add(np.unpackbits(octets, axis=1, count=n, bitorder="little"), ord("0"),
+           out=lines[:, :n])
+    lines[:, n] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"n={n}\n".encode("ascii"))
+        fh.write(lines)
 
 
 def load_code(path) -> Code:
     """Inverse of save_code.  Duplicate lines are collapsed with a
-    warning; malformed content raises ValueError with the line number."""
+    warning; malformed content raises ValueError with the line number.
+    A file as save_code writes it is read as one array of shape
+    (words, n + 1); any other is read line by line (_parse_lines)."""
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    n = int(head[2:]) if head.startswith(b"n=") and head[2:].isdigit() else -1
+    if 0 <= n <= MAX_BITS and len(body) % (n + 1) == 0:
+        lines = np.frombuffer(body, np.uint8).reshape(-1, n + 1)
+        bits = lines[:, :n] - np.uint8(ord("0"))  # other bytes wrap past 1
+        if (lines[:, n] == ord("\n")).all() and bits.max(initial=0) <= 1:
+            octets = np.zeros((len(lines), 8), np.uint8)
+            octets[:, :(n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+            return _collapse(Code(n, octets.view("<u8").ravel()), len(lines))
+    return _parse_lines(path)
+
+
+def _parse_lines(path) -> Code:
+    """load_code one line at a time: other line ends, a missing last
+    newline, and the message naming the first bad line."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
     lines = raw.splitlines()
@@ -316,7 +341,11 @@ def load_code(path) -> Code:
             words.append(_from01(line))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    code = Code(n, words)
-    if len(code) < len(words):
-        warnings.warn(f"{len(words) - len(code)} duplicate words collapsed on load")
+    return _collapse(Code(n, words), len(words))
+
+
+def _collapse(code: Code, lines: int) -> Code:
+    """The code read from `lines` word lines, warning about duplicates."""
+    if len(code) < lines:
+        warnings.warn(f"{lines - len(code)} duplicate words collapsed on load")
     return code

@@ -259,7 +259,8 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
 
     Raises:
         OutOfRegimeError: when the node budget runs out, so an exhausted
-        search is never mistaken for absence.
+        search is never mistaken for absence; at once when the set-up,
+        counted as |V(small)|^2 * |E(small)| nodes, exceeds it.
     """
     if big.r != small.r:
         raise ValueError("uniformities differ")
@@ -268,6 +269,12 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
         return None
     if not small.edge_count():
         return {i: i for i in range(m)}
+    # the twin classes and the assignment order each test about m^2
+    # vertex pairs against every edge of small; a node per pair and edge
+    nodes = m * m * small.edge_count()
+    if nodes > node_budget:
+        raise OutOfRegimeError(f"copy search set-up of {nodes} nodes exceeds "
+                               f"the node budget {node_budget}")
 
     small_deg = small.degrees()
     big_deg = big.degrees()
@@ -302,7 +309,6 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
     image: dict[int, int] = {}
     used: set[int] = set()
     edge_set = set(map(tuple, big.edges.tolist()))
-    nodes = 0
 
     def dfs(i: int) -> bool:
         nonlocal nodes

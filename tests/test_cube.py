@@ -4,14 +4,22 @@ checked against naive oracles."""
 import collections
 import contextlib
 import json
+import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercube_codes import cube
-from hypercube_codes.codes import Code, weight_class_code
+from hypercube_codes.codes import (
+    Code,
+    best_residue_subcode,
+    build_layer_vectors,
+    layered_basis_code,
+    weight_class_code,
+)
 from hypercube_codes.cube import (
     Subcube,
     enumerate_subcubes,
@@ -323,7 +331,27 @@ def codes_with_dimension(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(codes_with_dimension())
 def test_dense_walk_bucket_scan_and_naive_oracle_agree(case):
-    code, d = case
+    scans_agree_with_the_oracles(*case)
+
+
+@pytest.mark.parametrize("entries", [1, 48], ids=["one-table", "split-level"])
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=codes_with_dimension())
+def test_block_budgets_agree_with_the_oracles(entries, case):
+    # 1: every block is one table, as in a walk without stacking; 48
+    # stacks some subtrees and splits the others, level 1 included
+    with block_entries(entries):
+        scans_agree_with_the_oracles(*case)
+
+
+@contextlib.contextmanager
+def block_entries(entries):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "_BLOCK_ENTRIES", entries)
+        yield
+
+
+def scans_agree_with_the_oracles(code, d):
     dense = max_subcube_count(code, d)
     dense_hit = verify_hitting(code, d)
     with bucket_path():
@@ -421,3 +449,94 @@ def test_max_code_search_rejects_a_negative_budget():
     for n in (4, 5):
         with pytest.raises(ValueError, match="node_budget"):
             max_code_search(n, 2, 3, node_budget=-7)
+
+
+@pytest.mark.parametrize("entries", [1, 8, 64, 1 << 10, cube._BLOCK_ENTRIES])
+def test_blocks_are_consecutive_colex_ranges_of_the_bucket_tables(entries):
+    rng = random.Random(entries)
+    for n, d in [(1, 0), (1, 1), (6, 2), (7, 3), (8, 8), (9, 4), (10, 1), (10, 7)]:
+        code = random_code(rng, n, rng.randint(1, 1 << (n - 1)))
+        expected = dict(cube._bucket_tables(code, d))
+        with block_entries(entries):
+            blocks = list(cube._dense_tables(code, d))
+        # consecutive ranges from rank 0, each free set once, in order
+        starts = [0] + [first + len(block) for first, block in blocks]
+        assert [first for first, _ in blocks] == starts[:-1]
+        assert starts[-1] == len(expected) == math.comb(n, d)
+        for first, block in blocks:
+            assert block.flags.c_contiguous and block.shape[1] == 1 << (n - d)
+            for i, row in enumerate(block):
+                assert row.tolist() == expected[first + i].ravel().tolist()
+
+
+# with 64-entry blocks the 2-subcubes of the 6-cube come in the colex
+# ranges [0], [1, 2], [3, 4, 5], [6, 7, 8, 9] and then one free set each
+TIE_SQUARES = [49, 51, 57, 59,  # free (1, 3), pattern 13 at position 11
+               52, 54, 60, 62,  # free (1, 3), pattern 14 at position 7
+               6, 7, 22, 23]    # free (0, 4), in the next block
+
+
+def test_a_tie_across_blocks_keeps_the_first_block_and_least_base():
+    code = Code(6, TIE_SQUARES)
+    with block_entries(64):
+        assert [first for first, block in cube._dense_tables(code, 2)
+                if block.max() == 4] == [3, 6]
+        report = max_subcube_count(code, 2)
+    # the least base, not the least table position, of the first block
+    assert (report.max_count, report.witness) == (4, Subcube(6, (1, 3), 49))
+    assert report.histogram[4] == 3
+    assert (report.max_count, report.witness) == max_subcube_count_naive(code, 2)
+
+
+def test_a_miss_inside_a_later_block_is_the_first_missed_subcube():
+    code = Code(6, frozenset(range(64)) - frozenset(TIE_SQUARES[:8]))
+    with block_entries(64):
+        assert [first for first, block in cube._dense_tables(code, 2)
+                if not block.all()] == [3]
+        report = verify_hitting(code, 2)
+    assert report.missed == first_missed(code, 2) == Subcube(6, (1, 3), 49)
+
+
+def test_counts_past_two_bytes():
+    # 65,536 words per 16-subcube would wrap to 0 in a uint16 table
+    full = Code(17, range(1 << 17))
+    report = max_subcube_count(full, 16)
+    assert report.max_count == 1 << 16
+    assert report.histogram == {1 << 16: 34}
+    assert report.witness == Subcube(17, tuple(range(16)), 0)
+    assert verify_hitting(full, 16).hits_all
+
+
+@pytest.mark.parametrize("scan", [max_subcube_count, verify_hitting])
+def test_scan_memory_is_the_path_tables_plus_two_block_levels(scan):
+    # path tables hold 2^(n+1) bytes at most and a block level at most
+    # _BLOCK_ENTRIES entries of 4 bytes; bounding only the leaves of a
+    # block let the middle levels reach 1.5 MB in this case
+    code = random_code(random.Random(18), 18, 1000)
+    tracemalloc.start()
+    try:
+        scan(code, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 19) + 8 * cube._BLOCK_ENTRIES + (1 << 16)
+
+
+def pattern(cube):
+    return "".join("*" if i in cube.free else str(cube.base >> i & 1)
+                   for i in range(cube.n))
+
+
+@pytest.mark.parametrize("n, seed, modulus, expected", [
+    (15, 0, 6, (8, 197_336, "*****1111000000")),
+    (15, 1, 6, (8, 159_226, "*****1111000100")),
+    (13, 0, None, (28, 1, "10**0*0*001*1")),
+])
+def test_scan_workload_reports_are_pinned(n, seed, modulus, expected):
+    # the benchmark's build-verify jobs at d = 5
+    code = layered_basis_code(build_layer_vectors(n, seed=seed))
+    if modulus:
+        code = best_residue_subcode(code, modulus).code
+    report = max_subcube_count(code, 5)
+    assert (report.max_count, report.histogram[report.max_count],
+            pattern(report.witness)) == expected

@@ -281,6 +281,19 @@ def test_contains_copy_budget():
         contains_copy(complete(2, 7), complete(2, 5), node_budget=2)
 
 
+def test_contains_copy_refuses_before_its_set_up():
+    # the twin classes and the vertex order of a 200-vertex path took
+    # about 2 s of CPU before the search met its budget
+    path = UniformHypergraph(2, 200, np.array([(i, i + 1) for i in range(199)]))
+    host = complete(2, 400)
+    start = time.process_time()
+    with pytest.raises(OutOfRegimeError, match="set-up of 7960000 nodes"):
+        contains_copy(host, path, node_budget=1)
+    with pytest.raises(OutOfRegimeError, match="node budget"):
+        contains_copy(host, path)  # also over the default budget
+    assert time.process_time() - start < 0.2
+
+
 def test_lagrangian_polynomial_evaluation():
     tri = complete(2, 3)
     assert lagrangian_polynomial(tri, [0.5, 0.5, 0.0]) == 0.25
