@@ -12,6 +12,10 @@ Exit status: 0 on success, 1 on bad input, an out-of-regime request or
 a closed output pipe (the last without a message), 2 when a computed
 value disagrees with the bundled reference manifest or a requested
 verification fails.
+
+run() is the process entry, of the `hypercube-codes` script and of
+`python -m hypercube_codes.cli`; main() is the in-process call, which
+leaves the caller's garbage collector as it was.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import decimal
+import gc
 import json
 import os
 import sys
@@ -603,5 +608,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
 
 
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """main() for a process that ends with the command: the cyclic garbage
+    collector stays off, and every object is frozen when the command ends,
+    argparse's SystemExit included.
+
+    A command leaves the same few hundred objects in reference cycles
+    (argparse's tables) whatever its input, so collecting frees next to
+    nothing, while the passes over what numpy and the package create cost
+    a numpy command about 6 ms in the run and 24-32 ms in the interpreter's
+    final collections; with the collector off and the objects frozen, 1 ms
+    and 6-8.5 ms (2-vCPU x86-64 VM)."""
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -367,6 +367,10 @@ def max_partition_product_sum(d: int) -> PartitionMaximum:
             prefix.pop()
 
     walk(d, d, 1, 0)
+    # walk reaches itself through its closure cell; emptying the cell ends
+    # that cycle, so the O(d^2) tables are freed on return, not left for
+    # the cyclic collector, which a CLI process keeps off
+    del walk
     return PartitionMaximum(d, best, best_parts)
 
 

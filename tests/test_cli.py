@@ -1,8 +1,10 @@
 """Command line surface: output shapes, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
+import re
 import time
 
 import pytest
@@ -401,3 +403,60 @@ def test_text_and_csv_rows_are_the_json_payload(capsys, monkeypatch,
     lines = out.splitlines()
     assert lines[0].split() == ["quantity", "value"]
     assert [(line.split(maxsplit=1) + [""])[:2] for line in lines[1:]] == expected
+
+
+# A CLI process runs with the cyclic collector off (cli.run), so what a
+# command leaves in reference cycles must not grow with its input.  Every
+# call leaves the same few hundred objects (argparse's tables); the bound
+# admits the fixed 56-object closure of the n = 5 branch and bound in
+# search-max-code, and catches a cycle holding per-input tables, such as
+# the 244 objects partition-max --d 60 once left over --d 5.
+CYCLE_GROWTH_BOUND = 100
+
+# per subcommand: (small input, large input); {tmp}/small.txt and
+# {tmp}/large.txt are codes at n = 8 and n = 16
+GARBAGE_AUDIT = {
+    "constants": (["--t-max", "2"], ["--t-max", "40"]),
+    "bounds-table": (["--d-max", "1"], ["--d-max", "60"]),
+    "basis-subsets": (["--k", "2", "--d", "3"], ["--k", "4", "--d", "8"]),
+    "partition-max": (["--d", "5"], ["--d", "60"]),
+    "build": (["--n", "8", "--out", "{tmp}/built.txt"],
+              ["--n", "16", "--out", "{tmp}/built.txt"]),
+    "load": (["--in", "{tmp}/small.txt"], ["--in", "{tmp}/large.txt"]),
+    "save": (["--in", "{tmp}/small.txt", "--out", "{tmp}/saved.txt"],
+             ["--in", "{tmp}/large.txt", "--out", "{tmp}/saved.txt"]),
+    "build-verify": (["--n", "8", "--d", "3"], ["--n", "18", "--d", "4"]),
+    "verify": (["--in", "{tmp}/large.txt", "--d", "3"],
+               ["--in", "{tmp}/large.txt", "--d", "12"]),
+    "search-max-code": (["--n", "3", "--d", "1", "--list-size", "1"],
+                        ["--n", "5", "--d", "3", "--list-size", "6"]),
+    "lagrangian": (["--t", "2", "--restarts", "4"], ["--t", "5", "--restarts", "4"]),
+    "density": (["--r", "2", "--k", "2"], ["--r", "4", "--k", "40"]),
+    "hitting": (["--n", "6", "--k", "1"], ["--n", "14", "--k", "2", "--d", "7"]),
+}
+
+
+def test_garbage_audit_covers_every_subcommand():
+    usage = cli.build_parser().format_usage()
+    commands = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    assert sorted(commands) == sorted(GARBAGE_AUDIT)
+
+
+@pytest.mark.parametrize("command", sorted(GARBAGE_AUDIT))
+def test_cycles_left_with_the_collector_off_do_not_grow_with_input(
+        capsys, tmp_path, command):
+    for n, name in ((8, "small"), (16, "large")):
+        assert cli.main(["build", "--n", str(n), "--out", str(tmp_path / f"{name}.txt")]) == 0
+    small, large = ([command, *(a.replace("{tmp}", str(tmp_path)) for a in args)]
+                    for args in GARBAGE_AUDIT[command])
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for argv in (small, small, large):  # the first run takes the imports
+            assert cli.main(argv) == 0
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert found[2] - found[1] <= CYCLE_GROWTH_BOUND, found

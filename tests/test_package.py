@@ -1,7 +1,9 @@
 """The package namespace and process set-up, each checked in a fresh
 interpreter: the public names load lazily, `import hypercube_codes`
-loads no numpy, each CLI command imports only the modules it runs, and
-the CLI runs BLAS on one thread unless told otherwise."""
+loads no numpy, each CLI command imports only the modules it runs, the
+CLI runs BLAS on one thread unless told otherwise, and a CLI process
+runs with the cyclic garbage collector off and ends with its objects
+frozen."""
 
 import os
 import subprocess
@@ -15,13 +17,18 @@ import hypercube_codes
 SRC = str(Path(hypercube_codes.__file__).resolve().parent.parent)
 
 
-def python(code: str, **env: str) -> str:
-    """stdout of `code` in a fresh interpreter that imports the package
-    from this tree, with OPENBLAS_NUM_THREADS unset unless given."""
+def spawn(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `args`, importing the package from this
+    tree, with OPENBLAS_NUM_THREADS unset unless given."""
     clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     clean["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, clean.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+    return subprocess.run([sys.executable, *args], env={**clean, **env},
                           capture_output=True, text=True, timeout=60)
+
+
+def python(code: str, **env: str) -> str:
+    """stdout of `code` in a fresh interpreter (see spawn)."""
+    done = spawn("-c", code, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -133,3 +140,55 @@ print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hyp
 """)
     assert out.split() == ["False", "['hypercube_codes',", "'hypercube_codes.cli',",
                            "'hypercube_codes.errors']"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lagrangian", "--t", "3"],
+    ["partition-max", "--d", "5"],
+    ["--version"],  # argparse's SystemExit
+], ids=["numpy-command", "exact-command", "version"])
+def test_run_ends_the_process_with_the_collector_off_and_objects_frozen(argv):
+    # the hook runs after run() returns, before the interpreter's final
+    # collections
+    out = python(f"""
+import atexit, gc
+atexit.register(lambda: print("at exit:", gc.isenabled(), gc.get_freeze_count() > 0))
+from hypercube_codes import cli
+raise SystemExit(cli.run({argv!r}))
+""")
+    assert out.splitlines()[-1] == "at exit: False True"
+
+
+def test_main_leaves_the_collector_as_it_was():
+    out = python("""
+import contextlib, gc, io
+from hypercube_codes import cli
+before = gc.isenabled(), gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["lagrangian", "--t", "3"]) == 0
+print(before == (gc.isenabled(), gc.get_freeze_count()), gc.isenabled())
+""")
+    assert out.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["partition-max", "--d", "5"], 0),
+    (["bounds-table", "--d-max", "0"], 1),
+    (["build-verify", "--n", "4", "--d", "2", "--list-size", "0"], 2),
+    (["partition-max", "--d", "5", "--no-such-flag"], 2),
+    (["--help"], 0),
+    (["--version"], 0),
+], ids=["ok", "bad-input", "failed-verification", "unknown-flag", "help", "version"])
+def test_run_ends_as_main_does(argv, status):
+    def end(*args: str) -> tuple:
+        done = spawn(*args)
+        return done.returncode, done.stdout, done.stderr
+
+    def call(entry: str) -> tuple:
+        return end("-c", "from hypercube_codes import cli; "
+                         f"raise SystemExit(cli.{entry}({argv!r}))")
+
+    by_main = call("main")
+    assert by_main[0] == status, by_main[2]
+    # `python -m hypercube_codes.cli` runs run() too
+    assert call("run") == end("-m", "hypercube_codes.cli", *argv) == by_main
