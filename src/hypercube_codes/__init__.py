@@ -3,12 +3,14 @@ hypercube that meet every subcube of a given dimension in few vertices.
 
 The package splits into:
 
+* ``geometry``   words as ints and 0/1 text, subcubes in canonical order
 * ``gf2``        packed-integer linear algebra over GF(2)
 * ``basisprob``  probability that random vectors form a basis, and its limit
 * ``extremal``   counting extremal quantities (basis-forming column subsets,
-                 partition maxima) and assembling bound tables
+                 partition maxima), assembling bound tables, and the exact
+                 maximum code search
 * ``codes``      randomized layered constructions and weight-class codes
-* ``cube``       subcube enumeration, list-size verification, exact searches
+* ``cube``       list-size verification and hitting checks by subcube scans
 * ``hypergraph`` uniform hypergraphs, copy containment and Lagrangians
 
 The names in ``__all__`` are loaded lazily (PEP 562): the first access
@@ -24,7 +26,9 @@ __version__ = "0.1.0"
 # module -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "errors": ("ConstructionError", "OutOfRegimeError"),
-    "gf2": ("MAX_BITS", "BitWord", "GF2Matrix", "code_from_parity_check",
+    "geometry": ("MAX_BITS", "Subcube", "enumerate_subcubes", "free_sets_colex",
+                 "subcube_at", "subcube_total"),
+    "gf2": ("BitWord", "GF2Matrix", "code_from_parity_check",
             "count_nonsingular_submatrices", "independent_counts",
             "independent_masks", "independent_subsets", "is_basis",
             "min_distance", "orthogonal_complement", "plotkin_bound", "rank",
@@ -35,9 +39,9 @@ _EXPORTS = {
                   "limit_interval", "monte_carlo_basis_probability",
                   "prob_first_draw_unrepeated", "uniform_basis_probability"),
     "extremal": ("BasisSubsetBounds", "BasisSubsetMaximum", "ListSizeBoundsRow",
-                 "PartitionGrowthCheck", "PartitionMaximum", "ShapeMaximum",
-                 "basis_subset_bounds", "list_size_bounds_table",
-                 "max_basis_subsets", "max_basis_subsets_any_k",
+                 "MaxCodeResult", "PartitionGrowthCheck", "PartitionMaximum",
+                 "ShapeMaximum", "basis_subset_bounds", "list_size_bounds_table",
+                 "max_basis_subsets", "max_basis_subsets_any_k", "max_code_search",
                  "max_partition_product_sum", "max_partition_product_sum_naive",
                  "partition_growth_check", "product_partition_lower_bound"),
     "codes": ("DENSITY_THRESHOLD", "Code", "HittingSetResult", "LayerAssignment",
@@ -45,10 +49,9 @@ _EXPORTS = {
               "expected_dependent_fraction", "layer_words", "layered_basis_code",
               "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
               "weight_class_code"),
-    "cube": ("HittingReport", "MaxCodeResult", "Subcube", "VerificationReport",
-             "enumerate_subcubes", "erasure_list_size", "free_sets_colex",
-             "max_code_search", "max_subcube_count", "max_subcube_count_naive",
-             "subcube_at", "subcube_count", "subcube_total", "verify_hitting"),
+    "cube": ("HittingReport", "VerificationReport", "erasure_list_size",
+             "max_subcube_count", "max_subcube_count_naive", "subcube_count",
+             "verify_hitting"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
                    "basis_hypergraph", "blow_up", "complete_multipartite",
                    "contains_copy", "lagrangian", "lagrangian_polynomial",

@@ -43,11 +43,11 @@ from . import __version__
 from .errors import ConstructionError, OutOfRegimeError
 
 # Each command imports the modules it runs when it starts, so `constants`,
-# `partition-max` and `--version` never load numpy; a --budget left out
-# takes the owning module's default then.
+# `partition-max`, `search-max-code` and `--version` never load numpy; a
+# --budget left out takes the owning module's default then.
 if TYPE_CHECKING:
     from .codes import Code
-    from .cube import Subcube
+    from .geometry import Subcube
     from .hypergraph import UniformHypergraph
 
 SCHEMA_VERSION = 1
@@ -243,18 +243,21 @@ def _size_fields(code: Code) -> dict:
             "density_float": float(code.density())}
 
 
-def _construct_code(args, command: str) -> tuple:
+def _construct_code(args, command: str, check=lambda: None) -> tuple:
     """Build the requested code and write it when --out is given; returns
-    (code, the payload fields that describe it)."""
-    from .codes import (best_residue_subcode, build_layer_vectors, layered_basis_code,
-                        residue_subcode, save_code, weight_class_code)
+    (code, the payload fields that describe it).  check() runs once the
+    flags and n are validated, before any layer's words or any weight
+    class is computed."""
+    from .codes import (_check_weight_class, best_residue_subcode, build_layer_vectors,
+                        layered_basis_code, residue_subcode, save_code, weight_class_code)
     residue = args.residue
     if args.construction == "layered":
         if residue is not None and not args.modulus:
             raise ValueError("--residue needs --modulus")
         if args.modulus and args.modulus < 2:
             raise ValueError("modulus must be at least 2")
-        layers = build_layer_vectors(args.n, seed=args.seed)
+        layers = build_layer_vectors(args.n, seed=args.seed)  # checks n
+        check()
         code = layered_basis_code(layers, strict=args.strict)
         size_before_residue = len(code)
         if args.modulus and residue is not None:
@@ -267,6 +270,8 @@ def _construct_code(args, command: str) -> tuple:
             raise ValueError("weight-class construction needs --modulus >= 2")
         if residue is None:
             residue = 0
+        _check_weight_class(args.n, args.modulus, residue)
+        check()
         code = weight_class_code(args.n, args.modulus, residue)
         size_before_residue = len(code)
     if args.out:
@@ -311,14 +316,19 @@ def cmd_save(args) -> int:
     return EXIT_OK
 
 
+def _scan_budget(args) -> int:
+    """--budget, or else the owner's default as it is when the command runs."""
+    from .geometry import DEFAULT_SCAN_BUDGET
+    return DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
+
+
 def _scan(args, code: Code, payload: dict) -> int:
     """Scan every d-subcube of the code, emit the payload with the scan's
     fields added, and check --list-size.  Its callers import cube (and
     extremal) before the code exists: imported after the code's arrays,
     they raised the peak RSS of build-verify --n 15 from 37.1 to 37.8 MB."""
-    from .cube import DEFAULT_SCAN_BUDGET, max_subcube_count
-    budget = DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
-    report = max_subcube_count(code, args.d, budget=budget)
+    from .cube import max_subcube_count
+    report = max_subcube_count(code, args.d, budget=_scan_budget(args))
     payload["d"] = args.d
     payload["max_count"] = report.max_count
     payload["subcubes_at_max"] = report.histogram[report.max_count]
@@ -345,7 +355,10 @@ def cmd_build_verify(args) -> int:
     # what _scan runs is imported before the code exists (see there)
     from .cube import max_subcube_count  # noqa: F401
     from .extremal import construction_upper  # noqa: F401
-    code, payload = _construct_code(args, "build-verify")
+    from .geometry import _check_budget
+    # the scan's budget refuses by n and d alone, so before the build
+    code, payload = _construct_code(
+        args, "build-verify", lambda: _check_budget(args.n, args.d, _scan_budget(args)))
     return _scan(args, code, payload)
 
 
@@ -360,8 +373,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search_max_code(args) -> int:
     """Exact maximum code size under a per-subcube word limit."""
-    from .cube import DEFAULT_NODE_BUDGET, max_code_search
-    from .gf2 import BitWord
+    from .extremal import DEFAULT_NODE_BUDGET, max_code_search
+    from .geometry import _to01
     budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     result = max_code_search(args.n, args.d, args.list_size, node_budget=budget)
     _emit(args, {
@@ -371,8 +384,7 @@ def cmd_search_max_code(args) -> int:
         "list_size": args.list_size,
         "max_size": result.max_size,
         "certified": result.certified,
-        "witness": sorted(BitWord(w, args.n).to01()
-                          for w in result.witness.array.tolist()),
+        "witness": sorted(_to01(w, args.n) for w in result.words),
     })
     return EXIT_OK
 
@@ -451,7 +463,7 @@ def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
     from .codes import save_code, subcube_hitting_set
     if args.d is not None:  # before the set exists, see _scan
-        from .cube import DEFAULT_SCAN_BUDGET, verify_hitting
+        from .cube import verify_hitting
     result = subcube_hitting_set(args.n, args.k, seed=args.seed)
     code = result.code
     if args.out:
@@ -469,8 +481,7 @@ def cmd_hitting(args) -> int:
     }
     failures = []
     if args.d is not None:
-        budget = DEFAULT_SCAN_BUDGET if args.budget is None else args.budget
-        report = verify_hitting(code, args.d, budget=budget)
+        report = verify_hitting(code, args.d, budget=_scan_budget(args))
         payload["d"] = args.d
         payload["hits_all"] = report.hits_all
         payload["missed"] = (None if report.missed is None

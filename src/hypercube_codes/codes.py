@@ -13,7 +13,6 @@ to Code.  File round-tripping for codes lives here as well.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,11 +24,8 @@ import numpy as np
 
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .gf2 import MAX_BITS, _from01, independent_masks
-
-log = logging.getLogger(__name__)
-
-MAX_N = 24
+from .geometry import MAX_BITS, MAX_N, _from01
+from .gf2 import independent_masks
 
 # Certified rational lower bound on the limit constant, used as the
 # per-layer quality threshold for retries.
@@ -167,9 +163,16 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
             raise ConstructionError(
                 f"layers {deficient} stayed at or below the density threshold "
                 f"after {MAX_RETRIES} retries")
-        log.warning("layers %s below the density threshold; keeping best draws",
-                    deficient)
+        _warn("layers %s below the density threshold; keeping best draws", deficient)
     return Code(n, np.concatenate(words))
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning on the logger of this module.  logging is imported
+    here, not with the module: few runs warn, and its import costs every
+    process that loads codes a few ms."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _code_weights(code: Code) -> np.ndarray:
@@ -218,6 +221,14 @@ def weight_class_code(n: int, modulus: int, residue: int) -> Code:
     Raises:
         OutOfRegimeError: for n > MAX_N, before any word is enumerated.
     """
+    _check_weight_class(n, modulus, residue)
+    kept = np.arange(n + 1) % modulus == residue
+    return Code(n, np.flatnonzero(kept[_weights(n)]))
+
+
+def _check_weight_class(n: int, modulus: int, residue: int) -> None:
+    """The argument checks of weight_class_code, which build-verify also
+    runs before it checks its scan budget."""
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"n must be in [0, {MAX_BITS}]")
     if n > MAX_N:
@@ -226,8 +237,6 @@ def weight_class_code(n: int, modulus: int, residue: int) -> Code:
         raise ValueError("modulus must be positive")
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
-    kept = np.arange(n + 1) % modulus == residue
-    return Code(n, np.flatnonzero(kept[_weights(n)]))
 
 
 def expected_dependent_fraction(r: int, k: int) -> Fraction:
@@ -282,7 +291,7 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     code = Code(n, np.concatenate(layer[:cutoff + 1] + dependent[cutoff + 1:]))
     met = len(code) <= target
     if not met:
-        log.warning("hitting set size %d misses the target %d", len(code), target)
+        _warn("hitting set size %d misses the target %d", len(code), target)
     return HittingSetResult(code, cutoff, target, met)
 
 

@@ -1,10 +1,8 @@
-"""Subcube enumeration, occupancy scans, and exact small-n code search.
+"""Subcube occupancy scans of a code, with numpy.
 
-A d-subcube of the n-cube is a set of free coordinates plus a base word
-fixing the rest.  The canonical enumeration orders free sets in colex
-order and bases in increasing packed-integer order, so every scan
-reports the same witness; `subcube_at` addresses it by index, and the
-exact code search (`max_code_search`) numbers its subcubes the same way.
+Subcubes and their canonical order come from geometry: free sets in
+colex order, bases in increasing packed-integer order, so every scan
+reports the same witness, the first in that order.
 
 The scans (`max_subcube_count`, `verify_hitting`) walk dense occupancy
 tables for n <= MAX_N: the code as a 0/1 array of shape (2,)*n, and for
@@ -24,136 +22,20 @@ n - d <= MAX_N.  The naive per-subcube count is the oracle of both.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-# by name first: -X importtime does not time `from . import codes`
-from .codes import MAX_N, Code
-from . import codes
+# by name first: -X importtime does not time `from . import geometry`
+from .codes import Code
+from . import geometry
 from .errors import OutOfRegimeError
-from .gf2 import MAX_BITS, BitWord
-
-DEFAULT_SCAN_BUDGET = 100_000_000
-DEFAULT_NODE_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class Subcube:
-    """free: strictly increasing coordinates allowed to vary; base: the
-    packed word fixing the remaining coordinates (zero on free ones)."""
-
-    n: int
-    free: tuple[int, ...]
-    base: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_BITS:
-            raise ValueError(f"n must be in [0, {MAX_BITS}]")
-        if any(not 0 <= c < self.n for c in self.free):
-            raise ValueError("free coordinates out of range")
-        if list(self.free) != sorted(set(self.free)):
-            raise ValueError("free coordinates must be strictly increasing")
-        if not 0 <= self.base < (1 << self.n) or self.base & self.free_mask:
-            raise ValueError("base must be zero on the free coordinates")
-
-    @property
-    def free_mask(self) -> int:
-        return _spread_base((1 << len(self.free)) - 1, self.free)
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def vertices(self) -> Iterator[int]:
-        """The 2^d words of the subcube, in increasing packed order."""
-        for pattern in range(1 << len(self.free)):
-            yield self.base | _spread_base(pattern, self.free)
-
-    def contains(self, word: int) -> bool:
-        return word & ~self.free_mask == self.base
-
-
-def free_sets_colex(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """d-subsets of range(n) in colexicographic order.
-
-    Colex order of the free sets is lex order of their complements read
-    from the top coordinate down.
-    """
-    if d > n:
-        return
-    coords = set(range(n))
-    for fixed in itertools.combinations(range(n - 1, -1, -1), n - d):
-        yield tuple(sorted(coords.difference(fixed)))
-
-
-def _colex_unrank(index: int, d: int) -> tuple[int, ...]:
-    out = []
-    for i in range(d, 0, -1):
-        m = i - 1
-        while math.comb(m + 1, i) <= index:
-            m += 1
-        out.append(m)
-        index -= math.comb(m, i)
-    return tuple(reversed(out))
-
-
-def _fixed_coords(n: int, free: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(range(n)).difference(free)))
-
-
-def _spread_base(pattern: int, fixed: tuple[int, ...]) -> int:
-    base = 0
-    for i, c in enumerate(fixed):
-        if (pattern >> i) & 1:
-            base |= 1 << c
-    return base
-
-
-def _leaf_subcube(n: int, free: tuple[int, ...], pattern: int) -> Subcube:
-    return Subcube(n, free, _spread_base(pattern, _fixed_coords(n, free)))
-
-
-def subcube_total(n: int, d: int) -> int:
-    """C(n, d) * 2^(n-d), the number of d-subcubes of the n-cube."""
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    return math.comb(n, d) << (n - d)
-
-
-def _check_budget(n: int, d: int, budget: int) -> None:
-    total = subcube_total(n, d)
-    if total > budget:
-        raise OutOfRegimeError(f"{total} subcubes exceed the budget {budget}")
-
-
-def enumerate_subcubes(n: int, d: int,
-                       budget: int = DEFAULT_SCAN_BUDGET) -> Iterator[Subcube]:
-    """All d-subcubes in canonical order: free sets colex, bases in
-    increasing packed order.
-
-    Raises:
-        OutOfRegimeError: if the total exceeds the budget.
-    """
-    _check_budget(n, d, budget)
-    for free in free_sets_colex(n, d):
-        fixed = _fixed_coords(n, free)
-        for pattern in range(1 << (n - d)):
-            yield Subcube(n, free, _spread_base(pattern, fixed))
-
-
-def subcube_at(n: int, d: int, index: int) -> Subcube:
-    """The subcube at `index` in the canonical enumeration.  Base order
-    on ascending fixed coordinates is increasing-int, so this matches
-    enumerate_subcubes position for position."""
-    total = subcube_total(n, d)
-    if not 0 <= index < total:
-        raise ValueError(f"index must be in [0, {total})")
-    per_free = 1 << (n - d)
-    return _leaf_subcube(n, _colex_unrank(index // per_free, d), index % per_free)
+from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
+                       _colex_unrank, _fixed_coords, _leaf_subcube,
+                       enumerate_subcubes, free_sets_colex)
+from .gf2 import BitWord
 
 
 def subcube_count(code: Code, cube: Subcube) -> int:
@@ -289,8 +171,8 @@ def _count_tables(code: Code, d: int,
     """Both scans' blocks, dense for n <= MAX_N, after the regime checks."""
     n = code.n
     _check_budget(n, d, budget)
-    if n - d > codes.MAX_N:  # codes owns the limit; MAX_N below only picks the tables
-        raise OutOfRegimeError(f"tables of 2^{n - d} entries exceed 2^{codes.MAX_N}")
+    if n - d > geometry.MAX_N:  # geometry owns the limit; MAX_N below only picks the tables
+        raise OutOfRegimeError(f"tables of 2^{n - d} entries exceed 2^{geometry.MAX_N}")
     return _dense_tables(code, d) if n <= MAX_N else _bucket_tables(code, d)
 
 
@@ -401,119 +283,3 @@ def verify_hitting(code: Code, d: int,
         if not block.all():
             return HittingReport(False, _first_subcube(code.n, d, first, block, 0))
     return HittingReport(True, None)
-
-
-@dataclass(frozen=True)
-class MaxCodeResult:
-    """certified=True means the search proved optimality; otherwise
-    max_size is only the best size found within the node budget."""
-
-    max_size: int
-    witness: Code
-    certified: bool
-
-
-def max_code_search(n: int, d: int, list_size: int,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> MaxCodeResult:
-    """Largest code on n coordinates with at most list_size words in
-    every d-subcube.  Exhaustive and certified for n <= 4; branch and
-    bound at n = 5, the only search that node_budget bounds.
-
-    Raises:
-        OutOfRegimeError: for n >= 6.
-    """
-    if (not 1 <= n <= MAX_BITS or not 0 <= d <= n or list_size < 1
-            or node_budget < 0):
-        raise ValueError("need 1 <= n, 0 <= d <= n, list_size >= 1 "
-                         "and node_budget >= 0")
-    if list_size >= 1 << d:
-        return MaxCodeResult(1 << n, Code(n, range(1 << n)), True)
-    if n <= 4:
-        return _max_code_exhaustive(n, d, list_size)
-    if n == 5:
-        return _max_code_branch_bound(n, d, list_size, node_budget)
-    raise OutOfRegimeError("exact search supported for n <= 5")
-
-
-def _subcube_vertices(n: int, d: int) -> list[tuple[int, ...]]:
-    """The vertices of every d-subcube, listed at its canonical index."""
-    return [tuple(cube.vertices()) for cube in enumerate_subcubes(n, d)]
-
-
-def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
-    masks = [sum(1 << v for v in vertices) for vertices in _subcube_vertices(n, d)]
-    best = -1
-    best_set = 0
-    for subset in range(1 << (1 << n)):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        if all((subset & m).bit_count() <= list_size for m in masks):
-            best = size
-            best_set = subset
-    words = [v for v in range(1 << n) if (best_set >> v) & 1]
-    return MaxCodeResult(best, Code(n, words), True)
-
-
-def _max_code_branch_bound(n: int, d: int, list_size: int,
-                           node_budget: int) -> MaxCodeResult:
-    order = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
-    cubes = _subcube_vertices(n, d)
-    num_buckets = 1 << (n - d)
-    # bucket b is the canonical subcube index, free-set rank * num_buckets
-    # + base pattern; each vertex lies in one bucket per free set
-    vertex_buckets: list[list[int]] = [[] for _ in range(1 << n)]
-    for b, vertices in enumerate(cubes):
-        for v in vertices:
-            vertex_buckets[v].append(b)
-
-    included = [0] * len(cubes)
-    possible = [1 << d] * len(cubes)
-    # per free set, sum over buckets of min(list_size, possible)
-    sum_min = [min(list_size, 1 << d) * num_buckets] * math.comb(n, d)
-
-    # the empty code always qualifies, so a budget spent before the
-    # first leaf still returns a valid (uncertified) answer
-    best_size = 0
-    best_words: list[int] = []
-    chosen: list[int] = []
-    nodes = 0
-    exhausted = False
-
-    def dfs(i: int, size: int):
-        nonlocal best_size, best_words, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            return
-        if size + ((1 << n) - i) <= best_size or min(sum_min) <= best_size:
-            return
-        if i == 1 << n:
-            if size > best_size:
-                best_size = size
-                best_words = list(chosen)
-            return
-        v = order[i]
-        buckets = vertex_buckets[v]
-        if all(included[b] < list_size for b in buckets):
-            for b in buckets:
-                included[b] += 1
-            chosen.append(v)
-            dfs(i + 1, size + 1)
-            chosen.pop()
-            for b in buckets:
-                included[b] -= 1
-        for b in buckets:
-            if possible[b] <= list_size:
-                sum_min[b // num_buckets] -= 1
-            possible[b] -= 1
-        dfs(i + 1, size)
-        for b in buckets:
-            possible[b] += 1
-            if possible[b] <= list_size:
-                sum_min[b // num_buckets] += 1
-
-    dfs(0, 0)
-    return MaxCodeResult(best_size, Code(n, best_words), not exhausted)

@@ -1,6 +1,7 @@
-"""Extremal counting problems behind the list-size bounds.
+"""Extremal counting problems behind the list-size bounds, and the exact
+vertex Turan search.
 
-Two searches live here.  The first exhaustively maximizes, over k x d
+Three searches live here.  The first exhaustively maximizes, over k x d
 matrices on GF(2), the number of nonsingular k x k column submatrices;
 equivalently, over families of d vectors in GF(2)^k, the number of
 k-subsets forming a basis.  It counts a block of candidate families in
@@ -15,7 +16,10 @@ reach the best value so far.  The cut is strict, so tied partitions are
 still visited and the tie-break of the exhaustive walk
 (max_partition_product_sum_naive, kept as the oracle) is unchanged.  A
 closed-form lower bound from maximum-product partitions and a small
-bounds table round out the module.
+bounds table follow.  The third finds the largest code on n <= 5
+coordinates with at most L words in every d-subcube, the vertex Turan
+number ex(n, d, L): exhaustively for n <= 4, by branch and bound under
+a node budget at n = 5, over the canonical subcube index of geometry.
 """
 
 from __future__ import annotations
@@ -24,21 +28,25 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
-from .basisprob import uniform_basis_probability
 from .errors import OutOfRegimeError
+from .geometry import MAX_BITS, MAX_N, enumerate_subcubes
 
-# numpy and gf2 are imported by the functions of the basis-subset search
-# that use them, so the partition side (`partition-max`) loads neither.
+# numpy, gf2, codes and basisprob are imported by the functions that use
+# them, so the partition side (`partition-max`) and the code search
+# (`search-max-code`) load none of them.
 if TYPE_CHECKING:
     import numpy as np
+    from .codes import Code
     from .gf2 import GF2Matrix
 
 # Cap on (candidate matrices) * (column subsets per matrix) for the
 # exhaustive basis-subset search.
 DEFAULT_WORK_BUDGET = 20_000_000
+# Search nodes of the n = 5 branch and bound of max_code_search.
+DEFAULT_NODE_BUDGET = 2_000_000
 # Candidate matrices times column subsets counted in one pass: the pass
 # then holds at most this many rows per level, or one candidate's C(d, k).
 FAMILY_BLOCK_PAIRS = 8192
@@ -90,7 +98,6 @@ def _search_refusal(k: int, d: int, work_budget: int) -> Optional[str]:
     Columns are int64 in the search and the witness a GF2Matrix, so k
     stays below MAX_BITS and d at most MAX_BITS; both are checked before
     2^k is formed."""
-    from .gf2 import MAX_BITS
     if k >= MAX_BITS or d > MAX_BITS:
         return (f"the basis-subset search takes k <= {MAX_BITS - 1} and "
                 f"d <= {MAX_BITS}, got (k={k}, d={d})")
@@ -185,7 +192,7 @@ def basis_subset_bounds(k: int, d: int,
                         work_budget: int = DEFAULT_WORK_BUDGET) -> BasisSubsetBounds:
     """Bounds on the basis-subset maximum computable without the full
     search at (k, d)."""
-    from .gf2 import MAX_BITS
+    from .basisprob import uniform_basis_probability
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     p = uniform_basis_probability(k)
@@ -442,3 +449,131 @@ def partition_growth_check(d: int) -> PartitionGrowthCheck:
         result.value >= closed,
         all_threes,
         result.value == all_threes)
+
+
+@dataclass(frozen=True)
+class MaxCodeResult:
+    """certified=True means the search proved optimality; otherwise
+    max_size is only the best size found within the node budget.  The
+    witness code's words are kept as sorted ints; `witness` is the same
+    code as a Code, built on first access (that loads numpy)."""
+
+    n: int
+    max_size: int
+    words: tuple[int, ...]
+    certified: bool
+
+    @cached_property
+    def witness(self) -> Code:
+        from .codes import Code
+        return Code(self.n, self.words)
+
+
+def max_code_search(n: int, d: int, list_size: int,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> MaxCodeResult:
+    """Largest code on n coordinates with at most list_size words in
+    every d-subcube.  Exhaustive and certified for n <= 4; branch and
+    bound at n = 5, the only search that node_budget bounds.
+
+    Raises:
+        OutOfRegimeError: for n >= 6, and for n > MAX_N when list_size >=
+            2^d makes every word a codeword; before any word is listed.
+    """
+    if (not 1 <= n <= MAX_BITS or not 0 <= d <= n or list_size < 1
+            or node_budget < 0):
+        raise ValueError("need 1 <= n, 0 <= d <= n, list_size >= 1 "
+                         "and node_budget >= 0")
+    if list_size >= 1 << d:
+        if n > MAX_N:
+            raise OutOfRegimeError(f"every one of the 2^{n} words is a codeword; "
+                                   f"listed for n <= {MAX_N}")
+        return MaxCodeResult(n, 1 << n, tuple(range(1 << n)), True)
+    if n <= 4:
+        return _max_code_exhaustive(n, d, list_size)
+    if n == 5:
+        return _max_code_branch_bound(n, d, list_size, node_budget)
+    raise OutOfRegimeError("exact search supported for n <= 5")
+
+
+def _subcube_vertices(n: int, d: int) -> list[tuple[int, ...]]:
+    """The vertices of every d-subcube, listed at its canonical index."""
+    return [tuple(cube.vertices()) for cube in enumerate_subcubes(n, d)]
+
+
+def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
+    masks = [sum(1 << v for v in vertices) for vertices in _subcube_vertices(n, d)]
+    best = -1
+    best_set = 0
+    for subset in range(1 << (1 << n)):
+        size = subset.bit_count()
+        if size <= best:
+            continue
+        if all((subset & m).bit_count() <= list_size for m in masks):
+            best = size
+            best_set = subset
+    words = tuple(v for v in range(1 << n) if (best_set >> v) & 1)
+    return MaxCodeResult(n, best, words, True)
+
+
+def _max_code_branch_bound(n: int, d: int, list_size: int,
+                           node_budget: int) -> MaxCodeResult:
+    order = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
+    cubes = _subcube_vertices(n, d)
+    num_buckets = 1 << (n - d)
+    # bucket b is the canonical subcube index, free-set rank * num_buckets
+    # + base pattern; each vertex lies in one bucket per free set
+    vertex_buckets: list[list[int]] = [[] for _ in range(1 << n)]
+    for b, vertices in enumerate(cubes):
+        for v in vertices:
+            vertex_buckets[v].append(b)
+
+    included = [0] * len(cubes)
+    possible = [1 << d] * len(cubes)
+    # per free set, sum over buckets of min(list_size, possible)
+    sum_min = [min(list_size, 1 << d) * num_buckets] * math.comb(n, d)
+
+    # the empty code always qualifies, so a budget spent before the
+    # first leaf still returns a valid (uncertified) answer
+    best_size = 0
+    best_words: list[int] = []
+    chosen: list[int] = []
+    nodes = 0
+    exhausted = False
+
+    def dfs(i: int, size: int):
+        nonlocal best_size, best_words, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if size + ((1 << n) - i) <= best_size or min(sum_min) <= best_size:
+            return
+        if i == 1 << n:
+            if size > best_size:
+                best_size = size
+                best_words = list(chosen)
+            return
+        v = order[i]
+        buckets = vertex_buckets[v]
+        if all(included[b] < list_size for b in buckets):
+            for b in buckets:
+                included[b] += 1
+            chosen.append(v)
+            dfs(i + 1, size + 1)
+            chosen.pop()
+            for b in buckets:
+                included[b] -= 1
+        for b in buckets:
+            if possible[b] <= list_size:
+                sum_min[b // num_buckets] -= 1
+            possible[b] -= 1
+        dfs(i + 1, size)
+        for b in buckets:
+            possible[b] += 1
+            if possible[b] <= list_size:
+                sum_min[b // num_buckets] += 1
+
+    dfs(0, 0)
+    return MaxCodeResult(n, best_size, tuple(sorted(best_words)), not exhausted)

@@ -17,29 +17,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import OutOfRegimeError
-
-# Hard cap on vector length.  Single place to widen if longer words are
-# ever needed; everything else derives its limits from this constant.
-MAX_BITS = 64
+from .geometry import MAX_BITS, _from01, _to01
 
 # Pairs of codewords min_distance may compare.
 DEFAULT_PAIR_BUDGET = 100_000_000
 
 # Subsets one walk may visit, families times C(n, r).
 DEFAULT_SUBSET_BUDGET = 10_000_000
-
-
-def _from01(text: str) -> int:
-    """The packed word of a 0/1 string, whose leftmost character is
-    coordinate 1; a ValueError names the first other character."""
-    if bad := text.strip("01"):
-        raise ValueError(f"invalid character {bad[0]!r}")
-    return int("0" + text[::-1], 2)  # the "0" parses the empty word
-
-
-def _to01(word: int, n: int) -> str:
-    """Inverse of _from01 for a word of n coordinates."""
-    return f"{word:0{n}b}"[::-1] if n else ""
 
 
 @dataclass(frozen=True)
@@ -415,10 +399,11 @@ def code_from_parity_check(matrix: GF2Matrix):
     Returns a Code on t coordinates; its size is 2 ** (t - rank(A)).
 
     Raises:
-        OutOfRegimeError: if t - rank(A) exceeds codes.MAX_N, before any
+        OutOfRegimeError: if t - rank(A) exceeds geometry.MAX_N, before any
             word is enumerated.
     """
-    from .codes import MAX_N, Code  # deferred: codes builds on this module
+    from .codes import Code  # deferred: codes builds on this module
+    from .geometry import MAX_N  # the owner's value when called
 
     t = matrix.cols
     basis = _kernel_of_rows(matrix.rows_as_ints(), t)

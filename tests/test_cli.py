@@ -304,6 +304,29 @@ def test_closed_stdout_pipe_ends_quietly(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search-max-code", "--n", "64", "--d", "1", "--list-size", "2"], "n <= 24"),
+    (["build-verify", "--n", "22", "--d", "5"],
+     "3451650048 subcubes exceed the budget 100000000"),
+    (["build-verify", "--construction", "weight-class", "--modulus", "2",
+      "--n", "22", "--d", "5"], "3451650048 subcubes exceed the budget 100000000"),
+    (["build-verify", "--n", "20", "--d", "5", "--budget", "1000"],
+     "exceed the budget 1000"),
+], ids=["search-max-code", "build-verify", "weight-class", "explicit-budget"])
+def test_refused_before_anything_is_built(capsys, tmp_path, argv, message):
+    # build-verify at n = 22 once built its code (1.5 s) before the scan
+    # refused it, and wrote --out
+    out = tmp_path / "code.txt"
+    if argv[0] == "build-verify":
+        argv = argv + ["--out", str(out)]
+    start = time.process_time()
+    code, stdout, err = run(capsys, argv)
+    assert time.process_time() - start < 0.5
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_weight_class_beyond_max_n_fails_fast(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, ["build", "--construction", "weight-class",
@@ -330,14 +353,16 @@ def test_bad_input_is_an_error_not_a_traceback(capsys, argv, message):
 
 
 @pytest.mark.parametrize("module, constant, low, argv, message", [
-    ("cube", "DEFAULT_SCAN_BUDGET", 5, ["verify", "--d", "2"], "exceed the budget 5"),
-    ("cube", "DEFAULT_SCAN_BUDGET", 5, ["hitting", "--n", "6", "--k", "1", "--d", "2"],
+    ("geometry", "DEFAULT_SCAN_BUDGET", 5, ["verify", "--d", "2"], "exceed the budget 5"),
+    ("geometry", "DEFAULT_SCAN_BUDGET", 5, ["hitting", "--n", "6", "--k", "1", "--d", "2"],
      "exceed the budget 5"),
-    ("cube", "DEFAULT_NODE_BUDGET", -1,
+    ("geometry", "DEFAULT_SCAN_BUDGET", 5, ["build-verify", "--n", "6", "--d", "2"],
+     "exceed the budget 5"),
+    ("extremal", "DEFAULT_NODE_BUDGET", -1,
      ["search-max-code", "--n", "5", "--d", "2", "--list-size", "3"], "node_budget >= 0"),
     ("extremal", "DEFAULT_WORK_BUDGET", 10, ["basis-subsets", "--k", "4", "--d", "8"],
      "exceeds budget 10"),
-], ids=["verify", "hitting", "search-max-code", "basis-subsets"])
+], ids=["verify", "hitting", "build-verify", "search-max-code", "basis-subsets"])
 def test_default_budget_is_read_from_its_owner(capsys, monkeypatch, tmp_path,
                                                module, constant, low, argv, message):
     """Without --budget a command takes the owning module's constant as it

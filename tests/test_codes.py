@@ -136,6 +136,24 @@ def test_retry_policy_strict_and_lenient(monkeypatch):
     assert len(code) > 1  # best draws kept despite the shortfall
 
 
+def test_deficient_layer_is_logged_once(monkeypatch, caplog):
+    layers = build_layer_vectors(6, seed=0)
+    draw = codes.layer_words
+    # layer 3 keeps no word on any draw, the others keep theirs
+    monkeypatch.setattr(codes, "layer_words", lambda a: draw(a)[:0] if a.weight == 3
+                        else draw(a))
+    with caplog.at_level("WARNING", logger="hypercube_codes.codes"):
+        code = layered_basis_code(layers)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("hypercube_codes.codes", "WARNING",
+         "layers [3] below the density threshold; keeping best draws")]
+    assert not any(bin(w).count("1") == 3 for w in code.words)
+    caplog.clear()
+    with pytest.raises(ConstructionError, match=r"layers \[3\]"):
+        layered_basis_code(layers, strict=True)
+    assert caplog.records == []
+
+
 def test_residue_subcode_partitions():
     code = layered_basis_code(build_layer_vectors(9, seed=1))
     pieces = [residue_subcode(code, 3, r) for r in range(3)]

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercube_codes import cube
+from hypercube_codes import cube, geometry
 from hypercube_codes.codes import (
     Code,
     best_residue_subcode,
@@ -21,19 +21,21 @@ from hypercube_codes.codes import (
     weight_class_code,
 )
 from hypercube_codes.cube import (
-    Subcube,
-    enumerate_subcubes,
     erasure_list_size,
-    free_sets_colex,
-    max_code_search,
     max_subcube_count,
     max_subcube_count_naive,
-    subcube_at,
     subcube_count,
-    subcube_total,
     verify_hitting,
 )
 from hypercube_codes.errors import OutOfRegimeError
+from hypercube_codes.extremal import max_code_search
+from hypercube_codes.geometry import (
+    Subcube,
+    enumerate_subcubes,
+    free_sets_colex,
+    subcube_at,
+    subcube_total,
+)
 from hypercube_codes.gf2 import BitWord
 
 
@@ -302,6 +304,25 @@ def test_max_code_validation():
         max_code_search(6, 2, 3)
 
 
+@pytest.mark.parametrize("n", [geometry.MAX_N + 1, 27, 64])
+def test_max_code_refuses_the_whole_cube_past_max_n(n):
+    # list_size >= 2^d admits every word: 2^n of them, refused before any
+    # is listed (n = 27 once ended in a MemoryError)
+    start = time.process_time()
+    with pytest.raises(OutOfRegimeError, match=f"n <= {geometry.MAX_N}"):
+        max_code_search(n, 1, 2)
+    assert time.process_time() - start < 0.5
+
+
+def test_max_code_result_keeps_sorted_words_and_builds_the_witness():
+    for n, d, list_size in [(3, 3, 8), (4, 2, 3), (5, 3, 6), (5, 2, 3)]:
+        result = max_code_search(n, d, list_size)
+        assert list(result.words) == sorted(set(result.words))
+        assert len(result.words) == result.max_size
+        assert result.witness == Code(n, result.words)
+        assert result.witness is result.witness  # built once
+
+
 @contextlib.contextmanager
 def bucket_path():
     """Force the bucket scan, which otherwise runs only for n > MAX_N."""
@@ -431,7 +452,7 @@ def test_top_bit_of_64_bit_words(d):
 
 
 @pytest.mark.parametrize("n, d, budget", [
-    (25, 0, cube.DEFAULT_SCAN_BUDGET),  # 2^25 subcubes, within the budget
+    (25, 0, geometry.DEFAULT_SCAN_BUDGET),  # 2^25 subcubes, within the budget
     (40, 5, 10**17),  # C(40, 5) * 2^35 ~ 2.3e16 subcubes
 ])
 def test_tables_past_max_n_fixed_coordinates_are_refused(n, d, budget):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercube_codes import codes, gf2
+from hypercube_codes import geometry, gf2
 from hypercube_codes.codes import Code
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.gf2 import (
@@ -289,7 +289,7 @@ def test_code_from_parity_check_refuses_large_kernels(monkeypatch):
     with pytest.raises(OutOfRegimeError):
         code_from_parity_check(GF2Matrix.from_rows(64, [1]))
     # the kernel dimension t - rank decides, not the row count
-    monkeypatch.setattr(codes, "MAX_N", 3)
+    monkeypatch.setattr(geometry, "MAX_N", 3)
     with pytest.raises(OutOfRegimeError):
         code_from_parity_check(GF2Matrix.from_rows(5, [0b11, 0b11]))
     assert len(code_from_parity_check(GF2Matrix.from_rows(5, [0b11, 0b110]))) == 8

@@ -104,6 +104,11 @@ print(len(os.listdir("/proc/self/task")))
     assert out.split() == ["1"]
 
 
+# numpy and the package modules that load it at import
+NUMPY_MODULES = {"numpy", "hypercube_codes.codes", "hypercube_codes.cube",
+                 "hypercube_codes.gf2", "hypercube_codes.hypergraph"}
+
+
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["--version"], {"hypercube_codes.cli"}, {"numpy"}),
     (["constants", "--t-max", "40"], {"hypercube_codes.basisprob"}, {"numpy"}),
@@ -113,10 +118,15 @@ print(len(os.listdir("/proc/self/task")))
     (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
     (["build-verify", "--n", "10", "--d", "3"],
-     {"hypercube_codes.cube", "hypercube_codes.extremal"}, {"hypercube_codes.hypergraph"}),
+     {"hypercube_codes.cube", "hypercube_codes.extremal"},
+     {"hypercube_codes.hypergraph", "logging"}),  # logging only to warn
     (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"}, {"hypercube_codes.cube"}),
+    (["search-max-code", "--n", "5", "--d", "3", "--list-size", "6"],
+     {"hypercube_codes.extremal", "hypercube_codes.geometry"}, NUMPY_MODULES),
+    (["search-max-code", "--n", "4", "--d", "2", "--list-size", "3"],
+     {"hypercube_codes.extremal", "hypercube_codes.geometry"}, NUMPY_MODULES),
 ], ids=["version", "constants", "partition-max", "lagrangian", "density", "build-verify",
-        "hitting"])
+        "hitting", "search-max-code-branch-bound", "search-max-code-exhaustive"])
 def test_each_command_imports_only_what_it_runs(argv, loaded, absent):
     out = python(f"""
 import contextlib, io, sys
