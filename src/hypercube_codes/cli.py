@@ -461,9 +461,13 @@ def cmd_density(args) -> int:
 
 def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
-    from .codes import save_code, subcube_hitting_set
+    from .codes import _check_hitting, save_code, subcube_hitting_set
     if args.d is not None:  # before the set exists, see _scan
         from .cube import verify_hitting
+        from .geometry import _check_budget
+        # the scan's budget refuses by n and d alone, so before the build
+        _check_hitting(args.n, args.k)
+        _check_budget(args.n, args.d, _scan_budget(args))
     result = subcube_hitting_set(args.n, args.k, seed=args.seed)
     code = result.code
     if args.out:

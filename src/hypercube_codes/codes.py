@@ -258,6 +258,13 @@ class HittingSetResult:
     met_target: bool
 
 
+def _check_hitting(n: int, k: int) -> None:
+    """The argument checks of subcube_hitting_set, which hitting also runs
+    before it checks its scan budget."""
+    if n < 1 or k < 0 or n + k > MAX_N:
+        raise ValueError(f"need n >= 1, k >= 0 and n + k <= {MAX_N}")
+
+
 def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     """A set meeting most subcubes while keeping density near 2^-k.
 
@@ -267,8 +274,7 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     large as possible subject to the 2^(n-k) size target.  A missed
     target is reported, not fatal.
     """
-    if n < 1 or k < 0 or n + k > MAX_N:
-        raise ValueError(f"need n >= 1, k >= 0 and n + k <= {MAX_N}")
+    _check_hitting(n, k)
     weights = _weights(n)
     layer = [np.flatnonzero(weights == r).astype(np.uint32) for r in range(n + 1)]
     # the empty support is independent, so layer 0 has no dependent word

@@ -5,8 +5,8 @@ Three searches live here.  The first exhaustively maximizes, over k x d
 matrices on GF(2), the number of nonsingular k x k column submatrices;
 equivalently, over families of d vectors in GF(2)^k, the number of
 k-subsets forming a basis.  It counts a block of candidate families in
-one gf2.independent_counts pass; the one-walk-per-candidate loop,
-_max_basis_subsets_naive, is kept as its oracle.  The second maximizes
+one gf2.independent_counts pass; tests/oracles.py keeps the
+one-walk-per-candidate loop as its oracle.  The second maximizes
 the sum-of-products functional over integer partitions, which counts
 edges of complete multipartite uniform hypergraphs and gives the lower
 bounds on list sizes.  It is a branch-and-bound over the
@@ -116,7 +116,7 @@ def max_basis_subsets(k: int, d: int,
     identity columns first, the rest a non-decreasing multiset of nonzero
     vectors in packed integer order.  Candidates are counted a block at
     a time by one gf2.independent_counts pass, and the result is that of
-    counting them one by one (_max_basis_subsets_naive).
+    counting them one by one.
 
     Raises:
         ValueError: unless 1 <= k <= d.
@@ -170,22 +170,6 @@ def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
             best, best_index = int(counts[i]), first + i
     columns = (*identity.tolist(), *tails[best_index].tolist())
     return BasisSubsetMaximum(k, d, best, GF2Matrix(k, columns))
-
-
-def _max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
-    """Oracle for _max_basis_subsets: one independent_subsets walk per
-    candidate, in the same order."""
-    from .gf2 import GF2Matrix, independent_subsets
-    identity = [1 << i for i in range(k)]
-    best = -1
-    best_cols: tuple[int, ...] = ()
-    for rest in itertools.combinations_with_replacement(range(1, 1 << k), d - k):
-        cols = identity + list(rest)
-        count = sum(1 for _ in independent_subsets(cols, k))
-        if count > best:
-            best = count
-            best_cols = tuple(cols)
-    return BasisSubsetMaximum(k, d, best, GF2Matrix(k, best_cols))
 
 
 def basis_subset_bounds(k: int, d: int,
@@ -473,11 +457,13 @@ def max_code_search(n: int, d: int, list_size: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> MaxCodeResult:
     """Largest code on n coordinates with at most list_size words in
     every d-subcube.  Exhaustive and certified for n <= 4; branch and
-    bound at n = 5, the only search that node_budget bounds.
+    bound at n = 5 under node_budget.  When list_size >= 2^d every word
+    is a codeword, and the 2^n listed words count against node_budget.
 
     Raises:
-        OutOfRegimeError: for n >= 6, and for n > MAX_N when list_size >=
-            2^d makes every word a codeword; before any word is listed.
+        OutOfRegimeError: for n >= 6 unless every word is a codeword; and
+            when it is, for n > MAX_N or 2^n > node_budget, before any
+            word is listed.
     """
     if (not 1 <= n <= MAX_BITS or not 0 <= d <= n or list_size < 1
             or node_budget < 0):
@@ -487,6 +473,9 @@ def max_code_search(n: int, d: int, list_size: int,
         if n > MAX_N:
             raise OutOfRegimeError(f"every one of the 2^{n} words is a codeword; "
                                    f"listed for n <= {MAX_N}")
+        if 1 << n > node_budget:  # each listed word counts as a node
+            raise OutOfRegimeError(f"every one of the 2^{n} words is a codeword; "
+                                   f"listing them exceeds the node budget {node_budget}")
         return MaxCodeResult(n, 1 << n, tuple(range(1 << n)), True)
     if n <= 4:
         return _max_code_exhaustive(n, d, list_size)

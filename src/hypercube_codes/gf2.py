@@ -3,8 +3,9 @@
 Binary vectors are stored as Python ints (bit i = coordinate i + 1),
 either raw or wrapped in a BitWord carrying an explicit length.  A
 GF2Matrix keeps a tuple of packed columns.  Everything here is pure and
-deterministic: elimination always pivots on the lowest set bit, so equal
-inputs give identical outputs on every platform.
+deterministic: elimination always pivots on the lowest set bit (the
+independent-subset walk on the highest), so equal inputs give identical
+outputs on every platform.
 """
 
 from __future__ import annotations
@@ -91,57 +92,6 @@ def rank_ints(vectors: Iterable[int]) -> int:
     return rank
 
 
-def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
-    """Index r-subsets of `vectors` whose vectors are linearly independent,
-    in itertools.combinations order.
-
-    The oracle of independent_masks, and the enumerator of the small
-    callers that need the subsets in order.  Supports are walked
-    depth-first.  The chosen prefix is kept reduced with the
-    lowest-set-bit pivots of rank_ints, so each extension costs one
-    reduction, and a prefix that becomes dependent is pruned with its
-    whole subtree.  Zero and repeated vectors are simply dependent.
-    """
-    if r < 0:
-        raise ValueError("subset size must be non-negative")
-    vectors = tuple(vectors)
-    n = len(vectors)
-    if r > n:
-        return
-    if r == 0:
-        yield ()
-        return
-    pivots: dict[int, int] = {}
-    lows: list[int] = []
-    prefix: list[int] = []
-    stop = n - r + 1  # the open slot must start below stop to be filled
-    i = 0
-    while True:
-        if i < stop:
-            v = vectors[i]
-            while v:
-                low = v & -v
-                p = pivots.get(low)
-                if p is None:
-                    break
-                v ^= p
-            if v:
-                if len(prefix) == r - 1:
-                    yield (*prefix, i)
-                else:
-                    pivots[low] = v
-                    lows.append(low)
-                    prefix.append(i)
-                    stop += 1
-            i += 1
-        elif prefix:
-            i = prefix.pop() + 1
-            del pivots[lows.pop()]
-            stop -= 1
-        else:
-            return
-
-
 def _check_subsets(subsets: int, which: str) -> None:
     """Refuse a walk over more than DEFAULT_SUBSET_BUDGET subsets, named by `which`."""
     if subsets > DEFAULT_SUBSET_BUDGET:
@@ -149,73 +99,89 @@ def _check_subsets(subsets: int, which: str) -> None:
             f"{which} subsets exceed the subset budget {DEFAULT_SUBSET_BUDGET}")
 
 
-def _independent_walk(vecs: np.ndarray, r: int,
-                      bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The independent position r-subsets of each row of vecs, a
-    (families, n) array of vectors, for r >= 1: the flat position
-    (family * n + position) of each subset's last pick and, given
-    `bits` (the mask bit of each position), its support mask.
+def _independent_walk(vecs: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk the independent position r-subsets of each row of vecs, a
+    (families, n) array of packed vectors, for 1 <= r <= n, one pick per
+    level.  Level j + 1 is a pair: the last pick (a position of its
+    family) of each independent (j + 1)-prefix, and the number of these
+    prefixes that extend each row of level j (at j = 0, each family).
+    Rows stay in family order and, within a family, in lexicographic
+    order of their positions, so a row's children are consecutive and
+    _picks reads the subsets back in itertools.combinations order.
 
-    The walk is level-synchronous.  Level j holds one row per
-    independent j-prefix: its last flat position, its support mask and
-    its j basis vectors in reduced echelon form, so each pivot bit (the
-    lowest set bit of a vector when it entered) appears in its own row
-    only.  Reducing a vector then takes one xor per pivot it contains,
-    decided on the unreduced vector.  Every row is extended by each
-    admissible next position of its family in turn, and rows whose new
-    vector reduces to zero are dropped.  Rows stay in family order and,
-    within a family, in lexicographic order of their positions.  No
-    level holds more than families * C(n, r) rows.
+    Each row carries its tail: the vectors at every later position of
+    its family, reduced by its prefix so that no entry has a pivot (the
+    highest set bit of a pick when it was taken) of the prefix.  Every
+    nonzero sum of prefix vectors has the pivot of its earliest term,
+    so an entry lies in the span of the prefix exactly when it is 0: a
+    candidate costs one compare whatever the level.  A kept pick w
+    hands its child the rest of its row's tail with w xored into each
+    entry that has w's pivot, which is min(entry, entry ^ w).  The last
+    r - 1 - j entries of a row's tail are left for its descendants.
+
+    A level's candidates are (j + 1)-prefixes that leave r - j - 1
+    positions after them, so at most families * C(n, r), and so are its
+    rows; the tails add r - 1 - j entries per row.  So no array holds
+    more than r * families * C(n, r) entries, and the subset budget of
+    the callers bounds memory.
     """
     families, n = vecs.shape
-    flat = vecs.ravel()
-    one, zero = vecs.dtype.type(1), vecs.dtype.type(0)
-    last = np.arange(families) * n - 1  # just before each family's first position
-    # each row's last admissible first pick; one family keeps a plain int,
-    # so independent_masks runs no extra array operation
-    end = np.arange(families) * n + (n - r) if families > 1 else n - r
-    masks = None if bits is None else np.zeros(families, dtype=vecs.dtype)
-    pivots = np.zeros(families, dtype=vecs.dtype)  # union of each row's pivot bits
-    basis: list[np.ndarray] = []                   # column i: every row's i-th vector
-    # The ops below (np.where, not a multiply by a mask; w - 1, not -w;
-    # np.repeat, not a broadcast compare) mostly share numpy loops that
-    # a build-verify run loads anyway, which keeps its peak RSS flat.
+    tails = vecs.ravel()
+    if tails.dtype.kind == "i":  # min() must order the entries as bit patterns
+        tails = tails.view(tails.dtype.str.replace("i", "u"))
+    lengths = np.full(families, n)
+    ends = np.cumsum(lengths)  # one past each row's tail, whose last entry is position n - 1
+    levels = []
     for j in range(r):
-        # a row's children take positions last + 1 .. end + j, leaving
-        # r - j - 1 positions of its family after each
-        counts = (end + j) - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        start = np.cumsum(counts) - counts
-        nxt = np.arange(len(parent)) - np.repeat(start - last - 1, counts)
-        w = flat[nxt]
-        hit = w & pivots[parent]
-        for column in basis:
-            b = column[parent]
-            w ^= np.where((hit & b) != 0, b, zero)
-        keep = w != 0
-        parent, nxt, w = parent[keep], nxt[keep], w[keep]
-        if masks is not None:
-            masks = masks[parent] | bits[nxt]
-        if j < r - 1:
-            low = w ^ (w & (w - one))  # lowest set bit
-            # clear the new pivot from the older rows to stay reduced
-            basis = [b ^ np.where((b & low) != 0, w, zero)
-                     for b in (column[parent] for column in basis)]
-            basis.append(w)
-            pivots = pivots[parent] | low
-            last = nxt
-            if families > 1:
-                end = end[parent]
-    return nxt, masks
+        spare = r - 1 - j
+        independent = tails != 0
+        independent[ends - np.arange(1, spare + 1)[:, None]] = False  # left for the descendants
+        at = np.flatnonzero(independent)
+        # every tail holds at least spare + 1 entries, so no run is empty
+        kids = np.add.reduceat(independent, ends - lengths, dtype=np.intp)
+        pick = np.repeat(n - ends, kids)
+        pick += at
+        levels.append((pick, kids))
+        if spare:
+            lengths = n - 1 - pick
+            ends = np.cumsum(lengths)
+            w = np.repeat(tails[at], lengths)
+            src = np.repeat(at + 1 - (ends - lengths), lengths)
+            src += np.arange(len(src))
+            tails = tails[src]
+            np.minimum(tails, tails ^ w, out=tails)
+            del w, src  # before the next level's arrays
+    return levels
+
+
+def _below(levels: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
+    """The number of the walk's subsets below each row, level by level
+    from the one before the last down to the families.  A row's
+    children are consecutive, so it sums one run of their numbers."""
+    below = levels[-1][1]
+    yield below
+    for _, kids in levels[-2::-1]:
+        total = np.concatenate(([0], np.cumsum(below)))
+        below = np.diff(total[np.cumsum(kids)], prepend=0)
+        yield below
+
+
+def _picks(levels: list[tuple[np.ndarray, np.ndarray]],
+           table: np.ndarray) -> Iterator[np.ndarray]:
+    """table[pick] for each subset's pick at every level, from the last
+    level to the first: a level's entries, each repeated once per subset
+    below it."""
+    yield table[levels[-1][0]]
+    for (pick, _), below in zip(levels[-2::-1], _below(levels)):
+        yield np.repeat(table[pick], below)
 
 
 def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
     """Sorted uint32 support masks (bit i = index i) of the index
-    r-subsets of `vectors` whose vectors are linearly independent: the
-    subsets independent_subsets yields, packed as words.
+    r-subsets of `vectors` whose vectors are linearly independent.
 
     One family of _independent_walk, picking indices from the top down:
-    position p is index n - 1 - p, so the last level comes out in
+    position p is index n - 1 - p, so the subsets come out in
     descending mask order and no sort is needed.  At most 32 vectors of
     at most 32 bits each, and C(n, r) within DEFAULT_SUBSET_BUDGET.
     """
@@ -232,7 +198,25 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
         return np.zeros(1, dtype=np.uint32)  # the empty support
     vecs = np.array(vectors[::-1], dtype=np.uint32).reshape(1, n)
     bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
-    return _independent_walk(vecs, r, bits)[1][::-1]
+    picks = _picks(_independent_walk(vecs, r), bits)
+    masks = next(picks)
+    for bit in picks:
+        masks |= bit
+    return masks[::-1]
+
+
+def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
+    """The index r-subsets of `vectors`, a 1-d array of n packed vectors,
+    whose vectors are linearly independent, for 1 <= r <= n: one row per
+    subset, in itertools.combinations order, of the smallest unsigned
+    dtype that holds n.  The caller bounds C(n, r)."""
+    n = len(vectors)
+    index = np.arange(n, dtype=np.min_scalar_type(n))
+    levels = _independent_walk(vectors.reshape(1, n), r)
+    rows = np.empty((len(levels[-1][0]), r), dtype=index.dtype)
+    for j, column in zip(range(r - 1, -1, -1), _picks(levels, index)):
+        rows[:, j] = column
+    return rows
 
 
 def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
@@ -246,8 +230,8 @@ def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
     _check_subsets(count * math.comb(n, r), f"{count} families of C({n}, {r})")
     if r == 0 or r > n:
         return np.full(count, int(r == 0), dtype=np.intp)
-    last, _ = _independent_walk(families, r)
-    return np.bincount(last // n, minlength=count)
+    *_, per_family = _below(_independent_walk(families, r))
+    return per_family
 
 
 def is_basis(vectors: Sequence[BitWord]) -> bool:
@@ -390,7 +374,7 @@ def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
     _check_subsets(math.comb(matrix.cols, k), f"C({matrix.cols}, {k}) column")
-    return sum(1 for _ in independent_subsets(matrix.columns, k))
+    return int(independent_counts(np.array([matrix.columns], dtype=np.uint64), k)[0])
 
 
 def code_from_parity_check(matrix: GF2Matrix):

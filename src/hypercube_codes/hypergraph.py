@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .gf2 import MAX_BITS, independent_subsets
+from .gf2 import MAX_BITS, _independent_rows
 
 DEFAULT_COPY_BUDGET = 5_000_000
 # Edges a builder may hold; restarts times (edges + vertices) for lagrangian.
@@ -190,8 +190,8 @@ def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     if m > bits:  # the count, at least 2^m - 1 > 2^bits, is not formed
         _check_edges(what, 1 << bits, f"at least 2^{m} - 1")
     _check_edges(what, _independent_count(r, m))
-    subsets = independent_subsets(range(1, 1 << m), r)
-    return UniformHypergraph(r, (1 << m) - 1, _rows(subsets, r))
+    rows = _independent_rows(np.arange(1, 1 << m, dtype=np.uint32), r)
+    return UniformHypergraph(r, (1 << m) - 1, rows)
 
 
 def _independent_count(r: int, m: int) -> int:

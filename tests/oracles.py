@@ -1,0 +1,73 @@
+"""Slow reference enumerators that the package's array walks are checked
+against: the depth-first independent-subset walk and the one-walk-per-
+candidate basis-subset search."""
+
+import itertools
+from typing import Iterable, Iterator
+
+from hypercube_codes.extremal import BasisSubsetMaximum
+from hypercube_codes.gf2 import GF2Matrix
+
+
+def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
+    """Index r-subsets of `vectors` whose vectors are linearly independent,
+    in itertools.combinations order.
+
+    Supports are walked depth-first.  The chosen prefix is kept reduced
+    with lowest-set-bit pivots, so each extension costs one reduction,
+    and a prefix that becomes dependent is pruned with its whole
+    subtree.  Zero and repeated vectors are simply dependent.
+    """
+    if r < 0:
+        raise ValueError("subset size must be non-negative")
+    vectors = tuple(vectors)
+    n = len(vectors)
+    if r > n:
+        return
+    if r == 0:
+        yield ()
+        return
+    pivots: dict[int, int] = {}
+    lows: list[int] = []
+    prefix: list[int] = []
+    stop = n - r + 1  # the open slot must start below stop to be filled
+    i = 0
+    while True:
+        if i < stop:
+            v = vectors[i]
+            while v:
+                low = v & -v
+                p = pivots.get(low)
+                if p is None:
+                    break
+                v ^= p
+            if v:
+                if len(prefix) == r - 1:
+                    yield (*prefix, i)
+                else:
+                    pivots[low] = v
+                    lows.append(low)
+                    prefix.append(i)
+                    stop += 1
+            i += 1
+        elif prefix:
+            i = prefix.pop() + 1
+            del pivots[lows.pop()]
+            stop -= 1
+        else:
+            return
+
+
+def max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
+    """The basis-subset maximum by one independent_subsets walk per
+    candidate, in the order of extremal.max_basis_subsets."""
+    identity = [1 << i for i in range(k)]
+    best = -1
+    best_cols: tuple[int, ...] = ()
+    for rest in itertools.combinations_with_replacement(range(1, 1 << k), d - k):
+        cols = identity + list(rest)
+        count = sum(1 for _ in independent_subsets(cols, k))
+        if count > best:
+            best = count
+            best_cols = tuple(cols)
+    return BasisSubsetMaximum(k, d, best, GF2Matrix(k, best_cols))

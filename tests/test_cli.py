@@ -312,12 +312,20 @@ def test_closed_stdout_pipe_ends_quietly(capsys, monkeypatch):
       "--n", "22", "--d", "5"], "3451650048 subcubes exceed the budget 100000000"),
     (["build-verify", "--n", "20", "--d", "5", "--budget", "1000"],
      "exceed the budget 1000"),
-], ids=["search-max-code", "build-verify", "weight-class", "explicit-budget"])
+    (["hitting", "--n", "8", "--k", "1", "--d", "3", "--budget", "5"],
+     "1792 subcubes exceed the budget 5"),
+    (["hitting", "--n", "20", "--k", "2", "--d", "5"],
+     "508035072 subcubes exceed the budget 100000000"),
+    (["search-max-code", "--n", "22", "--d", "1", "--list-size", "2"],
+     "exceeds the node budget 2000000"),
+], ids=["search-max-code", "build-verify", "weight-class", "explicit-budget",
+        "hitting", "hitting-n20", "search-max-code-whole-cube"])
 def test_refused_before_anything_is_built(capsys, tmp_path, argv, message):
     # build-verify at n = 22 once built its code (1.5 s) before the scan
-    # refused it, and wrote --out
+    # refused it, and wrote --out; hitting did the same; and the whole
+    # cube at n = 22 was listed (4 M words) before it was printed
     out = tmp_path / "code.txt"
-    if argv[0] == "build-verify":
+    if argv[0] in ("build-verify", "hitting"):
         argv = argv + ["--out", str(out)]
     start = time.process_time()
     code, stdout, err = run(capsys, argv)

@@ -27,7 +27,8 @@ from hypercube_codes.codes import (
     weight_class_code,
 )
 from hypercube_codes.errors import ConstructionError
-from hypercube_codes.gf2 import BitWord, independent_subsets, rank_ints
+from hypercube_codes.gf2 import BitWord, rank_ints
+from oracles import independent_subsets
 
 
 def test_code_validation_and_density():

@@ -314,6 +314,21 @@ def test_max_code_refuses_the_whole_cube_past_max_n(n):
     assert time.process_time() - start < 0.5
 
 
+def test_max_code_counts_the_whole_cube_against_the_node_budget():
+    # list_size >= 2^d admits all 2^n words, each a node of the budget
+    whole = max_code_search(4, 1, 2, node_budget=16)
+    assert (whole.max_size, whole.words, whole.certified) == (16, tuple(range(16)), True)
+    with pytest.raises(OutOfRegimeError, match="node budget 15"):
+        max_code_search(4, 1, 2, node_budget=15)
+    # past the default 2,000,000 nodes from n = 21 (n = 20 once took 1.9 s
+    # and 267 MB as a CLI process; n = 24 would need about 4 GB)
+    for n in (21, geometry.MAX_N):
+        start = time.process_time()
+        with pytest.raises(OutOfRegimeError, match="node budget 2000000"):
+            max_code_search(n, 2, 4)
+        assert time.process_time() - start < 0.5
+
+
 def test_max_code_result_keeps_sorted_words_and_builds_the_witness():
     for n, d, list_size in [(3, 3, 8), (4, 2, 3), (5, 3, 6), (5, 2, 3)]:
         result = max_code_search(n, d, list_size)

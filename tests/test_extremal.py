@@ -11,7 +11,6 @@ from hypercube_codes import extremal
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import (
     _max_basis_subsets,
-    _max_basis_subsets_naive,
     _search_size,
     basis_subset_bounds,
     list_size_bounds_table,
@@ -23,6 +22,7 @@ from hypercube_codes.extremal import (
     product_partition_lower_bound,
 )
 from hypercube_codes.gf2 import GF2Matrix, count_nonsingular_submatrices
+from oracles import max_basis_subsets_naive
 
 # (k, d) -> maximum number of k-column subsets forming a basis
 KNOWN_MAXIMA = {
@@ -120,7 +120,7 @@ def test_block_search_matches_the_naive_search():
              if _search_size(k, d) <= 2_000_000]
     assert len(pairs) == 36
     for k, d in pairs:
-        assert _max_basis_subsets(k, d) == _max_basis_subsets_naive(k, d)
+        assert _max_basis_subsets(k, d) == max_basis_subsets_naive(k, d)
 
 
 def test_square_searches_are_answered_or_refused_at_once():
@@ -185,7 +185,7 @@ def test_best_shape_per_dimension(monkeypatch):
         assert shape.value == value
         assert shape.best_k == best_k
     # d = 9 is inside the work budget at every k <= 4; the naive loop agrees
-    naive = [_max_basis_subsets_naive(k, 9).value for k in range(1, 5)]
+    naive = [max_basis_subsets_naive(k, 9).value for k in range(1, 5)]
     assert max(naive) == 88 and naive.index(88) + 1 == 4
     # (5, 10) has search size 81,807,264: d = 10 is refused before any search
     assert _search_size(5, 10) == 81_807_264 > extremal.DEFAULT_WORK_BUDGET

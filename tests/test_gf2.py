@@ -18,7 +18,6 @@ from hypercube_codes.gf2 import (
     count_nonsingular_submatrices,
     independent_counts,
     independent_masks,
-    independent_subsets,
     is_basis,
     min_distance,
     orthogonal_complement,
@@ -26,6 +25,7 @@ from hypercube_codes.gf2 import (
     rank,
     rank_ints,
 )
+from oracles import independent_subsets
 
 
 def det_mod2(rows):
@@ -195,6 +195,47 @@ def test_independent_masks_match_the_walk(vectors):
         assert got.tolist() == want
 
 
+def seeded_vectors(rng, n, width):
+    """n vectors of `width` bits: free draws mixed with zeros and repeats."""
+    pool = [rng.getrandbits(width) for _ in range(3)] + [0]
+    return [rng.getrandbits(width) if rng.random() < 0.5 else rng.choice(pool)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("width", [3, 8, 33, 63, 64])
+def test_the_walk_matches_the_depth_first_oracle(width):
+    # one family and many, r = 0 .. n + 1; 64-bit vectors as uint64, so
+    # the tail reduction compares full-width bit patterns
+    rng = random.Random(width)
+    dtype = np.uint64 if width == 64 else np.int64
+    for n in range(0, 11):
+        rows = [seeded_vectors(rng, n, width) for _ in range(rng.randint(1, 5))]
+        rows.append([1 << (width - 1)] * n)  # the top bit, equal vectors
+        families = np.array(rows, dtype=dtype).reshape(len(rows), n)
+        for r in range(n + 2):
+            want = [list(independent_subsets(row, r)) for row in rows]
+            assert independent_counts(families, r).tolist() == list(map(len, want))
+            if width == 64:  # bit 63 as the sign of int64 entries
+                assert independent_counts(families.view(np.int64), r).tolist() \
+                    == list(map(len, want))
+            for vectors, subsets in zip(rows, want):
+                if width <= 32:
+                    masks = sorted(sum(1 << i for i in s) for s in subsets)
+                    assert independent_masks(vectors, r).tolist() == masks
+                if 1 <= r <= n:  # the range the index rows serve
+                    got = gf2._independent_rows(np.array(vectors, dtype=np.uint64), r)
+                    assert got.shape == (len(subsets), r)
+                    assert got.tolist() == [list(s) for s in subsets]
+
+
+def test_the_walk_keeps_lexicographic_order_past_256_vectors():
+    # 300 vectors: the index rows widen to uint16
+    vectors = np.array(seeded_vectors(random.Random(3), 300, 9), dtype=np.uint32)
+    got = gf2._independent_rows(vectors, 2)
+    assert got.dtype == np.uint16
+    assert got.tolist() == [list(s) for s in independent_subsets(vectors.tolist(), 2)]
+
+
 def test_independent_masks_keep_the_basis_reduced():
     # Indices 0..2 hold 0b01, 0b10 and 0b11 in some order, so {0, 1, 2} is
     # dependent.  Whichever way a walk visits them, some order has a row
@@ -241,6 +282,18 @@ def test_count_matches_determinant_oracle_three_rows():
         d = rng.randint(5, 7)
         m = GF2Matrix(3, tuple(rng.randrange(8) for _ in range(d)))
         assert count_nonsingular_submatrices(m) == count_by_determinant(m)
+
+
+def test_count_nonsingular_matches_the_oracle_on_seeded_matrices():
+    rng = random.Random(11)
+    for k, d in [(1, 6), (2, 9), (3, 10), (5, 11), (8, 12), (40, 42), (64, 64)]:
+        for _ in range(4):
+            cols = tuple(seeded_vectors(rng, d, k))
+            want = sum(1 for _ in independent_subsets(cols, k))
+            assert count_nonsingular_submatrices(GF2Matrix(k, cols)) == want
+    # a full-rank square at 64 rows, top bits set
+    cols = tuple((1 << 63) | (1 << i) for i in range(63)) + (1 << 63,)
+    assert count_nonsingular_submatrices(GF2Matrix(64, cols)) == 1
 
 
 def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):

@@ -14,6 +14,7 @@ from hypercube_codes.basisprob import uniform_basis_probability
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_partition_product_sum
 from hypercube_codes.gf2 import rank_ints
+from oracles import independent_subsets
 from hypercube_codes.hypergraph import (
     LAGRANGIAN_BLOCK,
     LagrangianResult,
@@ -174,6 +175,18 @@ def test_linear_independence_graph_small():
         assert rank_ints(v + 1 for v in edge) == 3
     with pytest.raises(OutOfRegimeError):
         linear_independence_hypergraph(4, 3)
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in range(1, 4) for k in range(5)]
+                         + [(t, 0) for t in range(4, 6)])
+def test_independence_hypergraphs_match_the_depth_first_oracle(r, k):
+    # every (r, k) up to (3, 4), and basis_hypergraph(t) = (t, 0) to t = 5
+    m = r + k
+    want = UniformHypergraph(r, (1 << m) - 1, independent_subsets(range(1, 1 << m), r))
+    got = basis_hypergraph(r) if k == 0 else linear_independence_hypergraph(r, k)
+    assert got.edges.dtype == np.intp and not got.edges.flags.writeable
+    assert np.array_equal(got.edges, want.edges)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_linear_independence_density_matches_materialization():
@@ -473,7 +486,7 @@ def test_independence_hypergraph_within_the_budget_is_walked(monkeypatch):
     def walk(vectors, r):
         raise Walked(len(vectors), r)
 
-    monkeypatch.setattr("hypercube_codes.hypergraph.independent_subsets", walk)
+    monkeypatch.setattr("hypercube_codes.hypergraph._independent_rows", walk)
     with pytest.raises(Walked) as walked:
         linear_independence_hypergraph(1, 21)
     assert walked.value.args == (4_194_303, 1)
