@@ -16,21 +16,19 @@ verification fails.
 run() is the process entry, of the `hypercube-codes` script and of
 `python -m hypercube_codes.cli`; main() is the in-process call, which
 leaves the caller's garbage collector as it was.
+
+Of the stdlib, the module imports only argparse, gc, os, sys and typing
+at load; each helper imports any other stdlib module where it runs, so
+`--version`, `--help` and a usage error skip json, csv, decimal,
+fractions and dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import decimal
 import gc
-import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
-from importlib import resources
 from typing import TYPE_CHECKING, Optional, Sequence
 
 # Before any command loads numpy: OpenBLAS would start a thread pool,
@@ -46,6 +44,7 @@ from .errors import ConstructionError, OutOfRegimeError
 # `partition-max`, `search-max-code` and `--version` never load numpy; a
 # --budget left out takes the owning module's default then.
 if TYPE_CHECKING:
+    from fractions import Fraction
     from .codes import Code
     from .geometry import Subcube
     from .hypergraph import UniformHypergraph
@@ -59,16 +58,19 @@ EXIT_MISMATCH = 2
 
 def load_reference_manifest() -> dict:
     """The bundled regression manifest (exact reference values)."""
+    import json
+    from importlib import resources
     path = resources.files("hypercube_codes").joinpath("reference_values.json")
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _decimal_places(x: Fraction, places: int = 12) -> str:
-    with decimal.localcontext() as ctx:
+    from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+    with localcontext() as ctx:
         ctx.prec = places + 30
         value = Decimal(x.numerator) / Decimal(x.denominator)
         return str(value.quantize(Decimal(1).scaleb(-places),
-                                  rounding=decimal.ROUND_HALF_EVEN))
+                                  rounding=ROUND_HALF_EVEN))
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -97,6 +99,7 @@ def _emit(args, payload: dict, headers: Sequence[str] = ("quantity", "value"),
     insertion order; a list shows as its items joined by spaces and None
     as an empty cell."""
     if args.format == "json":
+        import json
         doc = {**payload, "schema": SCHEMA_VERSION}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return
@@ -104,6 +107,7 @@ def _emit(args, payload: dict, headers: Sequence[str] = ("quantity", "value"),
         rows = [[k, v] for k, v in payload.items() if k != "command"]
     table = [[_cell(c) for c in row] for row in [headers, *rows]]
     if args.format == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(table)
         return
     widths = [max(map(len, column)) for column in zip(*table)]
@@ -121,6 +125,7 @@ def _fail(messages: Sequence[str], prefix: str) -> int:
 
 def cmd_constants(args) -> int:
     """Basis probability per draw count plus the certified limit."""
+    from fractions import Fraction
     from .basisprob import MAX_T, limit_constant, limit_interval, uniform_basis_probability
     t_max = args.t_max
     if not 2 <= t_max <= MAX_T:
@@ -170,6 +175,7 @@ def cmd_constants(args) -> int:
 
 def cmd_bounds_table(args) -> int:
     """Bounds on the maximum erasure list size per subcube dimension."""
+    import dataclasses
     from .extremal import list_size_bounds_table
     table = list_size_bounds_table(args.d_max)
     manifest = load_reference_manifest()
@@ -444,6 +450,7 @@ def cmd_lagrangian(args) -> int:
 
 def cmd_density(args) -> int:
     """Exact edge density of the linear-independence hypergraph."""
+    from fractions import Fraction
     from .hypergraph import linear_independence_density
     value = linear_independence_density(args.r, args.k)
     threshold = 1 - Fraction(1, 1 << args.k)
@@ -461,6 +468,8 @@ def cmd_density(args) -> int:
 
 def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
+    if args.d is None and args.budget is not None:
+        raise ValueError("--budget applies only with --d")
     from .codes import _check_hitting, save_code, subcube_hitting_set
     if args.d is not None:  # before the set exists, see _scan
         from .cube import verify_hitting

@@ -316,14 +316,18 @@ def test_closed_stdout_pipe_ends_quietly(capsys, monkeypatch):
      "1792 subcubes exceed the budget 5"),
     (["hitting", "--n", "20", "--k", "2", "--d", "5"],
      "508035072 subcubes exceed the budget 100000000"),
+    (["hitting", "--n", "8", "--k", "1", "--budget", "5"],
+     "--budget applies only with --d"),
     (["search-max-code", "--n", "22", "--d", "1", "--list-size", "2"],
      "exceeds the node budget 2000000"),
 ], ids=["search-max-code", "build-verify", "weight-class", "explicit-budget",
-        "hitting", "hitting-n20", "search-max-code-whole-cube"])
+        "hitting", "hitting-n20", "hitting-budget-without-d",
+        "search-max-code-whole-cube"])
 def test_refused_before_anything_is_built(capsys, tmp_path, argv, message):
     # build-verify at n = 22 once built its code (1.5 s) before the scan
     # refused it, and wrote --out; hitting did the same; and the whole
-    # cube at n = 22 was listed (4 M words) before it was printed
+    # cube at n = 22 was listed (4 M words) before it was printed; hitting
+    # --budget without --d once printed the set as if the flag were absent
     out = tmp_path / "code.txt"
     if argv[0] in ("build-verify", "hitting"):
         argv = argv + ["--out", str(out)]

@@ -1,9 +1,10 @@
 """The package namespace and process set-up, each checked in a fresh
 interpreter: the public names load lazily, `import hypercube_codes`
-loads no numpy, each CLI command imports only the modules it runs, the
-CLI runs BLAS on one thread unless told otherwise, and a CLI process
-runs with the cyclic garbage collector off and ends with its objects
-frozen."""
+loads no numpy, each CLI command imports only the modules it runs (and
+`--version`, `--help` and a usage error none of the stdlib modules that
+only the command helpers import), the CLI runs BLAS on one thread unless
+told otherwise, and a CLI process runs with the cyclic garbage collector
+off and ends with its objects frozen."""
 
 import os
 import subprocess
@@ -107,13 +108,21 @@ print(len(os.listdir("/proc/self/task")))
 # numpy and the package modules that load it at import
 NUMPY_MODULES = {"numpy", "hypercube_codes.codes", "hypercube_codes.cube",
                  "hypercube_codes.gf2", "hypercube_codes.hypergraph"}
+# stdlib modules that only the command helpers import (inspect comes with
+# dataclasses); each probe counts only what the bare interpreter did not
+# already hold when the program started, as a site .pth file may preload
+HELPER_STDLIB = {"json", "csv", "decimal", "fractions", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["--version"], {"hypercube_codes.cli"}, {"numpy"}),
+    (["--version"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
+    (["--help"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
+    (["partition-max"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
     (["constants", "--t-max", "40"], {"hypercube_codes.basisprob"}, {"numpy"}),
     (["partition-max", "--d", "50"], {"hypercube_codes.extremal"}, {"numpy"}),
-    (["lagrangian", "--t", "3"], {"hypercube_codes.hypergraph", "numpy"},
+    # json shows that the probe sees what a command's helpers import
+    (["lagrangian", "--t", "3", "--format", "json"],
+     {"hypercube_codes.hypergraph", "numpy", "json"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
     (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
@@ -125,31 +134,37 @@ NUMPY_MODULES = {"numpy", "hypercube_codes.codes", "hypercube_codes.cube",
      {"hypercube_codes.extremal", "hypercube_codes.geometry"}, NUMPY_MODULES),
     (["search-max-code", "--n", "4", "--d", "2", "--list-size", "3"],
      {"hypercube_codes.extremal", "hypercube_codes.geometry"}, NUMPY_MODULES),
-], ids=["version", "constants", "partition-max", "lagrangian", "density", "build-verify",
-        "hitting", "search-max-code-branch-bound", "search-max-code-exhaustive"])
+], ids=["version", "help", "usage-error", "constants", "partition-max", "lagrangian",
+        "density", "build-verify", "hitting", "search-max-code-branch-bound",
+        "search-max-code-exhaustive"])
 def test_each_command_imports_only_what_it_runs(argv, loaded, absent):
     out = python(f"""
-import contextlib, io, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io
 from hypercube_codes import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         status = cli.main({argv!r})
-    except SystemExit as exc:  # --version
+    except SystemExit as exc:  # --version, --help and usage errors
         status = exc.code
-assert status == 0, status
-print(sorted({loaded!r} - set(sys.modules)), sorted({absent!r} & set(sys.modules)))
+print(status, sorted({loaded!r} - set(sys.modules)),
+      sorted({absent!r} & (set(sys.modules) - bare)))
 """)
-    assert out.split() == ["[]", "[]"]
+    # argparse exits 2 on a usage error (the missing --d)
+    assert out.split() == ["2" if argv == ["partition-max"] else "0", "[]", "[]"]
 
 
 def test_cli_import_loads_only_errors():
-    out = python("""
+    out = python(f"""
 import sys
+bare = set(sys.modules)
 import hypercube_codes.cli
-print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hypercube")))
+print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hypercube")),
+      sorted({HELPER_STDLIB!r} & (set(sys.modules) - bare)))
 """)
     assert out.split() == ["False", "['hypercube_codes',", "'hypercube_codes.cli',",
-                           "'hypercube_codes.errors']"]
+                           "'hypercube_codes.errors']", "[]"]
 
 
 @pytest.mark.parametrize("argv", [
