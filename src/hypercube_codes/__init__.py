@@ -49,8 +49,7 @@ _EXPORTS = {
               "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
               "weight_class_code"),
     "cube": ("HittingReport", "VerificationReport", "erasure_list_size",
-             "max_subcube_count", "max_subcube_count_naive", "subcube_count",
-             "verify_hitting"),
+             "max_subcube_count", "subcube_count", "verify_hitting"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
                    "basis_hypergraph", "blow_up", "complete_multipartite",
                    "contains_copy", "lagrangian", "lagrangian_polynomial",

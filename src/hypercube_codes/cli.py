@@ -337,7 +337,7 @@ def _scan(args, code: Code, payload: dict) -> int:
     report = max_subcube_count(code, args.d, budget=_scan_budget(args))
     payload["d"] = args.d
     payload["max_count"] = report.max_count
-    payload["subcubes_at_max"] = report.histogram[report.max_count]
+    payload["subcubes_at_max"] = report.subcubes_at_max
     payload["witness"] = _subcube_pattern(report.witness)
     if payload["command"] == "build-verify":
         from .extremal import construction_upper

@@ -17,7 +17,8 @@ n = 24), plus two block levels of _BLOCK_ENTRIES entries.  Longer
 codes, which only a loaded file can give, get the same tables by
 counting the codewords' patterns on the fixed coordinates, so both
 scans keep one body; their tables have 2^(n-d) entries, scanned for
-n - d <= MAX_N.  The naive per-subcube count is the oracle of both.
+n - d <= MAX_N.  The oracle of both is subcube_count over every
+subcube, as the naive scans of tests/oracles.py run it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import geometry
 from .errors import OutOfRegimeError
 from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
                        _colex_unrank, _fixed_coords, _leaf_subcube,
-                       enumerate_subcubes, free_sets_colex)
+                       free_sets_colex)
 from .gf2 import BitWord
 
 
@@ -48,13 +49,13 @@ def subcube_count(code: Code, cube: Subcube) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """max_count over all d-subcubes, the first witness subcube in
-    canonical order, and the histogram {count: number of subcubes}."""
+    """max_count over all d-subcubes, the first subcube in canonical
+    order that holds it, and the number of d-subcubes that hold it."""
 
     d: int
     max_count: int
     witness: Subcube
-    histogram: dict
+    subcubes_at_max: int
 
 
 # Every level of a stacked block (the partial tables of its free sets,
@@ -65,8 +66,8 @@ class VerificationReport:
 # it within run-to-run noise, and 2^16 is 15% faster at n = 24, d = 17.
 _BLOCK_ENTRIES = 1 << 16
 
-# Entries per temporary intp array (64 KB): the scans convert words and
-# counts to intp in slices of this size, not whole codes or blocks.
+# Entries per temporary intp array (64 KB): the dense walk converts the
+# words to intp in slices of this size, not the whole code.
 _INTP_SLICE = 1 << 13
 
 # each byte with its bits reversed, to lay coordinate i on axis i
@@ -189,7 +190,10 @@ def _first_subcube(n: int, d: int, first: int, block: np.ndarray,
 
 def max_subcube_count(code: Code, d: int,
                       budget: int = DEFAULT_SCAN_BUDGET) -> VerificationReport:
-    """Scan every d-subcube and report the maximum occupancy.
+    """Scan every d-subcube and report the maximum occupancy, the first
+    subcube holding it and how many subcubes hold it.  A block below the
+    best so far costs one max; one that reaches it, a count of its
+    entries equal to the best.
 
     For n <= MAX_N the scan walks dense occupancy tables (_dense_tables):
     each table is one vectorised sum of its parent, about
@@ -206,46 +210,19 @@ def max_subcube_count(code: Code, d: int,
             n - d > MAX_N, before anything is allocated.
     """
     n = code.n
-    blocks = _count_tables(code, d, budget)
-    # a subcube holds at most min(2^d, len(code)) codewords
-    histogram = np.zeros(min(1 << d, len(code)) + 1, np.int64)
-    # Byte tables (d < 8) are counted two entries at a time, each pair
-    # one uint16, which halves the np.bincount passes: pairs[b, a] counts
-    # the pairs of entries a, b.
-    pairs = np.zeros((len(histogram), 256), np.int64) if d < 8 else None
     best = -1
+    at_max = 0
     witness = None
-    for first, block in blocks:
-        counts = block.ravel()
-        tally = histogram
-        if pairs is not None and counts.dtype == np.uint8 and counts.size % 2 == 0:
-            counts, tally = counts.view(np.uint16), pairs.ravel()
-        for at in range(0, counts.size, _INTP_SLICE):
-            tally += np.bincount(counts[at:at + _INTP_SLICE], minlength=tally.size)
+    for first, block in _count_tables(code, d, budget):
         top = int(block.max())
         if top > best:
-            best = top
+            best, at_max = top, 0
             witness = _first_subcube(n, d, first, block, top)
-        del block, counts  # freed before the walk builds the next block
+        if top == best:
+            at_max += int(np.count_nonzero(block == best))
+        del block  # freed before the walk builds the next block
     assert witness is not None
-    if pairs is not None:
-        histogram += pairs.sum(0)[:len(histogram)] + pairs.sum(1)
-    return VerificationReport(d, best, witness,
-                              {k: v for k, v in enumerate(histogram.tolist()) if v})
-
-
-def max_subcube_count_naive(code: Code, d: int,
-                            budget: int = DEFAULT_SCAN_BUDGET) -> tuple[int, Subcube]:
-    """Oracle: walk every subcube and count directly."""
-    best = -1
-    witness = None
-    for cube in enumerate_subcubes(code.n, d, budget):
-        c = subcube_count(code, cube)
-        if c > best:
-            best = c
-            witness = cube
-    assert witness is not None
-    return best, witness
+    return VerificationReport(d, best, witness, at_max)
 
 
 def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:

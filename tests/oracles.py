@@ -1,11 +1,15 @@
 """Slow reference enumerators that the package's array walks are checked
-against: the depth-first independent-subset walk and the one-walk-per-
-candidate basis-subset search."""
+against: the depth-first independent-subset walk, the one-walk-per-
+candidate basis-subset search and the per-subcube occupancy scans."""
 
+import collections
 import itertools
 from typing import Iterable, Iterator
 
+from hypercube_codes.codes import Code
+from hypercube_codes.cube import subcube_count
 from hypercube_codes.extremal import BasisSubsetMaximum
+from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
 from hypercube_codes.gf2 import GF2Matrix
 
 
@@ -71,3 +75,25 @@ def max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
             best = count
             best_cols = tuple(cols)
     return BasisSubsetMaximum(k, d, best, GF2Matrix(k, best_cols))
+
+
+def max_subcube_count_naive(code: Code, d: int,
+                            budget: int = DEFAULT_SCAN_BUDGET) -> tuple[int, Subcube]:
+    """The maximum occupancy of a d-subcube and the first subcube in
+    canonical order that holds it, by one subcube_count per subcube."""
+    best = -1
+    witness = None
+    for cube in enumerate_subcubes(code.n, d, budget):
+        c = subcube_count(code, cube)
+        if c > best:
+            best = c
+            witness = cube
+    assert witness is not None
+    return best, witness
+
+
+def subcube_histogram(code: Code, d: int) -> collections.Counter:
+    """{occupancy: number of d-subcubes holding it}, one subcube_count
+    per subcube."""
+    return collections.Counter(subcube_count(code, cube)
+                               for cube in enumerate_subcubes(code.n, d))

@@ -1,7 +1,6 @@
 """Subcube enumeration, occupancy scans and the exact code search, all
 checked against naive oracles."""
 
-import collections
 import contextlib
 import json
 import math
@@ -23,7 +22,6 @@ from hypercube_codes.codes import (
 from hypercube_codes.cube import (
     erasure_list_size,
     max_subcube_count,
-    max_subcube_count_naive,
     subcube_count,
     verify_hitting,
 )
@@ -37,6 +35,7 @@ from hypercube_codes.geometry import (
     subcube_total,
 )
 from hypercube_codes.gf2 import BitWord
+from oracles import max_subcube_count_naive, subcube_histogram
 
 
 def random_code(rng, n, size):
@@ -132,14 +131,24 @@ def test_fast_scan_matches_naive_oracle():
         n = rng.randint(5, 8)
         d = rng.randint(1, 3)
         code = random_code(rng, n, rng.randint(10, min(40, 1 << n)))
-        report = max_subcube_count(code, d)
         naive_best, naive_witness = max_subcube_count_naive(code, d)
-        assert report.max_count == naive_best
-        assert report.witness == naive_witness
-        assert sum(report.histogram.values()) == subcube_total(n, d)
-        # every word lies in C(n, d) subcubes of dimension d
-        weighted = sum(k * v for k, v in report.histogram.items())
-        assert weighted == len(code) * len(list(free_sets_colex(n, d)))
+        at_max = subcube_histogram(code, d)[naive_best]
+        # 64 and 2^10 entries split the dense scan into blocks, and the
+        # bucket scan has one table per block: the count at the maximum
+        # sums every block reaching it, each once
+        for scan_path in [lambda: block_entries(64), lambda: block_entries(1 << 10),
+                          contextlib.nullcontext, bucket_path]:
+            with scan_path():
+                report = max_subcube_count(code, d)
+                blocks = [block for _, block in cube._count_tables(
+                    code, d, geometry.DEFAULT_SCAN_BUDGET)]
+            assert report.max_count == naive_best
+            assert report.witness == naive_witness
+            assert report.subcubes_at_max == at_max
+            assert sum(block.size for block in blocks) == subcube_total(n, d)
+            # every word lies in C(n, d) subcubes of dimension d
+            assert sum(int(block.sum()) for block in blocks) \
+                == len(code) * len(list(free_sets_colex(n, d)))
 
 
 def test_scan_budget_and_degenerate_dimensions():
@@ -150,9 +159,11 @@ def test_scan_budget_and_degenerate_dimensions():
     whole = max_subcube_count(code, 6)
     assert whole.max_count == len(code)
     assert whole.witness == Subcube(6, tuple(range(6)), 0)
+    assert whole.subcubes_at_max == 1
     points = max_subcube_count(code, 0)
     assert points.max_count == 1
-    assert points.histogram == {0: 64 - 10, 1: 10}
+    assert points.subcubes_at_max == 10
+    assert subcube_histogram(code, 0) == {0: 64 - 10, 1: 10}
 
 
 def test_erasure_count_equals_subcube_count():
@@ -415,7 +426,7 @@ def test_empty_and_full_codes_at_every_dimension(full):
             assert reports[2:] == [scan, hit]
             assert scan.max_count == count
             assert scan.witness == first
-            assert scan.histogram == {count: subcube_total(n, d)}
+            assert scan.subcubes_at_max == subcube_total(n, d)
             assert hit.hits_all == full
             assert hit.missed == (None if full else first)
 
@@ -424,17 +435,17 @@ def test_counts_past_a_byte():
     # 256 words per 8-subcube would wrap to 0 in a uint8 table
     report = max_subcube_count(Code(9, frozenset(range(1 << 9))), 8)
     assert report.max_count == 256
-    assert report.histogram == {256: 18}
+    assert report.subcubes_at_max == 18
     assert report.witness == Subcube(9, tuple(range(8)), 0)
 
 
-def test_histogram_holds_python_ints():
+def test_subcubes_at_max_is_a_python_int():
     rng = random.Random(5)
-    report = max_subcube_count(random_code(rng, 10, 300), 4)
-    assert all(type(k) is int and type(v) is int
-               for k, v in report.histogram.items())
-    assert json.loads(json.dumps(report.histogram)) \
-        == {str(k): v for k, v in report.histogram.items()}
+    code = random_code(rng, 10, 300)
+    report = max_subcube_count(code, 4)
+    assert type(report.subcubes_at_max) is int
+    assert json.loads(json.dumps(report.subcubes_at_max)) == report.subcubes_at_max \
+        == subcube_histogram(code, 4)[report.max_count]
 
 
 def test_long_codes_take_the_bucket_path(monkeypatch):
@@ -446,7 +457,9 @@ def test_long_codes_take_the_bucket_path(monkeypatch):
     code = Code(40, words)
     report = max_subcube_count(code, 39)
     assert (report.max_count, report.witness) == max_subcube_count_naive(code, 39)
-    assert sum(report.histogram.values()) == subcube_total(40, 39)
+    assert report.subcubes_at_max == subcube_histogram(code, 39)[report.max_count]
+    assert sum(block.size for _, block in cube._count_tables(
+        code, 39, geometry.DEFAULT_SCAN_BUDGET)) == subcube_total(40, 39)
     hit = verify_hitting(code, 39)
     assert hit.missed == first_missed(code, 39)
 
@@ -459,8 +472,7 @@ def test_top_bit_of_64_bit_words(d):
     code = Code(64, frozenset(words))
     report = max_subcube_count(code, d)
     assert (report.max_count, report.witness) == max_subcube_count_naive(code, d)
-    assert report.histogram == collections.Counter(
-        subcube_count(code, c) for c in enumerate_subcubes(64, d))
+    assert report.subcubes_at_max == subcube_histogram(code, d)[report.max_count]
     hit = verify_hitting(code, d)
     assert hit.missed == first_missed(code, d)
     assert hit.hits_all == (hit.missed is None)
@@ -520,7 +532,7 @@ def test_a_tie_across_blocks_keeps_the_first_block_and_least_base():
         report = max_subcube_count(code, 2)
     # the least base, not the least table position, of the first block
     assert (report.max_count, report.witness) == (4, Subcube(6, (1, 3), 49))
-    assert report.histogram[4] == 3
+    assert report.subcubes_at_max == 3 == subcube_histogram(code, 2)[4]
     assert (report.max_count, report.witness) == max_subcube_count_naive(code, 2)
 
 
@@ -538,7 +550,7 @@ def test_counts_past_two_bytes():
     full = Code(17, range(1 << 17))
     report = max_subcube_count(full, 16)
     assert report.max_count == 1 << 16
-    assert report.histogram == {1 << 16: 34}
+    assert report.subcubes_at_max == 34
     assert report.witness == Subcube(17, tuple(range(16)), 0)
     assert verify_hitting(full, 16).hits_all
 
@@ -574,5 +586,5 @@ def test_scan_workload_reports_are_pinned(n, seed, modulus, expected):
     if modulus:
         code = best_residue_subcode(code, modulus).code
     report = max_subcube_count(code, 5)
-    assert (report.max_count, report.histogram[report.max_count],
+    assert (report.max_count, report.subcubes_at_max,
             pattern(report.witness)) == expected
