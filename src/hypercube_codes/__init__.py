@@ -41,8 +41,8 @@ _EXPORTS = {
                  "MaxCodeResult", "PartitionGrowthCheck", "PartitionMaximum",
                  "ShapeMaximum", "basis_subset_bounds", "list_size_bounds_table",
                  "max_basis_subsets", "max_basis_subsets_any_k", "max_code_search",
-                 "max_partition_product_sum", "max_partition_product_sum_naive",
-                 "partition_growth_check", "product_partition_lower_bound"),
+                 "max_partition_product_sum", "partition_growth_check",
+                 "product_partition_lower_bound"),
     "codes": ("DENSITY_THRESHOLD", "Code", "HittingSetResult", "LayerAssignment",
               "ResidueSelection", "best_residue_subcode", "build_layer_vectors",
               "expected_dependent_fraction", "layer_words", "layered_basis_code",
@@ -52,8 +52,7 @@ _EXPORTS = {
              "max_subcube_count", "subcube_count", "verify_hitting"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
                    "basis_hypergraph", "blow_up", "complete_multipartite",
-                   "contains_copy", "lagrangian", "lagrangian_polynomial",
-                   "linear_independence_density",
+                   "contains_copy", "lagrangian", "linear_independence_density",
                    "linear_independence_hypergraph"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,8 +4,9 @@ vertex Turan search.
 Three searches live here.  The first exhaustively maximizes, over k x d
 matrices on GF(2), the number of nonsingular k x k column submatrices;
 equivalently, over families of d vectors in GF(2)^k, the number of
-k-subsets forming a basis.  It counts a block of candidate families in
-one gf2.independent_counts pass; tests/oracles.py keeps the
+k-subsets forming a basis.  It is an orderly walk over the candidates'
+tails that skips tails a row transposition lowers and counts bases by
+the span of their tail columns; tests/oracles.py keeps the
 one-walk-per-candidate loop as its oracle.  The second maximizes
 the sum-of-products functional over integer partitions, which counts
 edges of complete multipartite uniform hypergraphs and gives the lower
@@ -14,7 +15,7 @@ anti-lexicographic partition walk: a prefix is cut when the largest
 suffix product and a bound on the suffix's leave-one-out sum cannot
 reach the best value so far.  The cut is strict, so tied partitions are
 still visited and the tie-break of the exhaustive walk
-(max_partition_product_sum_naive, kept as the oracle) is unchanged.  A
+(max_partition_product_sum_naive in tests/oracles.py) is unchanged.  A
 closed-form lower bound from maximum-product partitions and a small
 bounds table follow.  The third finds the largest code on n <= 5
 coordinates with at most L words in every d-subcube, the vertex Turan
@@ -29,16 +30,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import OutOfRegimeError
 from .geometry import MAX_BITS, MAX_N, enumerate_subcubes
 
-# numpy, gf2, codes and basisprob are imported by the functions that use
-# them, so the partition side (`partition-max`) and the code search
-# (`search-max-code`) load none of them.
+# gf2, codes and basisprob are imported by the functions that use them,
+# so `partition-max` and `search-max-code` load none of them.  Nothing
+# here loads numpy but MaxCodeResult.witness, through codes.
 if TYPE_CHECKING:
-    import numpy as np
     from .codes import Code
     from .gf2 import GF2Matrix
 
@@ -47,9 +47,6 @@ if TYPE_CHECKING:
 DEFAULT_WORK_BUDGET = 20_000_000
 # Search nodes of the n = 5 branch and bound of max_code_search.
 DEFAULT_NODE_BUDGET = 2_000_000
-# Candidate matrices times column subsets counted in one pass: the pass
-# then holds at most this many rows per level, or one candidate's C(d, k).
-FAMILY_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,8 @@ def _search_size(k: int, d: int) -> int:
 
 def _search_refusal(k: int, d: int, work_budget: int) -> Optional[str]:
     """Why the search at (k, d), 1 <= k <= d, is out of regime, or None.
-    Columns are int64 in the search and the witness a GF2Matrix, so k
-    stays below MAX_BITS and d at most MAX_BITS; both are checked before
-    2^k is formed."""
+    k stays below MAX_BITS and d at most MAX_BITS, the most columns a
+    GF2Matrix witness holds; both are checked before 2^k is formed."""
     if k >= MAX_BITS or d > MAX_BITS:
         return (f"the basis-subset search takes k <= {MAX_BITS - 1} and "
                 f"d <= {MAX_BITS}, got (k={k}, d={d})")
@@ -114,9 +110,11 @@ def max_basis_subsets(k: int, d: int,
 
     The witness is the first maximizer in the canonical enumeration:
     identity columns first, the rest a non-decreasing multiset of nonzero
-    vectors in packed integer order.  Candidates are counted a block at
-    a time by one gf2.independent_counts pass, and the result is that of
-    counting them one by one.
+    vectors in packed integer order.  The walk skips the tails that a row
+    transposition maps to a smaller one (_orderly_tails); the first
+    maximizer is least under every row permutation, so the value and the
+    witness are those of counting every candidate one by one.  The work
+    budget still bounds the unreduced search.
 
     Raises:
         ValueError: unless 1 <= k <= d.
@@ -131,45 +129,144 @@ def max_basis_subsets(k: int, d: int,
     return _max_basis_subsets(k, d)
 
 
-def _multisets(values: int, size: int) -> np.ndarray:
-    """The non-decreasing size-tuples over 1..values as int64 rows, in
-    lexicographic order: what itertools.combinations_with_replacement
-    yields over range(1, values + 1), built a level at a time without
-    that range."""
-    import numpy as np
-    rows = np.zeros((1, 0), dtype=np.int64)
-    low = np.ones(1, dtype=np.int64)  # each row's smallest admissible next value
-    for _ in range(size):
-        counts = values - low + 1
-        parent = np.repeat(np.arange(len(low)), counts)
-        start = np.cumsum(counts) - counts
-        low = np.arange(len(parent)) - np.repeat(start - low, counts)
-        rows = np.column_stack((rows[parent], low))
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _max_basis_subsets(k: int, d: int) -> BasisSubsetMaximum:
     """The search itself, cached per (k, d): basis-subsets and its bounds
-    ask for the same maximum more than once.  The candidates' tails are
-    built at once (fewer int64s than the search size); each block of
-    candidates is one (families, d) array, and a later block's maximum
-    must be strictly larger to replace the first maximizer."""
-    import numpy as np
-    from .gf2 import GF2Matrix, independent_counts
-    identity = np.left_shift(1, np.arange(k, dtype=np.int64))
-    tails = _multisets((1 << k) - 1, d - k)
-    per_block = max(1, FAMILY_BLOCK_PAIRS // math.comb(d, k))
-    best, best_index = -1, 0
-    for first in range(0, len(tails), per_block):
-        block = tails[first:first + per_block]
-        families = np.hstack((np.broadcast_to(identity, (len(block), k)), block))
-        counts = independent_counts(families, k)
-        i = int(np.argmax(counts))
-        if counts[i] > best:
-            best, best_index = int(counts[i]), first + i
-    columns = (*identity.tolist(), *tails[best_index].tolist())
-    return BasisSubsetMaximum(k, d, best, GF2Matrix(k, columns))
+    ask for the same maximum more than once.  A later tail must count
+    strictly more to replace the first maximizer."""
+    from .gf2 import GF2Matrix
+    best, best_tail = -1, ()
+    for tail, count in _orderly_tails(k, d - k):
+        if count > best:
+            best, best_tail = count, tail
+    return BasisSubsetMaximum(k, d, best,
+                              GF2Matrix(k, (*(1 << i for i in range(k)), *best_tail)))
+
+
+def _orderly_tails(k: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The tails the orderly walk keeps, in lexicographic order, each with
+    the number of bases among the k identity columns and the tail.
+
+    A tail is a non-decreasing m-tuple of nonzero vectors of GF(2)^k.
+    Permuting the rows fixes the identity columns as a set and keeps the
+    count, so a tail that some row transposition maps to a smaller
+    sorted tuple is dropped.  A transposition that lowers a prefix lowers
+    every extension of it, so the walk extends only kept prefixes.  A
+    tail least among all k! row permutations of it is kept, and so is the
+    first maximizer of the exhaustive search, with every tail before it.
+
+    The walk appends the distinct values in increasing order, each with
+    its number of copies from the most down, which is lexicographic
+    order.  A value's set bits fill each class of rows that are equal so
+    far from its lowest row (a transposition in the class lowers any
+    other value), and _most_copies applies the cut.
+
+    Counting: a basis is an independent set of tail columns completed by
+    identity columns, and the completions of a set depend only on its
+    span (_information_sets).  So the walk carries, per span, the number
+    of independent sets of tail columns with that span, over the distinct
+    values weighted by their copies; the identity columns are never
+    walked.
+    """
+    # memos for this walk: few spans and classes recur many times
+    information = lru_cache(maxsize=None)(_information_sets)
+    fills = lru_cache(maxsize=None)(_fills)
+    join = lru_cache(maxsize=None)(_join)
+    copies: dict[int, int] = {}  # the prefix: distinct value -> copies, increasing
+
+    def walk(spans: dict[tuple[int, ...], int], classes: tuple[int, ...],
+             last: int, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if not left:
+            yield (tuple(v for v, n in copies.items() for _ in range(n)),
+                   sum(sets * information(span, k) for span, sets in spans.items()))
+            return
+        for u, split in fills(classes):
+            most = _most_copies(copies, u, left) if u > last else 0
+            if not most:
+                continue
+            grown: dict[tuple[int, ...], int] = {}  # sets gaining one copy of u
+            for span, sets in spans.items():
+                joined = join(span, u)
+                if joined:
+                    grown[joined] = grown.get(joined, 0) + sets
+            for c in range(most, 0, -1):
+                copies[u] = c
+                longer = dict(spans)
+                for span, sets in grown.items():
+                    longer[span] = longer.get(span, 0) + c * sets
+                yield from walk(longer, split, u, left - c)
+            del copies[u]
+
+    yield from walk({(): 1}, ((1 << k) - 1,), 0, m)
+
+
+def _join(span: tuple[int, ...], u: int) -> Optional[tuple[int, ...]]:
+    """The span of `span` and u, or None when u lies in it.  A span is its
+    reduced echelon basis, sorted: each vector's highest set bit (its
+    pivot) is clear in the others, so equal spans are equal tuples.
+    min(x, x ^ b) clears b's pivot from x."""
+    for b in span:
+        u = min(u, u ^ b)
+    if not u:
+        return None
+    return tuple(sorted([min(b, b ^ u) for b in span] + [u]))
+
+
+def _information_sets(span: tuple[int, ...], k: int) -> int:
+    """The r-sets of rows, r = dim span, on which span projects one to one:
+    an independent r-set of columns with this span is completed to a basis
+    exactly by the identity columns of the other k - r rows."""
+    from .gf2 import rank_ints
+    r = len(span)
+    return sum(rank_ints(c & sum(1 << i for i in rows) for c in span) == r
+               for rows in itertools.combinations(range(k), r))
+
+
+def _fills(classes: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every vector whose set bits fill each class of rows (a row mask)
+    from its lowest row, with the classes it splits them into, in
+    increasing order of the vector."""
+    options = []
+    for rows in classes:
+        prefix, choice = 0, [(0, (rows,))]
+        while prefix != rows:
+            prefix |= (rows ^ prefix) & -(rows ^ prefix)  # the next row up
+            choice.append((prefix, (prefix, rows ^ prefix) if prefix != rows else (rows,)))
+        options.append(choice)
+    return sorted((sum(p for p, _ in combo), sum((split for _, split in combo), ()))
+                  for combo in itertools.product(*options))
+
+
+def _most_copies(copies: dict[int, int], u: int, most: int) -> int:
+    """The most copies of u, at most `most`, that may follow the kept
+    prefix `copies` (u above all its values) with no row transposition
+    lowering the tuple; 0 when none may.
+
+    A transposition of rows a < b pairs each vector l with bit a set and
+    bit b clear with h = l ^ (2^a + 2^b) > l, and fixes the others.  It
+    lowers a multiset exactly when, at the least l whose pair holds
+    unequal counts, h has more.  At that pair of a kept prefix l has
+    more.  Appending u, above every value of the prefix, changes the
+    counts of u's pair only.  If u is its l, that lowers nothing.  If u is
+    its h, the tuple is lowered exactly when every pair below l = u ^
+    (2^a + 2^b) holds equal counts and u comes more often than l.
+    """
+    above = u
+    while above:  # b over the set bits of u
+        b = above & -above
+        above ^= b
+        below = ~u & (b - 1)
+        while below:  # a over the clear bits under b
+            a = below & -below
+            below ^= a
+            mask = a | b
+            low = u ^ mask
+            if all(n == copies.get(v ^ mask, 0) for v, n in copies.items()
+                   if (v & mask) not in (0, mask) and min(v, v ^ mask) < low):
+                most = min(most, copies.get(low, 0))
+                if not most:
+                    return 0
+    return most
 
 
 def basis_subset_bounds(k: int, d: int,
@@ -253,45 +350,9 @@ class PartitionMaximum:
     parts: tuple[int, ...]
 
 
-def _partitions_desc(d: int):
-    """Partitions of d into positive non-increasing parts."""
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for a in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - a, a, prefix + (a,))
-    yield from rec(d, d, ())
-
-
 def _check_partition_d(d: int) -> None:
     if not 1 <= d <= 60:
         raise ValueError("need 1 <= d <= 60")
-
-
-def max_partition_product_sum_naive(d: int) -> PartitionMaximum:
-    """Oracle for max_partition_product_sum: every partition of d in
-    anti-lexicographic order, each with and without a zero part.
-
-    Raises:
-        ValueError: outside 1 <= d <= 60.
-    """
-    _check_partition_d(d)
-    best = -1
-    best_parts: tuple[int, ...] = ()
-    for parts in _partitions_desc(d):
-        prod = 1
-        for a in parts:
-            prod *= a
-        if len(parts) >= 2:
-            value = sum(prod // a for a in parts)
-            if value > best or (value == best and parts > best_parts):
-                best, best_parts = value, parts
-        # same parts plus a single zero part: only the full product survives
-        with_zero = parts + (0,)
-        if prod > best or (prod == best and with_zero > best_parts):
-            best, best_parts = prod, with_zero
-    return PartitionMaximum(d, best, best_parts)
 
 
 def _suffix_bounds(d: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -5,7 +5,9 @@ either raw or wrapped in a BitWord carrying an explicit length.  A
 GF2Matrix keeps a tuple of packed columns.  Everything here is pure and
 deterministic: elimination always pivots on the lowest set bit (the
 independent-subset walk on the highest), so equal inputs give identical
-outputs on every platform.
+outputs on every platform.  Only the array walk (_independent_walk and
+the functions that run it) uses numpy, and it imports numpy when called,
+so the packed-int algebra loads none.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import OutOfRegimeError
 from .geometry import MAX_BITS, _from01, _to01
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pairs of codewords min_distance may compare.
 DEFAULT_PAIR_BUDGET = 100_000_000
@@ -125,6 +128,7 @@ def _independent_walk(vecs: np.ndarray, r: int) -> list[tuple[np.ndarray, np.nda
     more than r * families * C(n, r) entries, and the subset budget of
     the callers bounds memory.
     """
+    import numpy as np
     families, n = vecs.shape
     tails = vecs.ravel()
     if tails.dtype.kind == "i":  # min() must order the entries as bit patterns
@@ -158,6 +162,7 @@ def _below(levels: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
     """The number of the walk's subsets below each row, level by level
     from the one before the last down to the families.  A row's
     children are consecutive, so it sums one run of their numbers."""
+    import numpy as np
     below = levels[-1][1]
     yield below
     for _, kids in levels[-2::-1]:
@@ -171,6 +176,7 @@ def _picks(levels: list[tuple[np.ndarray, np.ndarray]],
     """table[pick] for each subset's pick at every level, from the last
     level to the first: a level's entries, each repeated once per subset
     below it."""
+    import numpy as np
     yield table[levels[-1][0]]
     for (pick, _), below in zip(levels[-2::-1], _below(levels)):
         yield np.repeat(table[pick], below)
@@ -185,6 +191,7 @@ def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
     descending mask order and no sort is needed.  At most 32 vectors of
     at most 32 bits each, and C(n, r) within DEFAULT_SUBSET_BUDGET.
     """
+    import numpy as np
     if r < 0:
         raise ValueError("subset size must be non-negative")
     vectors = tuple(vectors)
@@ -210,6 +217,7 @@ def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
     whose vectors are linearly independent, for 1 <= r <= n: one row per
     subset, in itertools.combinations order, of the smallest unsigned
     dtype that holds n.  The caller bounds C(n, r)."""
+    import numpy as np
     n = len(vectors)
     index = np.arange(n, dtype=np.min_scalar_type(n))
     levels = _independent_walk(vectors.reshape(1, n), r)
@@ -224,6 +232,7 @@ def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
     `families`, a (families, n) int64 array of packed vectors: one
     _independent_walk over all rows at once, if families times C(n, r)
     is within DEFAULT_SUBSET_BUDGET."""
+    import numpy as np
     if r < 0:
         raise ValueError("subset size must be non-negative")
     count, n = families.shape
@@ -374,6 +383,7 @@ def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
     _check_subsets(math.comb(matrix.cols, k), f"C({matrix.cols}, {k}) column")
+    import numpy as np
     return int(independent_counts(np.array([matrix.columns], dtype=np.uint64), k)[0])
 
 

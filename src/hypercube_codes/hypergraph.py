@@ -345,19 +345,6 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
     return None
 
 
-def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
-    """sum over edges of the product of the entries of x on the edge."""
-    if len(x) != graph.n_vertices:
-        raise ValueError("need one weight per vertex")
-    total = 0.0
-    for e in graph.edges.tolist():
-        p = 1.0
-        for v in e:
-            p *= x[v]
-        total += p
-    return total
-
-
 @dataclass(frozen=True)
 class LagrangianResult:
     value: float
@@ -501,7 +488,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         x = np.clip(x, 1e-12, None)
         x /= x.sum(axis=1)[:, None]
         points = _ascend(np.ascontiguousarray(x.T), graph.r, columns, classes)
-        # summed in lagrangian_polynomial's edge order, to match it bit for bit
+        # summed in edge order, as the lagrangian_polynomial oracle of
+        # tests/oracles.py sums, to match it bit for bit
         products = points[columns[0]]
         for column in columns[1:]:
             products *= points[column]

@@ -1,6 +1,7 @@
-"""Slow reference enumerators that the package's array walks are checked
+"""Slow reference enumerators that the package's fast walks are checked
 against: the depth-first independent-subset walk, the one-walk-per-
-candidate basis-subset search and the per-subcube occupancy scans."""
+candidate basis-subset search, the per-subcube occupancy scans, the
+exhaustive partition walk and the Lagrangian polynomial."""
 
 import collections
 import itertools
@@ -8,9 +9,10 @@ from typing import Iterable, Iterator
 
 from hypercube_codes.codes import Code
 from hypercube_codes.cube import subcube_count
-from hypercube_codes.extremal import BasisSubsetMaximum
+from hypercube_codes.extremal import BasisSubsetMaximum, PartitionMaximum, _check_partition_d
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
 from hypercube_codes.gf2 import GF2Matrix
+from hypercube_codes.hypergraph import UniformHypergraph
 
 
 def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
@@ -97,3 +99,54 @@ def subcube_histogram(code: Code, d: int) -> collections.Counter:
     per subcube."""
     return collections.Counter(subcube_count(code, cube)
                                for cube in enumerate_subcubes(code.n, d))
+
+
+def partitions_desc(d: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of d into positive non-increasing parts, in
+    anti-lexicographic order."""
+    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for a in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - a, a, prefix + (a,))
+    yield from rec(d, d, ())
+
+
+def max_partition_product_sum_naive(d: int) -> PartitionMaximum:
+    """Oracle for extremal.max_partition_product_sum: every partition of
+    d in anti-lexicographic order, each with and without a zero part.
+
+    Raises:
+        ValueError: outside 1 <= d <= 60.
+    """
+    _check_partition_d(d)
+    best = -1
+    best_parts: tuple[int, ...] = ()
+    for parts in partitions_desc(d):
+        prod = 1
+        for a in parts:
+            prod *= a
+        if len(parts) >= 2:
+            value = sum(prod // a for a in parts)
+            if value > best or (value == best and parts > best_parts):
+                best, best_parts = value, parts
+        # same parts plus a single zero part: only the full product survives
+        with_zero = parts + (0,)
+        if prod > best or (prod == best and with_zero > best_parts):
+            best, best_parts = prod, with_zero
+    return PartitionMaximum(d, best, best_parts)
+
+
+def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
+    """sum over edges of the product of the entries of x on the edge, in
+    edge order (hypergraph.lagrangian sums its values in the same order)."""
+    if len(x) != graph.n_vertices:
+        raise ValueError("need one weight per vertex")
+    total = 0.0
+    for e in graph.edges.tolist():
+        p = 1.0
+        for v in e:
+            p *= x[v]
+        total += p
+    return total

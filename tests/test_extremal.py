@@ -17,12 +17,11 @@ from hypercube_codes.extremal import (
     max_basis_subsets,
     max_basis_subsets_any_k,
     max_partition_product_sum,
-    max_partition_product_sum_naive,
     partition_growth_check,
     product_partition_lower_bound,
 )
 from hypercube_codes.gf2 import GF2Matrix, count_nonsingular_submatrices
-from oracles import max_basis_subsets_naive
+from oracles import independent_subsets, max_basis_subsets_naive, max_partition_product_sum_naive
 
 # (k, d) -> maximum number of k-column subsets forming a basis
 KNOWN_MAXIMA = {
@@ -123,9 +122,54 @@ def test_block_search_matches_the_naive_search():
         assert _max_basis_subsets(k, d) == max_basis_subsets_naive(k, d)
 
 
+def permuted(tail, perm):
+    """The tail with row i of each vector moved to row perm[i], sorted."""
+    return tuple(sorted(sum(((v >> i) & 1) << p for i, p in enumerate(perm)) for v in tail))
+
+
+def test_walk_keeps_every_tail_least_in_its_orbit():
+    # the cut drops exactly the tails a row transposition lowers: the
+    # kept ones include every least member of an orbit under all k! row
+    # permutations, come in lexicographic order, and carry the count of
+    # bases among the identity and the tail
+    for k in range(1, 5):
+        transpositions = [tuple(b if i == a else a if i == b else i for i in range(k))
+                          for a, b in itertools.combinations(range(k), 2)]
+        for d in range(k, 9):
+            tails = list(itertools.combinations_with_replacement(range(1, 1 << k), d - k))
+            least = {t for t in tails
+                     if all(permuted(t, p) >= t for p in itertools.permutations(range(k)))}
+            unlowered = [t for t in tails if all(permuted(t, p) >= t for p in transpositions)]
+            walked = list(extremal._orderly_tails(k, d - k))
+            assert [t for t, _ in walked] == unlowered, (k, d)
+            assert least <= set(unlowered)
+            identity = [1 << i for i in range(k)]
+            for tail, count in walked:
+                assert count == sum(1 for _ in independent_subsets(identity + list(tail), k))
+    # the cut is a real reduction: at (4, 8) 239 of 3,060 tails are walked,
+    # above the 3,060 / 4! that a full orbit reduction could reach
+    assert len(list(extremal._orderly_tails(4, 4))) == 239
+
+
+def test_one_extra_column_searches_are_fast():
+    # on (k, k + 1) a family has 1 + popcount(x) bases for its extra
+    # column x, so the all-ones column wins; the walk keeps one tail per
+    # weight instead of 2^k - 1
+    start = time.process_time()
+    for k in range(1, 20):
+        result = _max_basis_subsets.__wrapped__(k, k + 1)
+        assert result.value == k + 1
+        assert result.witness.columns == (*GF2Matrix.identity(k).columns, (1 << k) - 1)
+    assert time.process_time() - start < 1.0
+    assert max_basis_subsets(19, 20) == result  # inside the default budget
+    with pytest.raises(OutOfRegimeError):
+        max_basis_subsets(20, 21)
+
+
 def test_square_searches_are_answered_or_refused_at_once():
-    # (k, k) has one candidate, the identity.  k = 64 does not fit the
-    # int64 columns, nor d = 65 a GF2Matrix: both are refused up front.
+    # (k, k) has one candidate, the identity.  The search takes k < 64
+    # and d <= 64 (MAX_BITS columns in a GF2Matrix): k = 64 and d = 65
+    # are refused up front.
     start = time.perf_counter()
     result = max_basis_subsets(24, 24)
     bounds = basis_subset_bounds(24, 24)

@@ -14,7 +14,7 @@ from hypercube_codes.basisprob import uniform_basis_probability
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_partition_product_sum
 from hypercube_codes.gf2 import rank_ints
-from oracles import independent_subsets
+from oracles import independent_subsets, lagrangian_polynomial
 from hypercube_codes.hypergraph import (
     LAGRANGIAN_BLOCK,
     LagrangianResult,
@@ -26,7 +26,6 @@ from hypercube_codes.hypergraph import (
     complete_multipartite,
     contains_copy,
     lagrangian,
-    lagrangian_polynomial,
     linear_independence_density,
     linear_independence_hypergraph,
 )
