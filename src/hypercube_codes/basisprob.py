@@ -10,11 +10,11 @@ so the closed forms behind `constants` load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import OutOfRegimeError
 
 MAX_T = 64
@@ -95,8 +95,7 @@ def limit_constant(decimal_digits: int) -> Decimal:
     raise OutOfRegimeError("certified rounding did not stabilize")
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(Record):
     """A probability distribution on the nonzero vectors of GF(2)^t.
 
     probs[i] is the probability of the vector with packed value i + 1.

@@ -19,8 +19,9 @@ leaves the caller's garbage collector as it was.
 
 Of the stdlib, the module imports only argparse, gc, os, sys and typing
 at load; each helper imports any other stdlib module where it runs, so
-`--version`, `--help` and a usage error skip json, csv, decimal,
-fractions and dataclasses.
+`--version`, `--help` and a usage error skip json, csv, decimal and
+fractions.  The package's record types build on its own frozen base, so
+no command loads dataclasses.
 """
 
 from __future__ import annotations
@@ -175,7 +176,6 @@ def cmd_constants(args) -> int:
 
 def cmd_bounds_table(args) -> int:
     """Bounds on the maximum erasure list size per subcube dimension."""
-    import dataclasses
     from .extremal import list_size_bounds_table
     table = list_size_bounds_table(args.d_max)
     manifest = load_reference_manifest()
@@ -194,7 +194,7 @@ def cmd_bounds_table(args) -> int:
         if row.construction_upper is not None \
                 and row.construction_upper == row.partition_sum_lower:
             check("list_size_exact", row.d, row.construction_upper)
-    rows = [dataclasses.asdict(row) for row in table]
+    rows = [{name: getattr(row, name) for name in row._fields} for row in table]
     payload = {"command": "bounds-table", "d_max": args.d_max, "rows": rows}
     _emit(args, payload, list(rows[0]), [list(r.values()) for r in rows])
     return _fail(mismatches, "reference mismatch")

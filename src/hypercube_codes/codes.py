@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
+from ._record import Record
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
 from .geometry import MAX_BITS, MAX_N, _from01
@@ -34,8 +34,7 @@ DENSITY_THRESHOLD: Fraction = limit_interval(40)[0]
 MAX_RETRIES = 64
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Code:
+class Code(Record):
     """A set of binary words on n coordinates, given as any iterable of
     ints or an integer ndarray (not floats or bools).  `array` stores the
     packed words (bit i = coordinate i + 1) once: sorted, distinct and
@@ -61,8 +60,7 @@ class Code:
         distinct[1:] = array[1:] != array[:-1]
         array = array[distinct]
         array.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "array", array)
+        vars(self).update(n=n, array=array)  # past the frozen setattr
 
     @cached_property
     def words(self) -> frozenset:
@@ -83,8 +81,7 @@ class Code:
         return Fraction(len(self), 1 << self.n)
 
 
-@dataclass(frozen=True)
-class LayerAssignment:
+class LayerAssignment(Record):
     """Vectors drawn for one layer: coordinate i gets vectors[i], a
     nonzero element of GF(2)^weight."""
 
@@ -189,8 +186,7 @@ def residue_subcode(code: Code, modulus: int, residue: int) -> Code:
     return Code(code.n, code.array[_code_weights(code) % modulus == residue])
 
 
-@dataclass(frozen=True)
-class ResidueSelection:
+class ResidueSelection(Record):
     code: Code
     residue: int
 
@@ -247,8 +243,7 @@ def expected_dependent_fraction(r: int, k: int) -> Fraction:
     return 1 - independent_draw_probability(r, r + k)
 
 
-@dataclass(frozen=True)
-class HittingSetResult:
+class HittingSetResult(Record):
     """small_layer_cutoff is the largest weight whose layer is included
     in full (-1 if none); above it only dependent-support words enter."""
 

@@ -24,7 +24,6 @@ subcube, as the naive scans of tests/oracles.py run it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -32,6 +31,7 @@ import numpy as np
 # by name first: -X importtime does not time `from . import geometry`
 from .codes import Code
 from . import geometry
+from ._record import Record
 from .errors import OutOfRegimeError
 from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
                        _colex_unrank, _fixed_coords, _leaf_subcube,
@@ -47,8 +47,7 @@ def subcube_count(code: Code, cube: Subcube) -> int:
     return int(np.count_nonzero(code.array & fixed == np.uint64(cube.base)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """max_count over all d-subcubes, the first subcube in canonical
     order that holds it, and the number of d-subcubes that hold it."""
 
@@ -244,8 +243,7 @@ def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
     return int(np.count_nonzero(code.array & keep == bits & keep))
 
 
-@dataclass(frozen=True)
-class HittingReport:
+class HittingReport(Record):
     hits_all: bool
     missed: Optional[Subcube]
 

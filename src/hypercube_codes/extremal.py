@@ -27,18 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from ._record import Record
 from .errors import OutOfRegimeError
 from .geometry import MAX_BITS, MAX_N, enumerate_subcubes
 
-# gf2, codes and basisprob are imported by the functions that use them,
-# so `partition-max` and `search-max-code` load none of them.  Nothing
-# here loads numpy but MaxCodeResult.witness, through codes.
+# gf2, codes, basisprob and fractions are imported by the functions that
+# use them, so `partition-max` and `search-max-code` load none of them.
+# Nothing here loads numpy but MaxCodeResult.witness, through codes.
 if TYPE_CHECKING:
+    from fractions import Fraction
     from .codes import Code
     from .gf2 import GF2Matrix
 
@@ -49,16 +49,14 @@ DEFAULT_WORK_BUDGET = 20_000_000
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class BasisSubsetMaximum:
+class BasisSubsetMaximum(Record):
     k: int
     d: int
     value: int
     witness: GF2Matrix
 
 
-@dataclass(frozen=True)
-class BasisSubsetBounds:
+class BasisSubsetBounds(Record):
     """Bounds on the basis-subset maximum that do not rely on the search.
 
     random_lower: ceil(P(k) * C(d, k)), from a uniformly random matrix.
@@ -273,6 +271,7 @@ def basis_subset_bounds(k: int, d: int,
                         work_budget: int = DEFAULT_WORK_BUDGET) -> BasisSubsetBounds:
     """Bounds on the basis-subset maximum computable without the full
     search at (k, d)."""
+    from fractions import Fraction
     from .basisprob import uniform_basis_probability
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
@@ -302,8 +301,7 @@ def basis_subset_bounds(k: int, d: int,
                              dense_upper, deletion_upper)
 
 
-@dataclass(frozen=True)
-class ShapeMaximum:
+class ShapeMaximum(Record):
     d: int
     value: int
     best_k: int
@@ -339,8 +337,7 @@ def construction_upper(d: int) -> Optional[int]:
         return None
 
 
-@dataclass(frozen=True)
-class PartitionMaximum:
+class PartitionMaximum(Record):
     """Maximum of sum_i prod_{j != i} a_j over partitions d = a_1 + ...
     + a_m with m >= 2 parts >= 0.  Parts are reported non-increasing;
     at most one zero part ever matters (two zeros kill every term)."""
@@ -446,8 +443,7 @@ def product_partition_lower_bound(d: int) -> int:
     return t2 + t3
 
 
-@dataclass(frozen=True)
-class ListSizeBoundsRow:
+class ListSizeBoundsRow(Record):
     d: int
     product_partition_lower: int
     partition_sum_lower: int
@@ -466,8 +462,7 @@ def list_size_bounds_table(d_max: int) -> list[ListSizeBoundsRow]:
             for d in range(1, d_max + 1)]
 
 
-@dataclass(frozen=True)
-class PartitionGrowthCheck:
+class PartitionGrowthCheck(Record):
     d: int
     value: int
     closed_form: Fraction
@@ -483,6 +478,7 @@ def partition_growth_check(d: int) -> PartitionGrowthCheck:
     The all-threes partition is not always the argmax (mixed parts win at
     every checked d), so both facts are reported rather than assumed.
     """
+    from fractions import Fraction
     if d % 3 != 0 or not 3 <= d <= 60:
         raise ValueError("need d divisible by 3 in [3, 60]")
     result = max_partition_product_sum(d)
@@ -496,8 +492,7 @@ def partition_growth_check(d: int) -> PartitionGrowthCheck:
         result.value == all_threes)
 
 
-@dataclass(frozen=True)
-class MaxCodeResult:
+class MaxCodeResult(Record):
     """certified=True means the search proved optimality; otherwise
     max_size is only the best size found within the node budget.  The
     witness code's words are kept as sorted ints; `witness` is the same

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record
 from .errors import OutOfRegimeError
 
 # Hard cap on vector length.  Single place to widen if longer words are
@@ -46,8 +46,7 @@ def _to01(word: int, n: int) -> str:
     return f"{word:0{n}b}"[::-1] if n else ""
 
 
-@dataclass(frozen=True)
-class Subcube:
+class Subcube(Record):
     """free: strictly increasing coordinates allowed to vary; base: the
     packed word fixing the remaining coordinates (zero on free ones)."""
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import OutOfRegimeError
 from .geometry import MAX_BITS, _from01, _to01
 
@@ -30,8 +30,7 @@ DEFAULT_PAIR_BUDGET = 100_000_000
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class BitWord:
+class BitWord(Record):
     """A binary vector of length at most MAX_BITS packed into an int.
 
     Attributes:
@@ -252,8 +251,7 @@ def is_basis(vectors: Sequence[BitWord]) -> bool:
     return rank_ints(w.bits for w in vectors) == t
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
+class GF2Matrix(Record):
     """A rows x cols matrix over GF(2), stored column-major.
 
     Attributes:

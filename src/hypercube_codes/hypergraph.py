@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .errors import OutOfRegimeError
 from .gf2 import MAX_BITS, _independent_rows
 
@@ -32,13 +32,15 @@ DEFAULT_EDGE_BUDGET = 5_000_000
 ASCENT_TOL = 1e-10
 ASCENT_MAX_ITERS = 20_000
 # Restarts that lagrangian ascends together as the columns of one array.
-# Each holds about r + 2 floats per edge of step buffers (40 kB for
-# basis_hypergraph(4)), which peak memory pays once per block member.
-LAGRANGIAN_BLOCK = 16
+# Each holds about r + 1 floats per edge of step buffers (34 kB for
+# basis_hypergraph(4)), which peak memory pays once per block member:
+# 32 x 34 kB, about 1.1 MB.  On fresh `lagrangian --t 4 --restarts 256`
+# runs, 32 took most of the wall time that going from 16 to 64 saves,
+# at under half the peak RSS that 64 adds.
+LAGRANGIAN_BLOCK = 32
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class UniformHypergraph:
+class UniformHypergraph(Record):
     """r-uniform hypergraph on vertices 0..n_vertices-1, given as any
     iterable of r-tuples or an integer (m, r) array (not floats) whose
     rows are strictly increasing.  `edges` stores the rows once: sorted
@@ -345,8 +347,7 @@ def contains_copy(big: UniformHypergraph, small: UniformHypergraph,
     return None
 
 
-@dataclass(frozen=True)
-class LagrangianResult:
+class LagrangianResult(Record):
     value: float
     point: tuple
     restarts_used: int
@@ -404,8 +405,9 @@ def _ascend(x: np.ndarray, r: int, columns: np.ndarray,
     live = np.arange(count)
     prev = np.full(count, -1.0)
     products_buf = np.empty((m + 1) * count)
-    scratch_buf = np.empty(m * count)
-    quotient_bufs = [np.empty(slots.size * count) for _, slots in classes]
+    # the gathered factors, then the products by restart, then each class's
+    # quotients in turn: each is read for the last time before the next
+    scratch_buf = np.empty(max(m, *(slots.size for _, slots in classes)) * count)
     for _ in range(ASCENT_MAX_ITERS):
         k = live.size
         products = products_buf[:(m + 1) * k].reshape(m + 1, k)
@@ -420,9 +422,9 @@ def _ascend(x: np.ndarray, r: int, columns: np.ndarray,
         value = by_restart.sum(axis=1)
         stop = (value <= 0.0) | (np.abs(value - prev) < ASCENT_TOL * np.maximum(value, 1.0))
         grad = np.zeros_like(x)
-        for (vertices, slots), buf in zip(classes, quotient_bufs):
+        for vertices, slots in classes:
             quotients = np.take(products, slots, axis=0, mode="clip",
-                                out=buf[:slots.size * k].reshape(*slots.shape, k))
+                                out=scratch_buf[:slots.size * k].reshape(*slots.shape, k))
             quotients /= x[vertices]
             # np.add.reduce adds down the first axis in sequence, except
             # that it sums a lone column pairwise
@@ -493,7 +495,9 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         products = points[columns[0]]
         for column in columns[1:]:
             products *= points[column]
-        for value, point in zip(np.cumsum(products, axis=0)[-1].tolist(), points.T):
+        values = np.cumsum(products, axis=0)[-1].tolist()
+        del products  # an (edges, block) array, not held through the next ascent
+        for value, point in zip(values, points.T):
             if value > best_value:
                 best_value = value
                 best_point = point
