@@ -157,7 +157,8 @@ def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 
     """Unbiased Monte Carlo estimate of the basis probability.
 
     Deterministic for a fixed seed: draws come from a PCG64 stream keyed
-    by the seed alone.
+    by the seed alone.  It keeps numpy's Generator, unlike the layer
+    draws of codes: `choice` with weights draws floats.
 
     Raises:
         OutOfRegimeError: if samples * 2^t exceeds DEFAULT_SAMPLE_BUDGET,

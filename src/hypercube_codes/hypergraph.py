@@ -466,6 +466,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     Restarts run LAGRANGIAN_BLOCK at a time as the columns of one
     array, and each ends bit for bit where ascending it alone would
     (see _ascend), so the result does not depend on the block size.
+    The starts are Dirichlet draws, floats, so they keep numpy's
+    Generator, unlike the integer layer draws of codes.
 
     Raises:
         ValueError: if restarts < 1.

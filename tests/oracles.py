@@ -1,11 +1,14 @@
 """Slow reference enumerators that the package's fast walks are checked
 against: the depth-first independent-subset walk, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
-exhaustive partition walk and the Lagrangian polynomial."""
+exhaustive partition walk, the Lagrangian polynomial, and numpy's
+generator for the layer draws."""
 
 import collections
 import itertools
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from hypercube_codes.codes import Code
 from hypercube_codes.cube import subcube_count
@@ -150,3 +153,10 @@ def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
             p *= x[v]
         total += p
     return total
+
+
+def draw_vectors_numpy(key: list[int], n: int, dim: int) -> tuple[int, ...]:
+    """n draws from [1, 2^dim) by numpy's PCG64 Generator keyed by key,
+    which codes._draw_vectors reproduces in Python ints."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    return tuple(int(v) for v in rng.integers(1, 1 << dim, size=n))

@@ -28,7 +28,7 @@ from hypercube_codes.codes import (
 )
 from hypercube_codes.errors import ConstructionError
 from hypercube_codes.gf2 import BitWord, rank_ints
-from oracles import independent_subsets
+from oracles import draw_vectors_numpy, independent_subsets
 
 
 def test_code_validation_and_density():
@@ -58,6 +58,66 @@ def test_layer_draws_are_deterministic():
         assert assignment.weight == r
         assert len(assignment.vectors) == 8
         assert all(1 <= v < (1 << r) for v in assignment.vectors)
+
+
+SEED_GRID = [*range(10), 2**32 - 1, 2**32, 2**64 + 5]
+
+
+def test_layer_draws_match_numpys_generator():
+    # layer keys [seed, r, retry] at dim r, hitting keys [seed, r] at
+    # dim r + k, each 24 draws; multi-word seeds split into 32-bit words
+    for seed in SEED_GRID:
+        for r in range(1, 25):
+            for retry in (0, 1, 17, 64):
+                key = [seed, r, retry]
+                assert codes._draw_vectors(key, 24, r) == draw_vectors_numpy(key, 24, r), key
+            for dim in range(r, 25):
+                key = [seed, r]
+                assert codes._draw_vectors(key, 24, dim) \
+                    == draw_vectors_numpy(key, 24, dim), (key, dim)
+    for key in ([0], [7, 1, 0], [2**64 + 5, 3]):
+        assert codes._draw_vectors(key, 5, 1) == draw_vectors_numpy(key, 5, 1) == (1,) * 5
+    # numpy integers are read as the ints they hold, not in fixed width
+    key = [np.uint64(2**64 - 1), np.int64(3), 0]
+    assert codes._draw_vectors(key, 24, 3) == draw_vectors_numpy([2**64 - 1, 3, 0], 24, 3)
+
+
+# layer keys whose 24 draws at dim r skip a word (found by search): at
+# these dims a word is skipped with probability 2^(32 mod r) / 2^32
+REJECTING_KEYS = [[14937, 17, 0], [6616, 18, 0], [57485, 19, 0]]
+
+
+def test_layer_draws_that_skip_a_word_match_numpy():
+    for key in REJECTING_KEYS:
+        r = key[1]
+        used = []
+        stream = codes._pcg64_uint32s(codes._seed_state(key))
+        drawn = codes._bounded_draws((used.append(u) or u for u in stream), 24, r)
+        assert len(used) > 24
+        assert drawn == codes._draw_vectors(key, 24, r) == draw_vectors_numpy(key, 24, r)
+
+
+def test_bounded_draw_skips_words_below_the_threshold_only():
+    # a stream meets a word at the threshold itself once in 2^32, so the
+    # boundary of numpy's rule is pinned on chosen words: one whose low
+    # product word is threshold - 1 is skipped, one at the threshold kept
+    for dim in range(2, 33):
+        excl = (1 << dim) - 1
+        threshold = ((1 << 32) - excl) % excl
+        inverse = pow(excl, -1, 1 << 32)
+        at = threshold * inverse % (1 << 32)
+        below = (threshold - 1) * inverse % (1 << 32)
+        kept = 1 + (at * excl >> 32)
+        assert codes._bounded_draws(iter([below, at]), 1, dim) == (kept,)
+        assert codes._bounded_draws(iter([at, below]), 1, dim) == (kept,)
+
+
+def test_layer_draw_refusals():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        codes._draw_vectors([-1, 3, 0], 4, 3)
+    for dim in (0, 33):
+        with pytest.raises(ValueError, match="dim"):
+            codes._draw_vectors([0, 1], 4, dim)
 
 
 def test_weight_one_layer_is_forced():

@@ -6,6 +6,7 @@ only the command helpers import), the CLI runs BLAS on one thread unless
 told otherwise, and a CLI process runs with the cyclic garbage collector
 off and ends with its objects frozen."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -118,6 +119,22 @@ HELPER_STDLIB = {"json", "csv", "decimal", "fractions", "dataclasses", "inspect"
 NUMPY_FREE = {"numpy", "inspect"}
 # absent from the exact commands that compute in ints only
 INT_ONLY = {"fractions", "decimal"}
+# numpy's generators, which only the Lagrangian's starts and the Monte
+# Carlo sampler use: the layer draws run the same stream in Python ints
+NUMPY_RANDOM = {"numpy.random", "secrets"}
+
+
+@functools.cache
+def numpy_import_loads() -> frozenset:
+    """The NUMPY_RANDOM modules that `import numpy` loads by itself and no
+    command can keep out: both under numpy 1.x, which imports numpy.random
+    with numpy; none where numpy.random loads on first use (numpy 2.4)."""
+    return frozenset(python(f"""
+import sys
+bare = set(sys.modules)
+import numpy
+print(*sorted({NUMPY_RANDOM!r} & (set(sys.modules) - bare)))
+""").split())
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
@@ -126,16 +143,24 @@ INT_ONLY = {"fractions", "decimal"}
     (["partition-max"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
     (["constants", "--t-max", "40"], {"hypercube_codes.basisprob"}, NUMPY_FREE),
     (["partition-max", "--d", "50"], {"hypercube_codes.extremal"}, NUMPY_FREE | INT_ONLY),
-    # json shows that the probe sees what a command's helpers import
+    # json and numpy.random show that the probe sees what a command's
+    # helpers and its numpy calls import
     (["lagrangian", "--t", "3", "--format", "json"],
-     {"hypercube_codes.hypergraph", "numpy", "json"},
+     {"hypercube_codes.hypergraph", "numpy", "json", "numpy.random"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
     (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
     (["build-verify", "--n", "10", "--d", "3"],
      {"hypercube_codes.cube", "hypercube_codes.extremal"},
-     {"hypercube_codes.hypergraph", "logging"}),  # logging only to warn
-    (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"}, {"hypercube_codes.cube"}),
+     {"hypercube_codes.hypergraph", "logging", *NUMPY_RANDOM}),  # logging only to warn
+    (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"},
+     {"hypercube_codes.cube", *NUMPY_RANDOM}),
+    (["build", "--n", "10", "--modulus", "6", "--out", "{tmp}/built.txt"],
+     {"hypercube_codes.codes"}, {"hypercube_codes.cube", *NUMPY_RANDOM}),
+    (["load", "--in", "{tmp}/code.txt"], {"hypercube_codes.codes"},
+     {"hypercube_codes.cube", *NUMPY_RANDOM}),
+    (["verify", "--in", "{tmp}/code.txt", "--d", "2"], {"hypercube_codes.cube"},
+     NUMPY_RANDOM),
     (["search-max-code", "--n", "5", "--d", "3", "--list-size", "6"],
      {"hypercube_codes.extremal", "hypercube_codes.geometry"},
      NUMPY_MODULES | NUMPY_FREE | INT_ONLY),
@@ -149,10 +174,14 @@ INT_ONLY = {"fractions", "decimal"}
     (["bounds-table", "--d-max", "8"], {"hypercube_codes.extremal", "hypercube_codes.gf2"},
      NUMPY_MODULES - {"hypercube_codes.gf2"} | NUMPY_FREE | INT_ONLY),
 ], ids=["version", "help", "usage-error", "constants", "partition-max", "lagrangian",
-        "density", "build-verify", "hitting", "search-max-code-branch-bound",
+        "density", "build-verify", "hitting", "build", "load", "verify",
+        "search-max-code-branch-bound",
         "search-max-code-exhaustive", "basis-subsets", "bounds-table"])
-def test_each_command_imports_only_what_it_runs(argv, loaded, absent):
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, loaded, absent):
+    (tmp_path / "code.txt").write_text("n=3\n000\n011\n101\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     absent = absent | {"dataclasses"}  # the records build on the package's own base
+    absent -= numpy_import_loads()
     out = python(f"""
 import sys
 bare = set(sys.modules)
