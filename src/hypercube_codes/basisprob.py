@@ -156,9 +156,9 @@ def basis_probability(dist: SimplexPoint) -> Fraction:
 def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 0) -> float:
     """Unbiased Monte Carlo estimate of the basis probability.
 
-    Deterministic for a fixed seed: draws come from a PCG64 stream keyed
-    by the seed alone.  It keeps numpy's Generator, unlike the layer
-    draws of codes: `choice` with weights draws floats.
+    Deterministic for a fixed seed: the draws are those of numpy's
+    Generator(PCG64(SeedSequence(seed))), bit for bit (see
+    _sample_vectors).
 
     Raises:
         OutOfRegimeError: if samples * 2^t exceeds DEFAULT_SAMPLE_BUDGET,
@@ -173,10 +173,7 @@ def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 
             f"{samples} samples at t = {t} take {steps} steps, "
             f"above the budget {DEFAULT_SAMPLE_BUDGET}")
     import numpy as np
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    p = np.array([float(x) for x in dist.probs], dtype=float)
-    p /= p.sum()
-    draws = rng.choice(len(p), size=(samples, t), p=p).astype(np.int64) + 1
+    draws = _sample_vectors(dist, samples, seed)
     # t vectors are independent iff every nonempty subset has nonzero xor;
     # walk the subsets in Gray-code order so each step flips one column
     ok = np.ones(samples, dtype=bool)
@@ -186,6 +183,28 @@ def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 
         cur ^= draws[:, flip]
         ok &= cur != 0
     return float(ok.mean())
+
+
+def _sample_vectors(dist: SimplexPoint, samples: int, seed: int):
+    """A (samples, t) int64 array of packed vectors drawn from dist: one
+    plus numpy's Generator(PCG64(SeedSequence(seed))).choice(len(p),
+    size=(samples, t), p=p) for the float probabilities p, normalised.
+    As choice does, each double of the stream of _pcg64 is placed among
+    the cumulative sums of p, scaled to end at 1."""
+    from itertools import repeat
+
+    import numpy as np
+
+    from ._pcg64 import next_double, uint64s
+    words = uint64s([seed])
+    p = np.array([float(x) for x in dist.probs], dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    count = samples * dist.t
+    uniform = np.fromiter(map(next_double, repeat(words, count)), float, count)
+    draws = cdf.searchsorted(uniform, side="right").astype(np.int64)
+    return draws.reshape(samples, dist.t) + 1
 
 
 def prob_first_draw_unrepeated(dist: SimplexPoint) -> float:

@@ -8,16 +8,15 @@ times.  Taking the best weight-residue subcode then caps how many
 codewords any small subcube can hold.  A complement variant, keeping the
 dependent supports, produces subcube hitting sets.  Both take uint32
 masks from one numpy kernel, gf2.independent_masks, and pass the arrays
-to Code.  Their vectors come from a PCG64 stream equal, bit for bit, to
-numpy's Generator(PCG64(SeedSequence(key))).integers, written in Python
-ints so that building a code never imports numpy.random.  File
+to Code.  Their vectors come from _pcg64's stream and equal, bit for
+bit, numpy's Generator(PCG64(SeedSequence(key))).integers, so building
+a code never imports numpy.random.  File
 round-tripping for codes lives here as well.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +24,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ._pcg64 import uint32s, uint64s
 from ._record import Record
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
@@ -104,85 +104,22 @@ class LayerAssignment(Record):
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_state(key: list[int]) -> list[int]:
-    """SeedSequence(key).generate_state(4, np.uint64): each key int split
-    into 32-bit words, least significant first, hashed into a pool of 4."""
-    words: list[int] = []
-    for k in map(operator.index, key):
-        if k < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(k & _MASK32)
-        while k := k >> 32:
-            words.append(k & _MASK32)
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
-    half = []
-    for i in range(8):
-        value = pool[i % 4] ^ h
-        h = h * _MULT_B & _MASK32
-        value = value * h & _MASK32
-        half.append(value ^ value >> 16)
-    return [half[i] | half[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _pcg64_uint32s(seed_state: list[int]) -> Iterator[int]:
-    """PCG64's next_uint32 stream from the words of _seed_state: the low
-    half of each 64-bit XSL-RR output, then its high half."""
-    s0, s1, s2, s3 = seed_state
-    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-    # srandom: one step from state 0, add the seed state, one more step
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-    while True:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        rot = state >> 122
-        x = (state >> 64 ^ state) & _MASK64
-        x = (x >> rot | x << (-rot & 63)) & _MASK64
-        yield x & _MASK32
-        yield x >> 32
-
-
-def _bounded_draws(uint32s: Iterator[int], n: int, dim: int) -> tuple[int, ...]:
-    """n draws from [1, 2^dim) by Lemire's method, as numpy bounds a range
-    of 32 bits or less: 1 + (u * excl >> 32) for excl = 2^dim - 1, taking
-    the next u while the low word of u * excl is below (2^32 - excl) % excl."""
+def _bounded_draws(words: Iterator[int], n: int, dim: int) -> tuple[int, ...]:
+    """n draws from [1, 2^dim) by Lemire's method on 32-bit words, as
+    numpy bounds a range of 32 bits or less: 1 + (u * excl >> 32) for
+    excl = 2^dim - 1, taking the next u while the low word of u * excl
+    is below (2^32 - excl) % excl."""
     excl = (1 << dim) - 1
     if excl == 1:  # one value: numpy draws nothing
         return (1,) * n
     threshold = ((1 << 32) - excl) % excl
     vectors = []
     for _ in range(n):
-        m = next(uint32s) * excl
+        m = next(words) * excl
         while m & _MASK32 < threshold:
-            m = next(uint32s) * excl
+            m = next(words) * excl
         vectors.append(1 + (m >> 32))
     return tuple(vectors)
 
@@ -192,14 +129,12 @@ def _draw_vectors(key: list[int], n: int, dim: int) -> tuple[int, ...]:
     bit for bit numpy's
     Generator(PCG64(SeedSequence(key))).integers(1, 1 << dim, size=n).
 
-    The stream is written out in Python ints (PCG64 is XSL-RR 128/64,
-    O'Neill 2014), as a draw is a few dozen small ints while importing
-    numpy.random costs a process 5.5-6.5 MB of RSS and 10-16 ms (2-vCPU
-    x86-64 VM).  Only ranges of 32 bits or less are drawn, which
+    The stream is numpy's, run in Python ints by _pcg64, as a draw is a
+    few dozen words.  Only ranges of 32 bits or less are drawn, which
     MAX_N = 24 covers."""
     if not 1 <= dim <= 32:
         raise ValueError("dim must be in [1, 32]")
-    return _bounded_draws(_pcg64_uint32s(_seed_state(key)), n, dim)
+    return _bounded_draws(uint32s(uint64s(key)), n, dim)
 
 
 def _draw_layer(n: int, r: int, seed: int, retry: int) -> LayerAssignment:

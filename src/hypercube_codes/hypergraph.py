@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _pcg64
 from ._record import Record
 from .errors import OutOfRegimeError
 from .gf2 import MAX_BITS, _independent_rows
@@ -466,8 +467,11 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
     Restarts run LAGRANGIAN_BLOCK at a time as the columns of one
     array, and each ends bit for bit where ascending it alone would
     (see _ascend), so the result does not depend on the block size.
-    The starts are Dirichlet draws, floats, so they keep numpy's
-    Generator, unlike the integer layer draws of codes.
+    The starts are the Dirichlet(1) draws of numpy's
+    Generator(PCG64(SeedSequence(seed))), bit for bit, from the stream
+    of _pcg64 that the layer draws of codes take too.  At 1-2 us a
+    coordinate they cost milliseconds up to t = 5 (31 vertices), but
+    seconds for a graph of millions of vertices.
 
     Raises:
         ValueError: if restarts < 1.
@@ -483,12 +487,14 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         return LagrangianResult(0.0, (0.0,) * n, 0)
     columns = graph.edges.T.copy()
     classes = _slot_tables(graph.edges, n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    starts = _pcg64.dirichlet_rows(
+        _pcg64.standard_exponentials(_pcg64.uint64s([seed])), n)
     best_value = -1.0
     best_point = None
     for first in range(0, restarts, LAGRANGIAN_BLOCK):
-        # one row per restart: the draws of successive dirichlet calls
-        x = rng.dirichlet(np.ones(n), size=min(LAGRANGIAN_BLOCK, restarts - first))
+        x = np.empty((min(LAGRANGIAN_BLOCK, restarts - first), n))
+        for row in x:  # one row per restart, in order across blocks
+            row[:] = next(starts)
         x = np.clip(x, 1e-12, None)
         x /= x.sum(axis=1)[:, None]
         points = _ascend(np.ascontiguousarray(x.T), graph.r, columns, classes)

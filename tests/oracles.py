@@ -1,11 +1,13 @@
 """Slow reference enumerators that the package's fast walks are checked
 against: the depth-first independent-subset walk, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
-exhaustive partition walk, the Lagrangian polynomial, and numpy's
-generator for the layer draws."""
+exhaustive partition walk, the Lagrangian polynomial, numpy's
+generator for the layer draws, the Lagrangian's starts and the Monte
+Carlo sampler, and the recurrence behind numpy's ziggurat tables."""
 
 import collections
 import itertools
+from decimal import Decimal, localcontext
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -158,5 +160,82 @@ def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
 def draw_vectors_numpy(key: list[int], n: int, dim: int) -> tuple[int, ...]:
     """n draws from [1, 2^dim) by numpy's PCG64 Generator keyed by key,
     which codes._draw_vectors reproduces in Python ints."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-    return tuple(int(v) for v in rng.integers(1, 1 << dim, size=n))
+    return tuple(int(v) for v in numpy_generator(key).integers(1, 1 << dim, size=n))
+
+
+def numpy_generator(key) -> np.random.Generator:
+    """numpy's Generator(PCG64(SeedSequence(key))), the stream that
+    hypercube_codes._pcg64 runs in Python ints."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+# PCG64's 128-bit multiplier
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_starting_with(word: int) -> np.random.PCG64:
+    """A numpy PCG64 whose next word is `word`: its state is one step
+    before a state whose halves xor to `word` rotated left by 17, and
+    whose top 6 bits hold that rotation."""
+    inc = 0xDA3E39CB94B95BDB << 64 | 0x2545F4914F6CDD1D  # any odd increment
+    high = 17 << 58 | 0x123456789ABCDEF
+    low = high ^ ((word << 17 | word >> 47) & ((1 << 64) - 1))
+    after = high << 64 | low
+    before = (after - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def standard_exponential_numpy(key, size: int) -> list[float]:
+    """size draws of numpy's ziggurat exponential keyed by key."""
+    return numpy_generator(key).standard_exponential(size).tolist()
+
+
+def dirichlet_numpy(key, n: int, size: int) -> list[list[float]]:
+    """size rows of numpy's Dirichlet(1, ..., 1) on n coordinates."""
+    return numpy_generator(key).dirichlet(np.ones(n), size=size).tolist()
+
+
+def choice_numpy(p, shape: tuple[int, int], key) -> np.ndarray:
+    """numpy's weighted choice of indices into p, the draws of the Monte
+    Carlo sampler of basisprob."""
+    return numpy_generator(key).choice(len(p), size=shape, p=p)
+
+
+# the right end of the exponential ziggurat, to 29 significant digits
+ZIGGURAT_R = "7.6971174701310497140446280481"
+
+
+def ziggurat_exponential_tables(r: str = ZIGGURAT_R, digits: int = 60):
+    """numpy's ke_double, we_double and fe_double, by the recurrence of
+    Marsaglia & Tsang (2000) in `digits`-digit decimal arithmetic.
+
+    With v = (r + 1) e^-r, the area of each of the 256 layers, the layer
+    edges x_255 = r > x_254 > ... > x_1 follow from f <- v / x + f and
+    x <- -ln f.  Then we[i] = x_i / 2^53 and fe[i] = e^-x_i, and ke[i + 1]
+    = 2 floor(x_i / x_(i+1) 2^52): numpy's ke entries are all even, and
+    floor(x_i / x_(i+1) 2^53) is one more in 131 of them.  The base layer
+    (index 0) has width q = v e^r, so ke[0] = 2 floor(r / q 2^52), we[0]
+    = q / 2^53, ke[1] = 0 and fe[0] = 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        r = Decimal(r)
+        f = (-r).exp()
+        v = (r + 1) * f
+        q = v / f
+        two52, two53 = Decimal(2) ** 52, Decimal(2) ** 53
+        ke = [2 * int(r / q * two52), 0] + [0] * 254
+        we = [float(q / two53)] + [0.0] * 254 + [float(r / two53)]
+        fe = [1.0] + [0.0] * 254 + [float(f)]
+        x = r
+        for i in range(254, 0, -1):
+            f = v / x + f
+            edge = -f.ln()
+            ke[i + 1] = 2 * int(edge / x * two52)
+            we[i] = float(edge / two53)
+            fe[i] = float(f)
+            x = edge
+    return ke, we, fe

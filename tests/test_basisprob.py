@@ -1,5 +1,5 @@
-"""Basis probabilities against direct tuple enumeration, plus the
-certified limit machinery."""
+"""Basis probabilities against direct tuple enumeration, the Monte Carlo
+sampler's draws against numpy's, plus the certified limit machinery."""
 
 import itertools
 import math
@@ -7,9 +7,10 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hypercube_codes import basisprob
+from hypercube_codes import _pcg64, basisprob
 from hypercube_codes.basisprob import (
     SimplexPoint,
     basis_probability,
@@ -24,6 +25,7 @@ from hypercube_codes.basisprob import (
 )
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.gf2 import rank_ints
+from oracles import choice_numpy, pcg64_starting_with
 
 
 def basis_probability_by_tuples(dist):
@@ -219,6 +221,45 @@ def test_monte_carlo_brackets_the_exact_probability():
         estimate = monte_carlo_basis_probability(dist, samples, seed=seed)
         spread = math.sqrt(exact * (1 - exact) / samples)
         assert abs(estimate - float(exact)) <= 5 * spread
+
+
+def test_monte_carlo_draws_match_numpys_choice():
+    # the packed vectors that the estimate counts, against numpy's weighted
+    # choice; zero weights, which no draw may pick, lead, sit inside and end
+    dists = [SimplexPoint.uniform(1), SimplexPoint.uniform(2),
+             SimplexPoint.from_weights(3, [1, 1, 0, 1, 0, 0, 1]),
+             SimplexPoint.from_weights(3, [1, 2, 3, 4, 5, 6, 0]),
+             SimplexPoint.from_weights(4, range(15)),
+             SimplexPoint(2, (0.1, 0.7, 0.2))]
+    for dist in dists:
+        p = np.array([float(x) for x in dist.probs])
+        p /= p.sum()
+        for seed in [*range(10), 2**64 + 5]:
+            draws = basisprob._sample_vectors(dist, 300, seed)
+            assert draws.dtype == np.int64
+            assert draws.tolist() == (choice_numpy(p, (300, dist.t), seed) + 1).tolist()
+            assert all(p[v - 1] > 0 for v in draws.flat)
+
+
+def test_the_sampler_places_boundary_doubles_as_choice_does(monkeypatch):
+    # a stream meets a double equal to a cumulative weight, or above the
+    # last one where rounding leaves that below 1, about once in 2^50
+    # draws, so both are pinned on chosen words, with numpy's PCG64 set
+    # to draw each one next: 0.25 passes over the zero weight, and the
+    # largest double below 1 picks the last vector
+    cases = [(SimplexPoint.from_weights(2, [1, 0, 3]), 0.25, 3),
+             (SimplexPoint.from_weights(3, [3, 8, 1, 2, 0, 6, 6]), 1 - 2**-53, 7)]
+    for dist, u, vector in cases:
+        p = np.array([float(x) for x in dist.probs])
+        p /= p.sum()
+        word = int(u * 2**53) << 11
+        words = pcg64_starting_with(word).random_raw(8).tolist()
+        monkeypatch.setattr(_pcg64, "uint64s", lambda key: iter(words))
+        draws = basisprob._sample_vectors(dist, 2, 0)
+        assert draws[0, 0] == vector
+        rng = np.random.Generator(pcg64_starting_with(word))
+        assert draws.tolist() == (rng.choice(len(p), size=(2, dist.t), p=p) + 1).tolist()
+    assert p.cumsum()[-1] < 1
 
 
 def test_monte_carlo_refuses_beyond_the_sample_budget(monkeypatch):

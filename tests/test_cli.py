@@ -349,15 +349,16 @@ def test_weight_class_beyond_max_n_fails_fast(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "--n", "8", "--seed", "-1"],
-    ["build-verify", "--n", "8", "--d", "3", "--seed", "-1"],
-    ["hitting", "--n", "8", "--k", "1", "--seed", "-3"],
-], ids=["build", "build-verify", "hitting"])
+    ["build", "--n", "8", "--seed", "-1", "--out", "{out}"],
+    ["build-verify", "--n", "8", "--d", "3", "--seed", "-1", "--out", "{out}"],
+    ["hitting", "--n", "8", "--k", "1", "--seed", "-3", "--out", "{out}"],
+    ["lagrangian", "--t", "3", "--seed", "-1"],
+], ids=["build", "build-verify", "hitting", "lagrangian"])
 def test_negative_seed_is_refused_with_numpys_message(capsys, tmp_path, argv):
-    # the layer draws key a PCG64 stream by the seed's 32-bit words, so a
+    # the draws key a PCG64 stream by the seed's 32-bit words, so a
     # negative seed has none; the message is numpy SeedSequence's
     out = tmp_path / "code.txt"
-    assert run(capsys, argv + ["--out", str(out)]) \
+    assert run(capsys, [a.format(out=out) for a in argv]) \
         == (1, "", "error: expected non-negative integer\n")
     assert not out.exists()
 

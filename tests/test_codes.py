@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercube_codes import codes
+from hypercube_codes import _pcg64, codes
 from hypercube_codes.basisprob import independent_draw_probability
 from hypercube_codes.codes import (
     DENSITY_THRESHOLD,
@@ -91,7 +91,7 @@ def test_layer_draws_that_skip_a_word_match_numpy():
     for key in REJECTING_KEYS:
         r = key[1]
         used = []
-        stream = codes._pcg64_uint32s(codes._seed_state(key))
+        stream = _pcg64.uint32s(_pcg64.uint64s(key))
         drawn = codes._bounded_draws((used.append(u) or u for u in stream), 24, r)
         assert len(used) > 24
         assert drawn == codes._draw_vectors(key, 24, r) == draw_vectors_numpy(key, 24, r)

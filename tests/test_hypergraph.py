@@ -14,7 +14,7 @@ from hypercube_codes.basisprob import uniform_basis_probability
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_partition_product_sum
 from hypercube_codes.gf2 import rank_ints
-from oracles import independent_subsets, lagrangian_polynomial
+from oracles import independent_subsets, lagrangian_polynomial, numpy_generator
 from hypercube_codes.hypergraph import (
     LAGRANGIAN_BLOCK,
     LagrangianResult,
@@ -342,7 +342,7 @@ def lagrangian_by_add_at(graph, restarts, seed, tol=1e-10, max_iters=20_000):
     n = graph.n_vertices
     r = graph.r
     edges = np.array(graph.edges, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = numpy_generator(seed)
     best_value = -1.0
     best_point = None
     for _ in range(restarts):
@@ -424,7 +424,8 @@ def test_lagrangian_restarts_beyond_the_edge_budget_are_refused():
 
 def test_lagrangian_counts_vertices_against_the_edge_budget():
     # one edge but 10^10 vertices: refused before the slot tables and the
-    # dirichlet starts, which would each hold a row per vertex
+    # Dirichlet starts, which would each hold a row per vertex, and the
+    # starts take 1-2 us a vertex to draw
     graph = UniformHypergraph(2, 10**10, [(0, 1)])
     start = time.perf_counter()
     with pytest.raises(OutOfRegimeError, match="10000000000 vertices"):

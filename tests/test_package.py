@@ -119,9 +119,11 @@ HELPER_STDLIB = {"json", "csv", "decimal", "fractions", "dataclasses", "inspect"
 NUMPY_FREE = {"numpy", "inspect"}
 # absent from the exact commands that compute in ints only
 INT_ONLY = {"fractions", "decimal"}
-# numpy's generators, which only the Lagrangian's starts and the Monte
-# Carlo sampler use: the layer draws run the same stream in Python ints
+# numpy's generators, which no command uses: every draw runs the same
+# stream in Python ints
 NUMPY_RANDOM = {"numpy.random", "secrets"}
+# the ziggurat tables, which only the Lagrangian's starts compile
+ZIGGURAT = "hypercube_codes._ziggurat"
 
 
 @functools.cache
@@ -143,20 +145,21 @@ print(*sorted({NUMPY_RANDOM!r} & (set(sys.modules) - bare)))
     (["partition-max"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
     (["constants", "--t-max", "40"], {"hypercube_codes.basisprob"}, NUMPY_FREE),
     (["partition-max", "--d", "50"], {"hypercube_codes.extremal"}, NUMPY_FREE | INT_ONLY),
-    # json and numpy.random show that the probe sees what a command's
-    # helpers and its numpy calls import
+    # json shows that the probe sees what a command's helpers import
     (["lagrangian", "--t", "3", "--format", "json"],
-     {"hypercube_codes.hypergraph", "numpy", "json", "numpy.random"},
-     {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
+     {"hypercube_codes.hypergraph", "numpy", "json", ZIGGURAT},
+     {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal",
+      *NUMPY_RANDOM}),
     (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
     (["build-verify", "--n", "10", "--d", "3"],
      {"hypercube_codes.cube", "hypercube_codes.extremal"},
-     {"hypercube_codes.hypergraph", "logging", *NUMPY_RANDOM}),  # logging only to warn
+     # logging only to warn
+     {"hypercube_codes.hypergraph", "logging", ZIGGURAT, *NUMPY_RANDOM}),
     (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"},
-     {"hypercube_codes.cube", *NUMPY_RANDOM}),
+     {"hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
     (["build", "--n", "10", "--modulus", "6", "--out", "{tmp}/built.txt"],
-     {"hypercube_codes.codes"}, {"hypercube_codes.cube", *NUMPY_RANDOM}),
+     {"hypercube_codes.codes"}, {"hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
     (["load", "--in", "{tmp}/code.txt"], {"hypercube_codes.codes"},
      {"hypercube_codes.cube", *NUMPY_RANDOM}),
     (["verify", "--in", "{tmp}/code.txt", "--d", "2"], {"hypercube_codes.cube"},
@@ -197,6 +200,18 @@ print(status, sorted({loaded!r} - set(sys.modules)),
 """)
     # argparse exits 2 on a usage error (the missing --d)
     assert out.split() == ["2" if argv == ["partition-max"] else "0", "[]", "[]"]
+
+
+def test_the_monte_carlo_sampler_leaves_numpy_random_unloaded():
+    absent = set(NUMPY_RANDOM) - numpy_import_loads()
+    out = python(f"""
+import sys
+bare = set(sys.modules)
+from hypercube_codes.basisprob import SimplexPoint, monte_carlo_basis_probability
+estimate = monte_carlo_basis_probability(SimplexPoint.uniform(3), 1000, seed=2)
+print(0 < estimate < 1, sorted({absent!r} & (set(sys.modules) - bare)))
+""")
+    assert out.split() == ["True", "[]"]
 
 
 def test_cli_import_loads_only_errors():
