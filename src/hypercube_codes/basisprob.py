@@ -190,19 +190,21 @@ def _sample_vectors(dist: SimplexPoint, samples: int, seed: int):
     plus numpy's Generator(PCG64(SeedSequence(seed))).choice(len(p),
     size=(samples, t), p=p) for the float probabilities p, normalised.
     As choice does, each double of the stream of _pcg64 is placed among
-    the cumulative sums of p, scaled to end at 1."""
-    from itertools import repeat
+    the cumulative sums of p, scaled to end at 1.  The words become
+    doubles in numpy, as next_double makes them: the top 53 bits over
+    2^53."""
+    from itertools import islice
 
     import numpy as np
 
-    from ._pcg64 import next_double, uint64s
-    words = uint64s([seed])
+    from ._pcg64 import uint64s
     p = np.array([float(x) for x in dist.probs], dtype=float)
     p /= p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
     count = samples * dist.t
-    uniform = np.fromiter(map(next_double, repeat(words, count)), float, count)
+    words = np.fromiter(islice(uint64s([seed]), count), np.uint64, count)
+    uniform = (words >> np.uint64(11)) * 2.0**-53
     draws = cdf.searchsorted(uniform, side="right").astype(np.int64)
     return draws.reshape(samples, dist.t) + 1
 

@@ -1,35 +1,47 @@
 """Construction of dense codes with bounded subcube occupancy.
 
-A Code holds its words once, as a sorted uint64 array.  The layered
-construction assigns to every layer r a random nonzero vector of GF(2)^r
-per coordinate and keeps the weight-r words whose support vectors form a
-basis; a layer that keeps too few words is redrawn, up to MAX_RETRIES
-times.  Taking the best weight-residue subcode then caps how many
-codewords any small subcube can hold.  A complement variant, keeping the
-dependent supports, produces subcube hitting sets.  Both take uint32
-masks from one numpy kernel, gf2.independent_masks, and pass the arrays
-to Code.  Their vectors come from _pcg64's stream and equal, bit for
-bit, numpy's Generator(PCG64(SeedSequence(key))).integers, so building
-a code never imports numpy.random.  File
-round-tripping for codes lives here as well.
+A Code holds its words once: sorted and distinct, as the bytes of native
+uint64; Code.array views them as a read-only numpy array, built on first
+access.  The layered construction assigns to every layer r a random
+nonzero vector of GF(2)^r per coordinate and keeps the weight-r words
+whose support vectors form a basis; a layer that keeps too few words is
+redrawn, up to MAX_RETRIES times.  Taking the best weight-residue
+subcode then caps how many codewords any small subcube can hold.  A
+complement variant, keeping the dependent supports, produces subcube
+hitting sets.
+
+Both work on truth tables: the words of a layer or of a residue class
+on n <= MAX_N coordinates as a 2^n-bit int whose bit w is set when word
+w is in the set, as gf2.independent_masks gives each layer.  A size is
+a popcount and a union an or, so the residue class is chosen from the
+layer sizes, and only the class kept is listed as words (_table_code).
+The layer vectors come from _pcg64's stream and equal, bit for bit,
+numpy's Generator(PCG64(SeedSequence(key))).integers.  Nothing here
+imports numpy but Code.array.  File round-tripping for codes lives here
+as well.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
-
-import numpy as np
+from itertools import accumulate, count, islice, repeat
+from operator import add, and_, lt
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._pcg64 import uint32s, uint64s
 from ._record import Record
 from .basisprob import independent_draw_probability, limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .geometry import MAX_BITS, MAX_N, _from01
+from .geometry import MAX_BITS, MAX_N, _from01, _to01, _weight_table
 from .gf2 import independent_masks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Certified rational lower bound on the limit constant, used as the
 # per-layer quality threshold for retries.
@@ -40,49 +52,105 @@ MAX_RETRIES = 64
 
 class Code(Record):
     """A set of binary words on n coordinates, given as any iterable of
-    ints or an integer ndarray (not floats or bools).  `array` stores the
-    packed words (bit i = coordinate i + 1) once: sorted, distinct and
-    read-only np.uint64."""
+    ints or an integer ndarray (not floats or bools).  The packed words
+    (bit i = coordinate i + 1) are kept once, sorted and distinct, as the
+    bytes of native uint64; `array` is a read-only np.uint64 view of
+    those bytes, built on first access."""
 
     n: int
-    array: np.ndarray
+    array: np.ndarray  # a field, computed on first access (below)
 
     def __init__(self, n: int, words):
         if not 0 <= n <= MAX_BITS:
             raise ValueError(f"n must be in [0, {MAX_BITS}]")
-        if not isinstance(words, np.ndarray):
-            words = np.array(list(words), dtype=object)  # ints of any size
-        # checked before the cast: no float truncates, no bool or negative word passes
-        for t in set(map(type, words)) if words.dtype == object else {words.dtype.type}:
-            if np.dtype(t).kind not in "iu":
-                raise ValueError(f"words must be integers, got {t.__name__}")
-        for w in map(int, (words.min(initial=0), words.max(initial=0))):
+        words = _integers(words)
+        for w in (min(words, default=0), max(words, default=0)):
             if not 0 <= w < (1 << n):
                 raise ValueError(f"word {w:#x} does not fit in {n} coordinates")
-        array = np.sort(np.asarray(words, dtype=np.uint64))
-        distinct = np.ones(len(array), bool)
-        distinct[1:] = array[1:] != array[:-1]
-        array = array[distinct]
-        array.flags.writeable = False
-        vars(self).update(n=n, array=array)  # past the frozen setattr
+        vars(self).update(n=n, _data=array("Q", sorted(set(words))).tobytes())
+
+    @classmethod
+    def _sorted(cls, n: int, words: Iterable[int]) -> Code:
+        """The code of words already sorted, distinct and within n
+        coordinates, taken unchecked."""
+        code = cls.__new__(cls)
+        vars(code).update(n=n, _data=array("Q", words).tobytes())
+        return code
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        import numpy as np
+        return np.frombuffer(self._data, dtype=np.uint64)
+
+    def _ints(self) -> memoryview:
+        """The words in ascending order, read as ints."""
+        return memoryview(self._data).cast("Q")
+
+    def _values(self) -> tuple:
+        """The fields, for repr: array is built on first access."""
+        return self.n, self.array
 
     @cached_property
     def words(self) -> frozenset:
         """The words as a frozenset of ints, for set semantics."""
-        return frozenset(self.array.tolist())
+        return frozenset(self._ints())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Code) and self.n == other.n
-                and np.array_equal(self.array, other.array))
+        return isinstance(other, Code) and self.n == other.n and self._data == other._data
 
     def __hash__(self) -> int:
-        return hash((self.n, self.array.tobytes()))
+        return hash((self.n, self._data))
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self._data) // 8
 
     def density(self) -> Fraction:
         return Fraction(len(self), 1 << self.n)
+
+
+def _integers(words) -> list:
+    """words as a list of ints, checked before any conversion so that no
+    float is truncated and no bool read as 0/1: an ndarray by its dtype,
+    anything else (an object array too) by the type of each item."""
+    dtype = getattr(words, "dtype", None)
+    if dtype is not None and dtype.kind in "iu":
+        return words.tolist()
+    if dtype is not None and dtype.kind != "O":
+        raise ValueError(f"words must be integers, got {dtype.type.__name__}")
+    words = list(words)
+    plain = True  # every item an int already
+    for t in set(map(type, words)):
+        if issubclass(t, int) and not issubclass(t, bool):
+            continue
+        if t.__module__ == "numpy":  # a numpy scalar, so numpy is loaded
+            import numpy as np
+            if issubclass(t, np.integer):
+                plain = False
+                continue
+        raise ValueError(f"words must be integers, got {t.__name__}")
+    return words if plain else list(map(int, words))
+
+
+def _table_words(table: int) -> array:
+    """The set bits of a table in ascending order, as array('Q').  Each
+    2^16-bit block is written in binary, reversed, and cut at its ones:
+    the j-th one of a block stands after the zeros of the first j + 1
+    pieces and j ones."""
+    words = array("Q")
+    raw = table.to_bytes((table.bit_length() + 7) // 8, "little")
+    step = 1 << 13  # the bytes of a block
+    for start in range(0, len(raw), step):
+        block = int.from_bytes(raw[start:start + step], "little")
+        if block:
+            gaps = bin(block)[:1:-1].split("1")
+            gaps.pop()  # after the last one
+            words.extend(map(add, accumulate(map(len, gaps)), count(start * 8)))
+    return words
+
+
+def _table_code(n: int, table: int) -> Code:
+    """The code of a table's words on n coordinates."""
+    return Code._sorted(n, _table_words(table))
 
 
 class LayerAssignment(Record):
@@ -150,25 +218,32 @@ def build_layer_vectors(n: int, seed: int = 0) -> dict[int, LayerAssignment]:
     return {r: _draw_layer(n, r, seed, 0) for r in range(1, n + 1)}
 
 
-def layer_words(assignment: LayerAssignment) -> np.ndarray:
-    """Weight-r words, sorted uint32, whose support vectors form a basis of GF(2)^r."""
+def _layer_table(assignment: LayerAssignment) -> int:
+    """The table of the weight-r words whose support vectors form a basis
+    of GF(2)^r."""
     return independent_masks(assignment.vectors, assignment.weight)
 
 
-def layered_basis_code(layers: Mapping[int, LayerAssignment],
-                       strict: bool = False) -> Code:
-    """The union of the zero word and all per-layer basis-support words.
+def layer_words(assignment: LayerAssignment) -> array:
+    """Weight-r words whose support vectors form a basis of GF(2)^r, in
+    ascending order, as array('Q')."""
+    return _table_words(_layer_table(assignment))
+
+
+def _layer_tables(layers: Mapping[int, LayerAssignment],
+                  strict: bool) -> Iterator[tuple[int, int]]:
+    """(r, table) for each layer r in ascending order.
 
     Any layer r whose word count is not strictly above
     DENSITY_THRESHOLD * C(n, r) is redrawn with the next retry index, up
-    to MAX_RETRIES times, keeping the best draw seen.  A layer still at
-    or below the threshold raises ConstructionError if strict; otherwise
-    its best draw is kept and the shortfall logged.
+    to MAX_RETRIES times, keeping the best draw seen.  After the last
+    layer, a layer still at or below the threshold raises
+    ConstructionError if strict; otherwise its best draw was kept and
+    the shortfall is logged.
     """
     if not layers:
         raise ValueError("need at least one layer")
     n = next(iter(layers.values())).n
-    words = [np.zeros(1, dtype=np.uint32)]  # the zero word, then each layer
     deficient: list[int] = []
     for r in sorted(layers):
         assignment = layers[r]
@@ -177,23 +252,48 @@ def layered_basis_code(layers: Mapping[int, LayerAssignment],
         if assignment.weight != r:
             raise ValueError(f"layer {r} carries weight {assignment.weight}")
         target = DENSITY_THRESHOLD * math.comb(n, r)
-        best = layer_words(assignment)
+        best = _layer_table(assignment)
+        size = best.bit_count()
         attempt = assignment
-        while len(best) <= target and attempt.retry < MAX_RETRIES:
+        while size <= target and attempt.retry < MAX_RETRIES:
             attempt = _draw_layer(n, r, assignment.seed, attempt.retry + 1)
-            candidate = layer_words(attempt)
-            if len(candidate) > len(best):
-                best = candidate
-        if len(best) <= target:
+            candidate = _layer_table(attempt)
+            if (found := candidate.bit_count()) > size:
+                best, size = candidate, found
+        if size <= target:
             deficient.append(r)
-        words.append(best)
+        yield r, best
     if deficient:
         if strict:
             raise ConstructionError(
                 f"layers {deficient} stayed at or below the density threshold "
                 f"after {MAX_RETRIES} retries")
         _warn("layers %s below the density threshold; keeping best draws", deficient)
-    return Code(n, np.concatenate(words))
+
+
+def layered_basis_code(layers: Mapping[int, LayerAssignment],
+                       strict: bool = False) -> Code:
+    """The union of the zero word and all per-layer basis-support words,
+    each layer the best of its draws (_layer_tables)."""
+    return _layered_residue_code(layers, 1, 0, strict)[0].code
+
+
+def _layered_residue_code(layers: Mapping[int, LayerAssignment], modulus: int,
+                          residue: int | None, strict: bool) -> tuple[ResidueSelection, int]:
+    """For code = layered_basis_code(layers, strict): its residue subcode
+    (the best one when residue is None, as best_residue_subcode chooses),
+    and len(code).  A class's size is the sum of its layers' popcounts,
+    and only the class kept is listed as words."""
+    _check_residue(modulus, 0 if residue is None else residue)
+    tables, sizes = {0: 1}, {0: 1}  # the zero word
+    for r, table in _layer_tables(layers, strict):
+        c = r % modulus
+        tables[c] = tables.get(c, 0) | table
+        sizes[c] = sizes.get(c, 0) + table.bit_count()
+    if residue is None:
+        residue = min(sizes, key=lambda c: (-sizes[c], c))  # ties: the smallest
+    n = next(iter(layers.values())).n
+    return ResidueSelection(_table_code(n, tables.get(residue, 0)), residue), sum(sizes.values())
 
 
 def _warn(message: str, *args) -> None:
@@ -204,18 +304,17 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _code_weights(code: Code) -> np.ndarray:
-    """Hamming weight of every word, in array order, from a byte table."""
-    return _weights(8)[code.array.view(np.uint8)].reshape(-1, 8).sum(1, dtype=np.intp)
-
-
-def residue_subcode(code: Code, modulus: int, residue: int) -> Code:
-    """Codewords whose weight is congruent to residue mod modulus."""
+def _check_residue(modulus: int, residue: int) -> None:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if not 0 <= residue < modulus:
         raise ValueError("residue must lie in [0, modulus)")
-    return Code(code.n, code.array[_code_weights(code) % modulus == residue])
+
+
+def residue_subcode(code: Code, modulus: int, residue: int) -> Code:
+    """Codewords whose weight is congruent to residue mod modulus."""
+    _check_residue(modulus, residue)
+    return Code._sorted(code.n, [w for w in code._ints() if w.bit_count() % modulus == residue])
 
 
 class ResidueSelection(Record):
@@ -226,20 +325,12 @@ class ResidueSelection(Record):
 def best_residue_subcode(code: Code, modulus: int) -> ResidueSelection:
     """The largest weight-residue subcode; ties break to the smallest
     residue.  By pigeonhole its size is at least len(code) / modulus."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    residues = _code_weights(code) % modulus
-    # argmax keeps the first maximum: ties go to the smallest residue
-    residue = int(np.bincount(residues, minlength=1).argmax())
-    return ResidueSelection(Code(code.n, code.array[residues == residue]), residue)
-
-
-def _weights(n: int) -> np.ndarray:
-    """Hamming weight of every word of GF(2)^n, indexed by packed value."""
-    weights = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        weights = np.concatenate((weights, weights + np.uint8(1)))
-    return weights
+    _check_residue(modulus, 0)
+    sizes = [0] * min(modulus, code.n + 1)
+    for w in code._ints():
+        sizes[w.bit_count() % modulus] += 1
+    residue = sizes.index(max(sizes))  # the first maximum: ties go to the smallest residue
+    return ResidueSelection(residue_subcode(code, modulus, residue), residue)
 
 
 def weight_class_code(n: int, modulus: int, residue: int) -> Code:
@@ -250,8 +341,10 @@ def weight_class_code(n: int, modulus: int, residue: int) -> Code:
         OutOfRegimeError: for n > MAX_N, before any word is enumerated.
     """
     _check_weight_class(n, modulus, residue)
-    kept = np.arange(n + 1) % modulus == residue
-    return Code(n, np.flatnonzero(kept[_weights(n)]))
+    table = 0
+    for r in range(residue, n + 1, modulus):
+        table |= _weight_table(n, r)
+    return _table_code(n, table)
 
 
 def _check_weight_class(n: int, modulus: int, residue: int) -> None:
@@ -261,10 +354,7 @@ def _check_weight_class(n: int, modulus: int, residue: int) -> None:
         raise ValueError(f"n must be in [0, {MAX_BITS}]")
     if n > MAX_N:
         raise OutOfRegimeError(f"weight-class codes are enumerated for n <= {MAX_N}")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if not 0 <= residue < modulus:
-        raise ValueError("residue must lie in [0, modulus)")
+    _check_residue(modulus, residue)
 
 
 def expected_dependent_fraction(r: int, k: int) -> Fraction:
@@ -302,26 +392,28 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     target is reported, not fatal.
     """
     _check_hitting(n, k)
-    weights = _weights(n)
-    layer = [np.flatnonzero(weights == r).astype(np.uint32) for r in range(n + 1)]
     # the empty support is independent, so layer 0 has no dependent word
-    dependent = [np.zeros(0, dtype=np.uint32)]
+    dependent = [0]
     for r in range(1, n + 1):
         independent = independent_masks(_draw_vectors([seed, r], n, r + k), r)
-        dependent.append(np.setdiff1d(layer[r], independent, assume_unique=True))
+        dependent.append(_weight_table(n, r) ^ independent)  # of weight r too
 
     target = 1 << (n - k) if k <= n else 1
     # raising the cutoff swaps a dependent subset for its full layer, so
     # the total size is non-decreasing in c; take the largest c that fits
     cutoff = -1
-    running = sum(map(len, dependent))
+    sizes = [table.bit_count() for table in dependent]
+    running = sum(sizes)
     prefix = 0
     for c in range(0, n + 1):
         prefix += math.comb(n, c)
-        running -= len(dependent[c])
+        running -= sizes[c]
         if prefix + running <= target:
             cutoff = c
-    code = Code(n, np.concatenate(layer[:cutoff + 1] + dependent[cutoff + 1:]))
+    table = 0
+    for r in range(n + 1):
+        table |= _weight_table(n, r) if r <= cutoff else dependent[r]
+    code = _table_code(n, table)
     met = len(code) <= target
     if not met:
         _warn("hitting set size %d misses the target %d", len(code), target)
@@ -330,34 +422,45 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
 
 def save_code(path, code: Code) -> None:
     """Write `n=<n>` then one 0/1 line per word, sorted by packed value;
-    the leftmost character is coordinate 1.  The lines are one uint8
-    array of shape (words, n + 1), written as it lies in memory."""
+    the leftmost character is coordinate 1.  A line is the string of its
+    word's low 12 bits, from a table of 2^12, then that of the bits
+    above, which the sorted words share in runs: a run is written as one
+    join."""
     n = code.n
-    lines = np.empty((len(code), n + 1), np.uint8)
-    octets = code.array.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    np.add(np.unpackbits(octets, axis=1, count=n, bitorder="little"), ord("0"),
-           out=lines[:, :n])
-    lines[:, n] = ord("\n")
+    low = min(n, 12)
+    strings = [""]  # of each value of the low bits
+    for _ in range(low):
+        strings = [s + "0" for s in strings] + [s + "1" for s in strings]
+    words = code._ints()
     with open(path, "wb") as fh:
         fh.write(f"n={n}\n".encode("ascii"))
-        fh.write(lines)
+        start = 0
+        while start < len(words):
+            high = words[start] >> low
+            end = bisect_left(words, high + 1 << low, start)
+            tail = _to01(high, n - low) + "\n"
+            lines = map(strings.__getitem__, map(and_, words[start:end], repeat((1 << low) - 1)))
+            fh.write((tail.join(lines) + tail).encode("ascii"))
+            start = end
 
 
 def load_code(path) -> Code:
     """Inverse of save_code.  Duplicate lines are collapsed with a
     warning; malformed content raises ValueError with the line number.
-    A file as save_code writes it is read as one array of shape
-    (words, n + 1); any other is read line by line (_parse_lines)."""
+    A file as save_code writes it, n 0/1 characters and a newline per
+    line, is checked and parsed with bytes methods, in base 2; any other
+    is read line by line (_parse_lines)."""
     with open(path, "rb") as fh:
         head, _, body = fh.read().partition(b"\n")
     n = int(head[2:]) if head.startswith(b"n=") and head[2:].isdigit() else -1
-    if 0 <= n <= MAX_BITS and len(body) % (n + 1) == 0:
-        lines = np.frombuffer(body, np.uint8).reshape(-1, n + 1)
-        bits = lines[:, :n] - np.uint8(ord("0"))  # other bytes wrap past 1
-        if (lines[:, n] == ord("\n")).all() and bits.max(initial=0) <= 1:
-            octets = np.zeros((len(lines), 8), np.uint8)
-            octets[:, :(n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-            return _collapse(Code(n, octets.view("<u8").ravel()), len(lines))
+    lines, extra = divmod(len(body), n + 1) if 0 <= n <= MAX_BITS else (0, 1)
+    if not extra and body.count(b"\n") == lines and body[n::n + 1] == b"\n" * lines \
+            and not body.translate(None, b"01\n"):
+        # reversed, the body reads each line reversed, last line first
+        words = list(map(int, body[::-1].split(b"\n")[1:], repeat(2)))[::-1] if n else [0] * lines
+        if all(map(lt, words, islice(words, 1, None))):
+            return Code._sorted(n, words)
+        return _collapse(Code(n, words), lines)
     return _parse_lines(path)
 
 

@@ -36,7 +36,7 @@ from .geometry import MAX_BITS, MAX_N, enumerate_subcubes
 
 # gf2, codes, basisprob and fractions are imported by the functions that
 # use them, so `partition-max` and `search-max-code` load none of them.
-# Nothing here loads numpy but MaxCodeResult.witness, through codes.
+# Nothing here loads numpy.
 if TYPE_CHECKING:
     from fractions import Fraction
     from .codes import Code
@@ -496,7 +496,7 @@ class MaxCodeResult(Record):
     """certified=True means the search proved optimality; otherwise
     max_size is only the best size found within the node budget.  The
     witness code's words are kept as sorted ints; `witness` is the same
-    code as a Code, built on first access (that loads numpy)."""
+    code as a Code, built on first access."""
 
     n: int
     max_size: int

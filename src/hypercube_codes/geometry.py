@@ -46,6 +46,23 @@ def _to01(word: int, n: int) -> str:
     return f"{word:0{n}b}"[::-1] if n else ""
 
 
+def _weight_table(n: int, r: int) -> int:
+    """The 2^n-bit int whose bit T is set when |T| = r, for T a subset
+    of range(n) read as a packed word.  Built a coordinate at a time: the
+    words of weight w on m + 1 coordinates are those of weight w on m,
+    and those of weight w - 1 with coordinate m set.  Only the weights
+    that can still reach r are kept, so no level holds more than 2^n
+    bits in all."""
+    if not 0 <= r <= n:
+        return 0
+    tables = {0: 1}
+    for m in range(n):
+        h = 1 << m
+        tables = {w: tables.get(w, 0) | tables.get(w - 1, 0) << h
+                  for w in range(max(0, r - n + m + 1), min(r, m + 1) + 1)}
+    return tables[r]
+
+
 class Subcube(Record):
     """free: strictly increasing coordinates allowed to vary; base: the
     packed word fixing the remaining coordinates (zero on free ones)."""

@@ -5,20 +5,24 @@ either raw or wrapped in a BitWord carrying an explicit length.  A
 GF2Matrix keeps a tuple of packed columns.  Everything here is pure and
 deterministic: elimination always pivots on the lowest set bit (the
 independent-subset walk on the highest), so equal inputs give identical
-outputs on every platform.  Only the array walk (_independent_walk and
-the functions that run it) uses numpy, and it imports numpy when called,
-so the packed-int algebra loads none.
+outputs on every platform.  independent_masks, which the code
+constructions run, gives its table of independent supports as an int
+too.  Only the array walk (_independent_walk) uses numpy, for the index
+rows of the hypergraphs (_independent_rows) and the basis counts
+(independent_counts); it imports numpy when called, so the rest of the
+module loads none.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import OutOfRegimeError
-from .geometry import MAX_BITS, _from01, _to01
+from .geometry import MAX_BITS, _from01, _to01, _weight_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -181,34 +185,114 @@ def _picks(levels: list[tuple[np.ndarray, np.ndarray]],
         yield np.repeat(table[pick], below)
 
 
-def independent_masks(vectors: Iterable[int], r: int) -> np.ndarray:
-    """Sorted uint32 support masks (bit i = index i) of the index
-    r-subsets of `vectors` whose vectors are linearly independent.
+# Coordinates inside one block of an independent-support table: the
+# kernel's int operations run on 2^16-bit (8 KB) blocks, which stay in
+# cache, rather than on the whole 2^n-bit table (2 MB at n = 24).
+_BLOCK_BITS = 16
 
-    One family of _independent_walk, picking indices from the top down:
-    position p is index n - 1 - p, so the subsets come out in
-    descending mask order and no sort is needed.  At most 32 vectors of
-    at most 32 bits each, and C(n, r) within DEFAULT_SUBSET_BUDGET.
+
+@functools.cache
+def _block_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """For tables over the 2^k supports of k coordinates: all ones; for
+    each coordinate i, the supports without i, which the upward closure
+    shifts onto those with it; and the weight table of each weight
+    0..k."""
+    size = 1 << k
+    without = []
+    for i in range(k):
+        h = 1 << i
+        mask, period = (1 << h) - 1, 2 * h
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        without.append(mask)
+    return (1 << size) - 1, tuple(without), tuple(_weight_table(k, w) for w in range(k + 1))
+
+
+def independent_masks(vectors: Iterable[int], r: int) -> int:
+    """The index r-subsets of `vectors` whose vectors are linearly
+    independent, as a 2^n-bit int for n = len(vectors) <= MAX_N: bit T
+    is set when the subset with support mask T (bit i = index i) has r
+    elements and independent vectors.  int.bit_count() counts them, and
+    the set bits in ascending order are the masks in ascending order.
+
+    The low k = min(n, 16) indices index the bits of a block, and the
+    other n - k pick the block.  Per bit b of the vectors, a plane holds
+    bit b of the sum over every low support, built by doubling over the
+    low indices.  A block's zero-sum supports are the low supports whose
+    sum equals the sum s of the block's high indices: the planes say so
+    with one operation each, so blocks of equal s share their work, and
+    blocks of more than r high indices, which hold no weight-r support,
+    are skipped.  The dependent supports are those above a nonempty
+    zero-sum one: closing upward over the low indices works inside each
+    block, over the high ones it ors whole blocks.  The table is then
+    the weight-r supports that are not dependent.
+
+    Raises:
+        OutOfRegimeError: for more than MAX_N vectors, before any table
+            is built.
     """
-    import numpy as np
+    from .geometry import MAX_N  # the owner's value when called
     if r < 0:
         raise ValueError("subset size must be non-negative")
-    vectors = tuple(vectors)
+    vectors = tuple(map(int, vectors))
     n = len(vectors)
-    if n > 32 or not all(0 <= v < 1 << 32 for v in vectors):
-        raise ValueError("independent_masks takes at most 32 vectors of at most 32 bits")
-    _check_subsets(math.comb(n, r), f"C({n}, {r})")
+    if n > MAX_N:
+        raise OutOfRegimeError(f"independent_masks builds tables of 2^n bits for n <= {MAX_N}")
+    if any(v < 0 for v in vectors):
+        raise ValueError("vectors must be non-negative")
     if r > n:
-        return np.zeros(0, dtype=np.uint32)
-    if r == 0:
-        return np.zeros(1, dtype=np.uint32)  # the empty support
-    vecs = np.array(vectors[::-1], dtype=np.uint32).reshape(1, n)
-    bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
-    picks = _picks(_independent_walk(vecs, r), bits)
-    masks = next(picks)
-    for bit in picks:
-        masks |= bit
-    return masks[::-1]
+        return 0
+    k = min(n, _BLOCK_BITS)
+    ones, without, weights = _block_tables(k)
+    planes = [0] * max(vectors, default=0).bit_length()
+    for i, v in enumerate(vectors[:k]):
+        h = 1 << i
+        flip = (1 << h) - 1
+        planes = [p | (p ^ flip if v >> b & 1 else p) << h for b, p in enumerate(planes)]
+
+    def zero_sum(s: int) -> int:
+        """The low supports whose vectors sum to s."""
+        off, on = 0, ones
+        for b, p in enumerate(planes):
+            if s >> b & 1:
+                on &= p
+            else:
+                off |= p
+        return on ^ (on & off)
+
+    def upward(closed: int) -> int:
+        """The low supports above one in closed."""
+        for i, mask in enumerate(without):
+            closed |= (closed & mask) << (1 << i)
+        return closed
+
+    sums = [0]  # the sum of each high support, in block order
+    for v in vectors[k:]:
+        sums += [s ^ v for s in sums]
+    shared = {0: ones}  # a nonempty high support summing to 0 is dependent itself
+    blocks = [upward(zero_sum(0) ^ 1)]  # the empty support is not
+    for high, s in enumerate(sums[1:], 1):
+        if high.bit_count() > r:  # no support of weight r here, nor in the blocks above
+            blocks.append(0)
+            continue
+        if s not in shared:
+            shared[s] = upward(zero_sum(s))
+        blocks.append(shared[s])
+    step = 1
+    while step < len(blocks):
+        for high in range(len(blocks)):
+            if high & step:
+                blocks[high] |= blocks[high ^ step]
+        step <<= 1
+    for high, closed in enumerate(blocks):
+        w = r - high.bit_count()
+        kept = weights[w] if 0 <= w <= k else 0
+        blocks[high] = kept ^ (kept & closed)
+    if len(blocks) == 1:
+        return blocks[0]
+    width = (1 << k) // 8
+    return int.from_bytes(b"".join(t.to_bytes(width, "little") for t in blocks), "little")
 
 
 def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
@@ -424,7 +508,7 @@ def min_distance(code) -> int:
         raise OutOfRegimeError(
             f"{pairs} pairs of codewords exceed the budget {DEFAULT_PAIR_BUDGET}")
     return min((x ^ y).bit_count()
-               for x, y in itertools.combinations(code.array.tolist(), 2))
+               for x, y in itertools.combinations(code.words, 2))
 
 
 def plotkin_bound(t: int, dmin: int) -> int:

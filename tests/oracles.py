@@ -1,5 +1,6 @@
 """Slow reference enumerators that the package's fast walks are checked
-against: the depth-first independent-subset walk, the one-walk-per-
+against: the depth-first independent-subset walk, the numpy walk that
+listed independent supports before the truth-table kernel, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
 exhaustive partition walk, the Lagrangian polynomial, numpy's
 generator for the layer draws, the Lagrangian's starts and the Monte
@@ -7,6 +8,7 @@ Carlo sampler, and the recurrence behind numpy's ziggurat tables."""
 
 import collections
 import itertools
+import re
 from decimal import Decimal, localcontext
 from typing import Iterable, Iterator
 
@@ -16,7 +18,7 @@ from hypercube_codes.codes import Code
 from hypercube_codes.cube import subcube_count
 from hypercube_codes.extremal import BasisSubsetMaximum, PartitionMaximum, _check_partition_d
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
-from hypercube_codes.gf2 import GF2Matrix
+from hypercube_codes.gf2 import GF2Matrix, _independent_walk, _picks
 from hypercube_codes.hypergraph import UniformHypergraph
 
 
@@ -67,6 +69,36 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
             stop -= 1
         else:
             return
+
+
+def independent_masks_numpy(vectors: Iterable[int], r: int) -> np.ndarray:
+    """Sorted uint32 support masks (bit i = index i) of the index
+    r-subsets of `vectors` whose vectors are linearly independent, from
+    one family of gf2's array walk, picking indices from the top down:
+    position p is index n - 1 - p, so the subsets come out in descending
+    mask order.  At most 32 vectors of at most 32 bits each."""
+    if r < 0:
+        raise ValueError("subset size must be non-negative")
+    vectors = tuple(vectors)
+    n = len(vectors)
+    if n > 32 or not all(0 <= v < 1 << 32 for v in vectors):
+        raise ValueError("at most 32 vectors of at most 32 bits")
+    if r > n:
+        return np.zeros(0, dtype=np.uint32)
+    if r == 0:
+        return np.zeros(1, dtype=np.uint32)  # the empty support
+    vecs = np.array(vectors[::-1], dtype=np.uint32).reshape(1, n)
+    bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
+    picks = _picks(_independent_walk(vecs, r), bits)
+    masks = next(picks)
+    for bit in picks:
+        masks |= bit
+    return masks[::-1]
+
+
+def table_masks(table: int) -> list[int]:
+    """The set bits of a truth table, ascending, read off its binary string."""
+    return [m.start() for m in re.finditer("1", bin(table)[:1:-1])]
 
 
 def max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import re
@@ -200,6 +201,38 @@ def test_build_load_verify_round_trip(capsys, tmp_path):
                                    "--out", str(out2)])
     assert code == 0
     assert out2.read_text() == path.read_text()
+
+
+def test_build_n18_payload_and_file_are_pinned(capsys, tmp_path):
+    # the benchmarked build: payload and file bytes as the numpy walk
+    # gave them, so the truth-table construction changes neither
+    path = tmp_path / "code18.txt"
+    code, doc, _ = run_json(capsys, ["build", "--n", "18", "--modulus", "6", "--seed", "0",
+                                     "--out", str(path)])
+    assert code == 0
+    assert doc == {"command": "build", "construction": "layered", "density": "17319/262144",
+                   "density_float": 0.06606674194335938, "modulus": 6, "n": 18,
+                   "out": str(path), "residue": 2, "schema": 1, "seed": 0, "size": 17319,
+                   "size_before_residue": 89650}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == "46d7e534ce113413710f1af6780ac55c64a279dfe78a4a872b1f84bb9cc0b6fa"
+    code, doc, _ = run_json(capsys, ["load", "--in", str(path)])
+    assert (code, doc["size"], doc["density"]) == (0, 17319, "17319/262144")
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["hitting", "--n", "14", "--k", "2", "--d", "7", "--seed", "0"],
+     {"command": "hitting", "d": 7, "density_float": 0.2415771484375, "hits_all": True,
+      "k": 2, "met_target": True, "missed": None, "n": 14, "schema": 1, "seed": 0,
+      "size": 3958, "small_layer_cutoff": 4, "target_size": 4096}),
+    (["hitting", "--n", "16", "--k", "3", "--seed", "0"],
+     {"command": "hitting", "density_float": 0.1369171142578125, "k": 3,
+      "met_target": False, "n": 16, "schema": 1, "seed": 0, "size": 8973,
+      "small_layer_cutoff": -1, "target_size": 8192}),
+], ids=["n14", "n16"])
+def test_hitting_payloads_are_pinned(capsys, argv, pinned):
+    code, doc, _ = run_json(capsys, argv)
+    assert (code, doc) == (0, pinned)
 
 
 def test_search_max_code_command(capsys):

@@ -3,6 +3,7 @@ residue selection and the code file format."""
 
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypercube_codes.basisprob import independent_draw_probability
 from hypercube_codes.codes import (
     DENSITY_THRESHOLD,
     Code,
+    ResidueSelection,
     best_residue_subcode,
     build_layer_vectors,
     expected_dependent_fraction,
@@ -199,10 +201,9 @@ def test_retry_policy_strict_and_lenient(monkeypatch):
 
 def test_deficient_layer_is_logged_once(monkeypatch, caplog):
     layers = build_layer_vectors(6, seed=0)
-    draw = codes.layer_words
-    # layer 3 keeps no word on any draw, the others keep theirs
-    monkeypatch.setattr(codes, "layer_words", lambda a: draw(a)[:0] if a.weight == 3
-                        else draw(a))
+    draw = codes._layer_table
+    # layer 3 keeps no word on any draw (an empty table), the others keep theirs
+    monkeypatch.setattr(codes, "_layer_table", lambda a: 0 if a.weight == 3 else draw(a))
     with caplog.at_level("WARNING", logger="hypercube_codes.codes"):
         code = layered_basis_code(layers)
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
@@ -242,6 +243,44 @@ def test_best_residue_subcode():
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus must be positive"):
             best_residue_subcode(code, modulus)
+
+
+def test_residue_choice_from_layer_sizes_matches_the_listed_code():
+    # the CLI's layered --modulus path counts each class by its layers'
+    # popcounts and lists only the class kept: the same code, residue
+    # and size as choosing on the whole layered code
+    for n in (1, 2, 5, 9, 12):
+        for seed in range(3):
+            layers = build_layer_vectors(n, seed)
+            code = layered_basis_code(layers)
+            for modulus in (1, 2, 3, 6, 7, n + 2, 40):
+                best = best_residue_subcode(code, modulus)
+                assert codes._layered_residue_code(layers, modulus, None, False) \
+                    == (best, len(code)), (n, seed, modulus)
+                for residue in {0, modulus - 1, best.residue}:
+                    selection, size = codes._layered_residue_code(layers, modulus, residue, False)
+                    assert selection == ResidueSelection(
+                        residue_subcode(code, modulus, residue), residue)
+                    assert size == len(code)
+    for modulus, residue in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError, match="modulus|residue"):
+            codes._layered_residue_code(build_layer_vectors(4), modulus, residue, False)
+
+
+def test_best_residue_subcode_matches_counting_each_class():
+    # the pure-Python choice on seeded codes of any width, against
+    # counting each residue class by its words' weights
+    rng = random.Random(4)
+    for n in (0, 1, 6, 24, 64):
+        for size in (0, 1, 50):
+            code = Code(n, [rng.getrandbits(n) for _ in range(size)])
+            for modulus in (1, 2, 5, 70):
+                classes = [[w for w in sorted(code.words) if w.bit_count() % modulus == c]
+                           for c in range(modulus)]
+                best = max(range(modulus), key=lambda c: (len(classes[c]), -c))
+                selection = best_residue_subcode(code, modulus)
+                assert selection.residue == best
+                assert selection.code.array.tolist() == classes[best]
 
 
 def test_weight_class_code():
@@ -450,6 +489,17 @@ def test_code_accepts_the_top_bit_at_64_coordinates():
         code = Code(64, given_words)
         assert code.array.tolist() == sorted(words)
         assert code.words == frozenset(words)
+
+
+def test_code_array_is_a_view_built_on_first_access():
+    # the words are kept as bytes; the array views them without a copy,
+    # and the hash is that of (n, the array's bytes), as before
+    code = Code(5, [17, 3, 30, 3])
+    assert "array" not in vars(code)
+    view = code.array
+    assert code.array is view and not view.flags.owndata and not view.flags.writeable
+    assert view.tobytes() == code._data and hash(code) == hash((5, view.tobytes()))
+    assert list(code._ints()) == view.tolist() == [3, 17, 30]
 
 
 def test_code_equality_and_hash_follow_value():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercube_codes import geometry, gf2
+from hypercube_codes import codes, geometry, gf2
 from hypercube_codes.codes import Code
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.gf2 import (
@@ -25,7 +25,7 @@ from hypercube_codes.gf2 import (
     rank,
     rank_ints,
 )
-from oracles import independent_subsets
+from oracles import independent_masks_numpy, independent_subsets, table_masks
 
 
 def det_mod2(rows):
@@ -190,9 +190,42 @@ def test_independent_counts_match_the_walk_per_family(lists):
 def test_independent_masks_match_the_walk(vectors):
     for r in range(len(vectors) + 2):
         want = sorted(sum(1 << i for i in s) for s in independent_subsets(vectors, r))
-        got = independent_masks(vectors, r)
-        assert got.dtype == np.uint32
-        assert got.tolist() == want
+        assert table_masks(independent_masks(vectors, r)) == want
+
+
+def test_independent_masks_match_the_numpy_walk_on_seeded_draws():
+    # the numpy walk that listed them before the tables: layer draws (n
+    # vectors of r bits) for n <= 16 and every r, hitting draws at
+    # dimensions r .. r + k, and r = 0, r > n and repeated vectors
+    for n in range(1, 17):
+        for seed in (0, 1):
+            for r in range(n + 2):
+                draws = [codes._draw_vectors([seed, r], n, dim)  # hitting, k = 0 .. 3
+                         for dim in range(max(r, 1), r + 4)]
+                if r:
+                    draws.append(codes._draw_layer(n, r, seed, 0).vectors)
+                for vectors in draws:
+                    assert table_masks(independent_masks(vectors, r)) \
+                        == independent_masks_numpy(vectors, r).tolist(), (n, seed, r, vectors)
+    rng = random.Random(5)
+    for n in (0, 1, 7, 12, 16):
+        for width in (1, 3, 8, 20):
+            vectors = seeded_vectors(rng, n, width)
+            for r in range(n + 2):
+                assert table_masks(independent_masks(vectors, r)) \
+                    == independent_masks_numpy(vectors, r).tolist(), (vectors, r)
+
+
+def test_independent_masks_share_and_skip_blocks_past_16_vectors():
+    # 18 and 20 vectors: 4 and 16 blocks, of which equal high sums share
+    # their work (repeated high vectors), and those of more than r high
+    # indices are skipped
+    rng = random.Random(9)
+    for n, width in ((18, 6), (18, 18), (20, 4)):
+        vectors = seeded_vectors(rng, n, width)
+        for r in (1, 3, width):
+            table = independent_masks(vectors, r)
+            assert table_masks(table) == independent_masks_numpy(vectors, r).tolist()
 
 
 def seeded_vectors(rng, n, width):
@@ -219,9 +252,8 @@ def test_the_walk_matches_the_depth_first_oracle(width):
                 assert independent_counts(families.view(np.int64), r).tolist() \
                     == list(map(len, want))
             for vectors, subsets in zip(rows, want):
-                if width <= 32:
-                    masks = sorted(sum(1 << i for i in s) for s in subsets)
-                    assert independent_masks(vectors, r).tolist() == masks
+                masks = sorted(sum(1 << i for i in s) for s in subsets)
+                assert table_masks(independent_masks(vectors, r)) == masks
                 if 1 <= r <= n:  # the range the index rows serve
                     got = gf2._independent_rows(np.array(vectors, dtype=np.uint64), r)
                     assert got.shape == (len(subsets), r)
@@ -243,17 +275,20 @@ def test_independent_masks_keep_the_basis_reduced():
     # before 0b10 takes bit 1), and reducing 0b01 in insertion order
     # against unreduced rows then ends at b0, not at zero.
     for vectors in ([2, 3, 1, 4], [3, 2, 1, 4], [1, 2, 3, 4]):
-        assert independent_masks(vectors, 3).tolist() == [0b1011, 0b1101, 0b1110]
-    assert independent_masks([2, 3, 3, 4], 3).tolist() == [0b1011, 0b1101]
-    assert independent_masks([2, 3, 1], 3).size == 0
-    assert independent_masks([], 0).tolist() == [0]
-    assert independent_masks([1], 2).size == 0
+        assert table_masks(independent_masks(vectors, 3)) == [0b1011, 0b1101, 0b1110]
+    assert table_masks(independent_masks([2, 3, 3, 4], 3)) == [0b1011, 0b1101]
+    assert independent_masks([2, 3, 1], 3) == 0
+    assert independent_masks([], 0) == 1  # the empty support
+    assert independent_masks([1], 2) == 0
+    # vectors of any width: the table has a plane per bit
+    assert table_masks(independent_masks([1 << 40, 1 << 70, 3 << 40], 2)) == [0b011, 0b101, 0b110]
+    assert independent_masks([1 << 40, 1 << 70, 1 << 40 | 1 << 70], 3) == 0
     with pytest.raises(ValueError):
         independent_masks([1], -1)
     with pytest.raises(ValueError):
-        independent_masks([1] * 33, 1)
-    with pytest.raises(ValueError):
-        independent_masks([1 << 32], 1)
+        independent_masks([1, -1], 1)
+    with pytest.raises(OutOfRegimeError, match="2\\^n bits"):
+        independent_masks([1] * 25, 1)
 
 
 def test_count_nonsingular_examples():
@@ -307,11 +342,12 @@ def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):
 
 
 def test_walks_beyond_the_subset_budget_are_refused_at_once():
-    # C(32, 16) = 601,080,390 and C(64, 32) ~ 1.8e18 subsets of one family
-    for walk in (lambda: independent_masks(range(1, 33), 16),
-                 lambda: independent_counts(np.ones((1, 64), np.int64), 32)):
+    # C(64, 32) ~ 1.8e18 subsets of one family; a table of 2^32 bits
+    for walk, why in ((lambda: independent_counts(np.ones((1, 64), np.int64), 32),
+                       "subset budget"),
+                      (lambda: independent_masks(range(1, 33), 16), "2\\^n bits")):
         start = time.perf_counter()
-        with pytest.raises(OutOfRegimeError, match="subset budget"):
+        with pytest.raises(OutOfRegimeError, match=why):
             walk()
         assert time.perf_counter() - start < 0.1
 
