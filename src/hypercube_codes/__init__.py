@@ -29,9 +29,9 @@ _EXPORTS = {
     "geometry": ("MAX_BITS", "Subcube", "enumerate_subcubes", "free_sets_colex",
                  "subcube_at", "subcube_total"),
     "gf2": ("BitWord", "GF2Matrix", "code_from_parity_check",
-            "count_nonsingular_submatrices", "independent_counts",
-            "independent_masks", "is_basis", "min_distance",
-            "orthogonal_complement", "plotkin_bound", "rank", "rank_ints"),
+            "count_nonsingular_submatrices", "independent_masks", "is_basis",
+            "min_distance", "orthogonal_complement", "plotkin_bound", "rank",
+            "rank_ints"),
     "basisprob": ("MAX_T", "SimplexPoint", "basis_probability",
                   "basis_recurrence_check", "first_draw_bound",
                   "independent_draw_probability", "limit_constant",

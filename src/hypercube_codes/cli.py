@@ -258,7 +258,7 @@ def _construct_code(args, command: str, check=lambda: None) -> tuple:
     flags and n are validated, before any layer's words or any weight
     class is computed."""
     from .codes import (_check_weight_class, _layered_residue_code, build_layer_vectors,
-                        layered_basis_code, save_code, weight_class_code)
+                        save_code, weight_class_code)
     residue = args.residue
     if args.construction == "layered":
         if residue is not None and not args.modulus:
@@ -267,13 +267,12 @@ def _construct_code(args, command: str, check=lambda: None) -> tuple:
             raise ValueError("modulus must be at least 2")
         layers = build_layer_vectors(args.n, seed=args.seed)  # checks n
         check()
-        if args.modulus:  # only the residue class kept is listed as words
-            selection, size_before_residue = _layered_residue_code(
-                layers, args.modulus, residue, args.strict)
-            code, residue = selection.code, selection.residue
-        else:
-            code = layered_basis_code(layers, strict=args.strict)
-            size_before_residue = len(code)
+        # only the residue class kept is listed as words; modulus 1 keeps all
+        selection, size_before_residue = _layered_residue_code(
+            layers, args.modulus or 1, residue, args.strict)
+        code = selection.code
+        if args.modulus:
+            residue = selection.residue
     else:
         if not args.modulus or args.modulus < 2:
             raise ValueError("weight-class construction needs --modulus >= 2")

@@ -8,9 +8,9 @@ independent-subset walk on the highest), so equal inputs give identical
 outputs on every platform.  independent_masks, which the code
 constructions run, gives its table of independent supports as an int
 too.  Only the array walk (_independent_walk) uses numpy, for the index
-rows of the hypergraphs (_independent_rows) and the basis counts
-(independent_counts); it imports numpy when called, so the rest of the
-module loads none.
+rows of the hypergraphs (_independent_rows) and the basis count of
+count_nonsingular_submatrices; it imports numpy when called, so the
+rest of the module loads none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 # Pairs of codewords min_distance may compare.
 DEFAULT_PAIR_BUDGET = 100_000_000
 
-# Subsets one walk may visit, families times C(n, r).
+# Subsets one walk may visit, C(n, r).
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
@@ -98,25 +98,18 @@ def rank_ints(vectors: Iterable[int]) -> int:
     return rank
 
 
-def _check_subsets(subsets: int, which: str) -> None:
-    """Refuse a walk over more than DEFAULT_SUBSET_BUDGET subsets, named by `which`."""
-    if subsets > DEFAULT_SUBSET_BUDGET:
-        raise OutOfRegimeError(
-            f"{which} subsets exceed the subset budget {DEFAULT_SUBSET_BUDGET}")
+def _independent_walk(vectors: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk the independent position r-subsets of `vectors`, a 1-d
+    unsigned array of n packed vectors (so that min() orders them as bit
+    patterns), for 1 <= r <= n, one pick per level.  Level j + 1 is a
+    pair: the last pick (a position) of each independent (j + 1)-prefix,
+    and the number of these prefixes that extend each row of level j (at
+    j = 0, the empty prefix).  Rows stay in lexicographic order of their
+    positions, so a row's children are consecutive and _picks reads the
+    subsets back in itertools.combinations order.
 
-
-def _independent_walk(vecs: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Walk the independent position r-subsets of each row of vecs, a
-    (families, n) array of packed vectors, for 1 <= r <= n, one pick per
-    level.  Level j + 1 is a pair: the last pick (a position of its
-    family) of each independent (j + 1)-prefix, and the number of these
-    prefixes that extend each row of level j (at j = 0, each family).
-    Rows stay in family order and, within a family, in lexicographic
-    order of their positions, so a row's children are consecutive and
-    _picks reads the subsets back in itertools.combinations order.
-
-    Each row carries its tail: the vectors at every later position of
-    its family, reduced by its prefix so that no entry has a pivot (the
+    Each row carries its tail: the vectors at every later position,
+    reduced by its prefix so that no entry has a pivot (the
     highest set bit of a pick when it was taken) of the prefix.  Every
     nonzero sum of prefix vectors has the pivot of its earliest term,
     so an entry lies in the span of the prefix exactly when it is 0: a
@@ -126,18 +119,15 @@ def _independent_walk(vecs: np.ndarray, r: int) -> list[tuple[np.ndarray, np.nda
     r - 1 - j entries of a row's tail are left for its descendants.
 
     A level's candidates are (j + 1)-prefixes that leave r - j - 1
-    positions after them, so at most families * C(n, r), and so are its
-    rows; the tails add r - 1 - j entries per row.  So no array holds
-    more than r * families * C(n, r) entries, and the subset budget of
-    the callers bounds memory.
+    positions after them, so at most C(n, r), and so are its rows; the
+    tails add r - 1 - j entries per row.  So no array holds more than
+    r * C(n, r) entries, and the subset budget of the callers bounds
+    memory.
     """
     import numpy as np
-    families, n = vecs.shape
-    tails = vecs.ravel()
-    if tails.dtype.kind == "i":  # min() must order the entries as bit patterns
-        tails = tails.view(tails.dtype.str.replace("i", "u"))
-    lengths = np.full(families, n)
-    ends = np.cumsum(lengths)  # one past each row's tail, whose last entry is position n - 1
+    n = len(vectors)
+    tails = vectors
+    lengths = ends = np.array([n])  # one past each row's tail, whose last entry is position n - 1
     levels = []
     for j in range(r):
         spare = r - 1 - j
@@ -163,12 +153,12 @@ def _independent_walk(vecs: np.ndarray, r: int) -> list[tuple[np.ndarray, np.nda
 
 def _below(levels: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
     """The number of the walk's subsets below each row, level by level
-    from the one before the last down to the families.  A row's
-    children are consecutive, so it sums one run of their numbers."""
+    from the one before the last down to the first.  A row's children
+    are consecutive, so it sums one run of their numbers."""
     import numpy as np
     below = levels[-1][1]
     yield below
-    for _, kids in levels[-2::-1]:
+    for _, kids in levels[-2:0:-1]:
         total = np.concatenate(([0], np.cumsum(below)))
         below = np.diff(total[np.cumsum(kids)], prepend=0)
         yield below
@@ -303,27 +293,11 @@ def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
     import numpy as np
     n = len(vectors)
     index = np.arange(n, dtype=np.min_scalar_type(n))
-    levels = _independent_walk(vectors.reshape(1, n), r)
+    levels = _independent_walk(vectors, r)
     rows = np.empty((len(levels[-1][0]), r), dtype=index.dtype)
     for j, column in zip(range(r - 1, -1, -1), _picks(levels, index)):
         rows[:, j] = column
     return rows
-
-
-def independent_counts(families: np.ndarray, r: int) -> np.ndarray:
-    """Number of linearly independent r-subsets of each row of
-    `families`, a (families, n) int64 array of packed vectors: one
-    _independent_walk over all rows at once, if families times C(n, r)
-    is within DEFAULT_SUBSET_BUDGET."""
-    import numpy as np
-    if r < 0:
-        raise ValueError("subset size must be non-negative")
-    count, n = families.shape
-    _check_subsets(count * math.comb(n, r), f"{count} families of C({n}, {r})")
-    if r == 0 or r > n:
-        return np.full(count, int(r == 0), dtype=np.intp)
-    *_, per_family = _below(_independent_walk(families, r))
-    return per_family
 
 
 def is_basis(vectors: Sequence[BitWord]) -> bool:
@@ -464,9 +438,14 @@ def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:
     k = matrix.rows
     if k > matrix.cols:
         raise ValueError("need at least as many columns as rows")
-    _check_subsets(math.comb(matrix.cols, k), f"C({matrix.cols}, {k}) column")
+    if math.comb(matrix.cols, k) > DEFAULT_SUBSET_BUDGET:
+        raise OutOfRegimeError(f"C({matrix.cols}, {k}) column subsets exceed "
+                               f"the subset budget {DEFAULT_SUBSET_BUDGET}")
+    if k == 0:
+        return 1
     import numpy as np
-    return int(independent_counts(np.array([matrix.columns], dtype=np.uint64), k)[0])
+    levels = _independent_walk(np.array(matrix.columns, dtype=np.uint64), k)
+    return len(levels[-1][0])  # one last pick per independent k-subset
 
 
 def code_from_parity_check(matrix: GF2Matrix):

@@ -74,9 +74,9 @@ def independent_subsets(vectors: Iterable[int], r: int) -> Iterator[tuple[int, .
 def independent_masks_numpy(vectors: Iterable[int], r: int) -> np.ndarray:
     """Sorted uint32 support masks (bit i = index i) of the index
     r-subsets of `vectors` whose vectors are linearly independent, from
-    one family of gf2's array walk, picking indices from the top down:
-    position p is index n - 1 - p, so the subsets come out in descending
-    mask order.  At most 32 vectors of at most 32 bits each."""
+    gf2's array walk, picking indices from the top down: position p is
+    index n - 1 - p, so the subsets come out in descending mask order.
+    At most 32 vectors of at most 32 bits each."""
     if r < 0:
         raise ValueError("subset size must be non-negative")
     vectors = tuple(vectors)
@@ -87,7 +87,7 @@ def independent_masks_numpy(vectors: Iterable[int], r: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint32)
     if r == 0:
         return np.zeros(1, dtype=np.uint32)  # the empty support
-    vecs = np.array(vectors[::-1], dtype=np.uint32).reshape(1, n)
+    vecs = np.array(vectors[::-1], dtype=np.uint32)
     bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
     picks = _picks(_independent_walk(vecs, r), bits)
     masks = next(picks)

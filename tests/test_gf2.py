@@ -16,7 +16,6 @@ from hypercube_codes.gf2 import (
     GF2Matrix,
     code_from_parity_check,
     count_nonsingular_submatrices,
-    independent_counts,
     independent_masks,
     is_basis,
     min_distance,
@@ -174,17 +173,6 @@ def test_independent_subsets_match_rank_oracle(vectors):
         list(independent_subsets(vectors, -1))
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.lists(vector_lists(), min_size=1, max_size=6))
-def test_independent_counts_match_the_walk_per_family(lists):
-    # families are rows of one array, so cut every list to the shortest
-    n = min(len(vectors) for vectors in lists)
-    families = np.array([vectors[:n] for vectors in lists], dtype=np.int64).reshape(len(lists), n)
-    for r in range(n + 2):
-        want = [sum(1 for _ in independent_subsets(row, r)) for row in families.tolist()]
-        assert independent_counts(families, r).tolist() == want
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(vector_lists())
 def test_independent_masks_match_the_walk(vectors):
@@ -237,21 +225,16 @@ def seeded_vectors(rng, n, width):
 
 @pytest.mark.parametrize("width", [3, 8, 33, 63, 64])
 def test_the_walk_matches_the_depth_first_oracle(width):
-    # one family and many, r = 0 .. n + 1; 64-bit vectors as uint64, so
-    # the tail reduction compares full-width bit patterns
+    # several vector lists, r = 0 .. n + 1; the index rows take the
+    # vectors as uint64, so at width 64 the tail reduction compares
+    # full-width bit patterns
     rng = random.Random(width)
-    dtype = np.uint64 if width == 64 else np.int64
     for n in range(0, 11):
-        rows = [seeded_vectors(rng, n, width) for _ in range(rng.randint(1, 5))]
-        rows.append([1 << (width - 1)] * n)  # the top bit, equal vectors
-        families = np.array(rows, dtype=dtype).reshape(len(rows), n)
+        lists = [seeded_vectors(rng, n, width) for _ in range(rng.randint(1, 5))]
+        lists.append([1 << (width - 1)] * n)  # the top bit, equal vectors
         for r in range(n + 2):
-            want = [list(independent_subsets(row, r)) for row in rows]
-            assert independent_counts(families, r).tolist() == list(map(len, want))
-            if width == 64:  # bit 63 as the sign of int64 entries
-                assert independent_counts(families.view(np.int64), r).tolist() \
-                    == list(map(len, want))
-            for vectors, subsets in zip(rows, want):
+            for vectors in lists:
+                subsets = list(independent_subsets(vectors, r))
                 masks = sorted(sum(1 << i for i in s) for s in subsets)
                 assert table_masks(independent_masks(vectors, r)) == masks
                 if 1 <= r <= n:  # the range the index rows serve
@@ -329,6 +312,9 @@ def test_count_nonsingular_matches_the_oracle_on_seeded_matrices():
     # a full-rank square at 64 rows, top bits set
     cols = tuple((1 << 63) | (1 << i) for i in range(63)) + (1 << 63,)
     assert count_nonsingular_submatrices(GF2Matrix(64, cols)) == 1
+    # k = 0: the empty subset alone, as the oracle counts it
+    assert count_nonsingular_submatrices(GF2Matrix(0, (0, 0, 0))) == 1 \
+        == sum(1 for _ in independent_subsets((0, 0, 0), 0))
 
 
 def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):
@@ -342,8 +328,8 @@ def test_count_nonsingular_refuses_beyond_the_subset_budget(monkeypatch):
 
 
 def test_walks_beyond_the_subset_budget_are_refused_at_once():
-    # C(64, 32) ~ 1.8e18 subsets of one family; a table of 2^32 bits
-    for walk, why in ((lambda: independent_counts(np.ones((1, 64), np.int64), 32),
+    # C(64, 32) ~ 1.8e18 column subsets; a table of 2^32 bits
+    for walk, why in ((lambda: count_nonsingular_submatrices(GF2Matrix(32, (1,) * 64)),
                        "subset budget"),
                       (lambda: independent_masks(range(1, 33), 16), "2\\^n bits")):
         start = time.perf_counter()
