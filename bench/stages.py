@@ -22,11 +22,25 @@ It writes bench/BENCH_<tag>.json.  For each n (default 14 to 24, d = 5,
 and, in fresh processes, the wall time and peak RSS (os.wait4) of
 `build-verify --n <n> --d 5 --modulus 6 --seed 0`, with the size,
 max_count and subcubes_at_max of its payload, so that a fast wrong answer
-shows in the same file.  `speed` holds the median time of the pure-Python
-loop that perfbench/run.py uses as its speed probe, and `scale` the
-factor that brings times to that benchmark's nominal machine speed.
-The script uses only names that both the numpy walk and the truth-table
-construction define, so one copy measures either source tree.
+shows in the same file.  The fresh processes all run first, while this
+one has loaded neither numpy nor the package, as a child's ru_maxrss
+counts the pages it was forked with.
+
+The `hitting` section times verify_hitting, read from the package root,
+on the hitting sets subcube_hitting_set(n, k) at (n, k, d) = (14, 2, 7),
+(16, 2, 9), (18, 2, 9), (18, 3, 11), (20, 2, 11) and (20, 3, 12), and on
+the weight-class codes weight_class_code(n, d + 1, 0), which meet every
+d-subcube, at (n, d) = (16, 5), (18, 5), (18, 9) and (20, 11): the rows
+whose n is among --n, all within the default scan budget.  Each row
+holds the median in-process time of the check (check_s), the median
+wall time and peak RSS of a fresh process that builds the code and runs
+the check once, and the check's hits_all and missed subcube.
+
+`speed` holds the median time of the pure-Python loop that
+perfbench/run.py uses as its speed probe, and `scale` the factor that
+brings times to that benchmark's nominal machine speed.  The script uses
+only names that both the numpy scans and the truth-table walks define,
+so one copy measures either source tree.
 """
 
 from __future__ import annotations
@@ -121,28 +135,89 @@ def in_process(n: int, repeats: int, work: Path) -> dict:
             "scan_max_count": report.max_count, "scan_subcubes_at_max": report.subcubes_at_max}
 
 
+HITTING_ROWS = [("hitting_set", 14, 2, 7), ("hitting_set", 16, 2, 9), ("hitting_set", 18, 2, 9),
+                ("hitting_set", 18, 3, 11), ("hitting_set", 20, 2, 11), ("hitting_set", 20, 3, 12),
+                ("weight_class", 16, None, 5), ("weight_class", 18, None, 5),
+                ("weight_class", 18, None, 9), ("weight_class", 20, None, 11)]
+
+# a fresh process that builds one row's code and checks it once
+HITTING_DRIVER = """
+import json, sys
+from hypercube_codes import subcube_hitting_set, verify_hitting, weight_class_code
+kind, n, k, d = sys.argv[1:]
+n, d = int(n), int(d)
+code = (subcube_hitting_set(n, int(k)).code if kind == "hitting_set"
+        else weight_class_code(n, d + 1, 0))
+report = verify_hitting(code, d)
+missed = report.missed and "".join("*" if i in report.missed.free
+                                   else str(report.missed.base >> i & 1) for i in range(n))
+print(json.dumps([report.hits_all, missed]))
+"""
+
+
+def pattern(cube) -> str | None:
+    """A subcube as the CLI writes it: * on the free coordinates."""
+    if cube is None:
+        return None
+    return "".join("*" if i in cube.free else str(cube.base >> i & 1) for i in range(cube.n))
+
+
+def fresh(src: Path, argv: list, repeats: int, work: Path) -> tuple[float, float, str]:
+    """The median wall time and peak RSS (os.wait4) of `repeats` fresh
+    processes running argv, and their stdout, which must agree.  Run
+    them before this process loads numpy: a child's ru_maxrss counts the
+    pages it was forked with, so from a 32 MB parent every child reads at
+    least 32 MB."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    walls, rss, outs = [], [], []
+    for _ in range(repeats):
+        with open(work / "out.txt", "wb") as out, open(work / "err.txt", "wb") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            walls.append(time.perf_counter() - start)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise SystemExit(f"{argv[1:]} failed:\n" + (work / "err.txt").read_text())
+        rss.append(usage.ru_maxrss / 1024)
+        outs.append((work / "out.txt").read_text(encoding="utf-8"))
+    if len(set(outs)) != 1:
+        raise SystemExit(f"{argv[1:]} gave different outputs")
+    return statistics.median(walls), statistics.median(rss), outs[0]
+
+
 def fresh_build_verify(src: Path, n: int, repeats: int, work: Path) -> dict:
     argv = [sys.executable, "-m", "hypercube_codes.cli", "build-verify", "--n", str(n),
             "--d", str(D), "--modulus", str(MODULUS), "--seed", str(SEED),
             "--budget", str(BUDGET), "--format", "json"]
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    walls, rss, payloads = [], [], []
-    for _ in range(repeats):
-        with open(work / "out.json", "wb") as out:
-            start = time.perf_counter()
-            proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out)
-            _, status, usage = os.wait4(proc.pid, 0)
-            walls.append(time.perf_counter() - start)
-        if os.waitstatus_to_exitcode(status) != 0:
-            raise SystemExit(f"build-verify --n {n} failed")
-        rss.append(usage.ru_maxrss / 1024)
-        payloads.append((work / "out.json").read_text(encoding="utf-8"))
-    if len(set(payloads)) != 1:
-        raise SystemExit(f"build-verify --n {n} gave different payloads")
-    doc = json.loads(payloads[0])
-    return {"wall_s": statistics.median(walls), "peak_rss_mb": statistics.median(rss),
+    wall, rss, out = fresh(src, argv, repeats, work)
+    doc = json.loads(out)
+    return {"wall_s": wall, "peak_rss_mb": rss,
             "size": doc["size"], "max_count": doc["max_count"],
             "subcubes_at_max": doc["subcubes_at_max"], "witness": doc["witness"]}
+
+
+def fresh_hitting(src: Path, row: tuple, repeats: int, work: Path) -> dict:
+    kind, n, k, d = row
+    argv = [sys.executable, "-c", HITTING_DRIVER, kind, str(n), str(k), str(d)]
+    wall, rss, out = fresh(src, argv, repeats, work)
+    hits_all, missed = json.loads(out)
+    return {"wall_s": wall, "peak_rss_mb": rss, "hits_all": hits_all, "missed": missed}
+
+
+def in_process_hitting(row: tuple, repeats: int, fresh_row: dict) -> dict:
+    import hypercube_codes as pkg
+    kind, n, k, d = row
+    code = (pkg.subcube_hitting_set(n, k).code if kind == "hitting_set"
+            else pkg.weight_class_code(n, d + 1, 0))
+    times = []
+    for _ in range(repeats):
+        report, t = timed(pkg.verify_hitting, code, d)
+        times.append(t)
+    answer = {"hits_all": report.hits_all, "missed": pattern(report.missed)}
+    if answer != {key: fresh_row.pop(key) for key in answer}:
+        raise SystemExit(f"hitting row {row}: the fresh process disagreed")
+    return {"code": kind, "n": n, "k": k, "d": d, "size": len(code),
+            "check_s": statistics.median(times), "fresh": fresh_row, **answer}
 
 
 def main(argv=None) -> int:
@@ -156,23 +231,32 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # as cli sets it for its processes
-    import numpy
-    rows = []
+    specs = [row for row in HITTING_ROWS if row[1] in args.n]
+    rows, hitting = [], []
     speed = [speed_probe()]
     with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        # every fresh process first, while this one is small (see fresh)
+        build_verify = {n: fresh_build_verify(src, n, args.repeats, work) for n in args.n}
+        checks = [fresh_hitting(src, row, args.repeats, work) for row in specs]
+        speed.append(speed_probe())
         for n in args.n:
-            row = {"n": n, **in_process(n, args.repeats, Path(tmp))}
-            row["build_verify"] = fresh_build_verify(src, n, args.repeats, Path(tmp))
-            rows.append(row)
+            rows.append({"n": n, **in_process(n, args.repeats, work),
+                         "build_verify": build_verify[n]})
             speed.append(speed_probe())
-            print(json.dumps(row), file=sys.stderr)
+            print(json.dumps(rows[-1]), file=sys.stderr)
+        for row, check in zip(specs, checks):
+            hitting.append(in_process_hitting(row, args.repeats, check))
+            speed.append(speed_probe())
+            print(json.dumps(hitting[-1]), file=sys.stderr)
+    import numpy  # for its version
     doc = {"tag": args.tag, "d": D, "modulus": MODULUS, "seed": SEED,
            "repeats": args.repeats, "statistic": "median",
            "speed_s": statistics.median(speed),
            "scale": NOMINAL_SPEED_S / statistics.median(speed),
            "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                        "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
-           "rows": rows}
+           "rows": rows, "hitting": hitting}
     path = Path(args.out_dir) / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(path)

@@ -9,8 +9,9 @@ The package splits into:
 * ``extremal``   counting extremal quantities (basis-forming column subsets,
                  partition maxima), assembling bound tables, and the exact
                  maximum code search
-* ``codes``      randomized layered constructions and weight-class codes
-* ``cube``       list-size verification and hitting checks by subcube scans
+* ``codes``      randomized layered constructions, weight-class codes,
+                 hitting sets and the hitting check (a truth-table walk)
+* ``cube``       list-size verification by numpy subcube scans
 * ``hypergraph`` uniform hypergraphs, copy containment and Lagrangians
 
 The names in ``__all__`` are loaded lazily (PEP 562): the first access
@@ -43,13 +44,13 @@ _EXPORTS = {
                  "max_basis_subsets", "max_basis_subsets_any_k", "max_code_search",
                  "max_partition_product_sum", "partition_growth_check",
                  "product_partition_lower_bound"),
-    "codes": ("DENSITY_THRESHOLD", "Code", "HittingSetResult", "LayerAssignment",
-              "ResidueSelection", "best_residue_subcode", "build_layer_vectors",
-              "expected_dependent_fraction", "layer_words", "layered_basis_code",
-              "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
-              "weight_class_code"),
-    "cube": ("HittingReport", "VerificationReport", "erasure_list_size",
-             "max_subcube_count", "subcube_count", "verify_hitting"),
+    "codes": ("DENSITY_THRESHOLD", "Code", "HittingReport", "HittingSetResult",
+              "LayerAssignment", "ResidueSelection", "best_residue_subcode",
+              "build_layer_vectors", "expected_dependent_fraction", "layer_words",
+              "layered_basis_code", "load_code", "residue_subcode", "save_code",
+              "subcube_hitting_set", "verify_hitting", "weight_class_code"),
+    "cube": ("VerificationReport", "erasure_list_size", "max_subcube_count",
+             "subcube_count"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
                    "basis_hypergraph", "blow_up", "complete_multipartite",
                    "contains_copy", "lagrangian", "linear_independence_density",

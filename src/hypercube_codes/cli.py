@@ -43,10 +43,10 @@ from .errors import ConstructionError, OutOfRegimeError
 
 # Each command imports the modules it runs when it starts, so `--version`,
 # `constants`, `partition-max`, `basis-subsets`, `bounds-table`,
-# `search-max-code`, `build`, `load`, `save` and `hitting` without --d
-# never load numpy: only the scans (cube), the Lagrangian and the
-# hypergraphs do.  A --budget left out takes the owning module's default
-# then.
+# `search-max-code`, `build`, `load`, `save` and `hitting` (its --d check
+# included) never load numpy: only the max-count scans (cube), the
+# Lagrangian and the hypergraphs do.  A --budget left out takes the
+# owning module's default then.
 if TYPE_CHECKING:
     from fractions import Fraction
     from .codes import Code
@@ -470,7 +470,7 @@ def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
     if args.d is None and args.budget is not None:
         raise ValueError("--budget applies only with --d")
-    from .codes import _check_hitting, save_code, subcube_hitting_set
+    from .codes import _check_hitting, save_code, subcube_hitting_set, verify_hitting
     if args.d is not None:
         from .geometry import _check_budget
         # the scan's budget refuses by n and d alone, so before the build
@@ -493,7 +493,6 @@ def cmd_hitting(args) -> int:
     }
     failures = []
     if args.d is not None:
-        from .cube import verify_hitting
         report = verify_hitting(code, args.d, budget=_scan_budget(args))
         payload["d"] = args.d
         payload["hits_all"] = report.hits_all

@@ -4,10 +4,10 @@ Subcubes and their canonical order come from geometry: free sets in
 colex order, bases in increasing packed-integer order, so every scan
 reports the same witness, the first in that order.
 
-The scans (`max_subcube_count`, `verify_hitting`) walk dense occupancy
-tables for n <= MAX_N: the code as a 0/1 array of shape (2,)*n, and for
-each free set the table of subcube counts, each one a vectorised sum of
-its parent (the partial zeta transform of Yates 1937).  That costs about
+The max-count scan (`max_subcube_count`) walks dense occupancy tables
+for n <= MAX_N: the code as a 0/1 array of shape (2,)*n, and for each
+free set the table of subcube counts, each one a vectorised sum of its
+parent (the partial zeta transform of Yates 1937).  That costs about
 2 * subcube_total(n, d) array additions, whatever the code size.  The
 walk recurses over the top free coordinates and sums the rest of a
 subtree in stacked blocks, one numpy call per coordinate for a whole
@@ -15,16 +15,18 @@ colex range of free sets, so the calls do not grow with C(n, d).  It
 holds the d + 1 tables of its path, 2^(n+1) bytes at most (32 MB at
 n = 24), plus two block levels of _BLOCK_ENTRIES entries.  Longer
 codes, which only a loaded file can give, get the same tables by
-counting the codewords' patterns on the fixed coordinates, so both
-scans keep one body; their tables have 2^(n-d) entries, scanned for
-n - d <= MAX_N.  The oracle of both is subcube_count over every
-subcube, as the naive scans of tests/oracles.py run it.
+counting the codewords' patterns on the fixed coordinates; their tables
+have 2^(n-d) entries, scanned for n - d <= MAX_N.  The hitting check
+(codes.verify_hitting) walks a truth table in pure Python and reads
+these count tables (_count_tables, _first_subcube) only for n > MAX_N.
+The oracle of both is subcube_count over every subcube, as the naive
+scans of tests/oracles.py run it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -168,7 +170,7 @@ def _bucket_tables(code: Code, d: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def _count_tables(code: Code, d: int,
                   budget: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Both scans' blocks, dense for n <= MAX_N, after the regime checks."""
+    """The scan's blocks, dense for n <= MAX_N, after the regime checks."""
     n = code.n
     _check_budget(n, d, budget)
     if n - d > geometry.MAX_N:  # geometry owns the limit; MAX_N below only picks the tables
@@ -241,20 +243,3 @@ def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
         raise ValueError("erased coordinate out of range")
     keep = np.uint64(((1 << code.n) - 1) ^ sum(1 << c for c in erased))
     return int(np.count_nonzero(code.array & keep == bits & keep))
-
-
-class HittingReport(Record):
-    hits_all: bool
-    missed: Optional[Subcube]
-
-
-def verify_hitting(code: Code, d: int,
-                   budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
-    """Does the set meet every d-subcube?  On failure the first missed
-    subcube in canonical order is reported.  Same tables, cost, regime
-    and budget check as max_subcube_count; stops at the first block of
-    free sets with an empty subcube."""
-    for first, block in _count_tables(code, d, budget):
-        if not block.all():
-            return HittingReport(False, _first_subcube(code.n, d, first, block, 0))
-    return HittingReport(True, None)

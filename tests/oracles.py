@@ -2,7 +2,8 @@
 against: the depth-first independent-subset walk, the numpy walk that
 listed independent supports before the truth-table kernel, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
-exhaustive partition walk, the Lagrangian polynomial, numpy's
+hitting check on numpy count tables that the truth-table walk replaced,
+the exhaustive partition walk, the Lagrangian polynomial, numpy's
 generator for the layer draws, the Lagrangian's starts and the Monte
 Carlo sampler, and the recurrence behind numpy's ziggurat tables."""
 
@@ -14,7 +15,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from hypercube_codes.codes import Code
+from hypercube_codes import cube
+from hypercube_codes.codes import Code, HittingReport
 from hypercube_codes.cube import subcube_count
 from hypercube_codes.extremal import BasisSubsetMaximum, PartitionMaximum, _check_partition_d
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
@@ -129,6 +131,17 @@ def max_subcube_count_naive(code: Code, d: int,
             witness = cube
     assert witness is not None
     return best, witness
+
+
+def verify_hitting_tables(code: Code, d: int,
+                          budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
+    """verify_hitting on cube's count tables, as the package ran it before
+    the truth-table walk: dense tables for n <= cube.MAX_N, bucket tables
+    beyond, stopping at the first block with an empty subcube."""
+    for first, block in cube._count_tables(code, d, budget):
+        if not block.all():
+            return HittingReport(False, cube._first_subcube(code.n, d, first, block, 0))
+    return HittingReport(True, None)
 
 
 def subcube_histogram(code: Code, d: int) -> collections.Counter:

@@ -11,19 +11,21 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercube_codes import cube, geometry
+from hypercube_codes import codes, cube, geometry
 from hypercube_codes.codes import (
     Code,
     best_residue_subcode,
     build_layer_vectors,
     layered_basis_code,
+    HittingReport,
+    subcube_hitting_set,
+    verify_hitting,
     weight_class_code,
 )
 from hypercube_codes.cube import (
     erasure_list_size,
     max_subcube_count,
     subcube_count,
-    verify_hitting,
 )
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_code_search
@@ -35,7 +37,7 @@ from hypercube_codes.geometry import (
     subcube_total,
 )
 from hypercube_codes.gf2 import BitWord
-from oracles import max_subcube_count_naive, subcube_histogram
+from oracles import max_subcube_count_naive, subcube_histogram, verify_hitting_tables
 
 
 def random_code(rng, n, size):
@@ -241,6 +243,79 @@ def test_verify_hitting_dimension_zero():
     assert report.missed == Subcube(2, (), 2)
 
 
+def entrywise_pairs(table, m, c):
+    """codes._and_pairs one entry at a time."""
+    low = (x for x in range(1 << m) if not x >> c & 1)
+    return sum((table >> x & table >> (x | 1 << c) & 1) << j for j, x in enumerate(low))
+
+
+def test_byte_pairing_matches_the_entrywise_pairing():
+    # every branch: translate tables (c < 3), whole items (3 <= c <= 6),
+    # strided copies and joined blocks (c >= 7), and the cut top bit
+    rng = random.Random(29)
+    for m in range(4, 13):
+        for c in range(m):
+            for table in (rng.getrandbits(1 << m), (1 << (1 << m)) - 1,
+                          1 << rng.randrange(1 << m), 0):
+                assert codes._and_pairs(table, m, c) == entrywise_pairs(table, m, c)
+
+
+BITS = pytest.mark.parametrize("bits", [codes._FLAT_BITS, 4], ids=["in-place", "bytes"])
+
+
+@BITS
+def test_weight_classes_mod_d_plus_one_meet_every_d_subcube(bits):
+    # a d-subcube holds d + 1 consecutive weights, so every class mod d + 1;
+    # mod d + 2 the subcube of weights r + 1 .. r + d + 1 misses class r
+    rng = random.Random(31)
+    with flat_bits(bits):
+        for n in range(1, 13):
+            for d in range(n + 1):
+                code = weight_class_code(n, d + 1, rng.randrange(d + 1))
+                assert verify_hitting(code, d) == HittingReport(True, None)
+                code = weight_class_code(n, d + 2, rng.randrange(d + 2))
+                assert verify_hitting(code, d) == verify_hitting_tables(code, d)
+        for n, d in [(16, 5), (16, 9)]:
+            assert verify_hitting(weight_class_code(n, d + 1, 0), d).hits_all
+
+
+@BITS
+def test_hitting_sets_agree_with_the_count_tables(bits):
+    rng = random.Random(37)
+    with flat_bits(bits):
+        for n in range(1, 17):
+            code = subcube_hitting_set(n, rng.randrange(4), seed=rng.randrange(100)).code
+            for d in rng.sample(range(n + 1), min(n + 1, 3)):
+                assert verify_hitting(code, d) == verify_hitting_tables(code, d)
+
+
+@BITS
+def test_a_miss_only_in_the_last_free_set_is_found(bits):
+    # the complement is one subcube on the top d coordinates, the last free
+    # set in colex order, and no other d-subcube fits inside it
+    rng = random.Random(41)
+    with flat_bits(bits):
+        for n in range(1, 13):
+            for d in range(n + 1):
+                hole = Subcube(n, tuple(range(n - d, n)), rng.randrange(1 << (n - d)))
+                code = Code(n, frozenset(range(1 << n)) - frozenset(hole.vertices()))
+                assert verify_hitting(code, d) == HittingReport(False, hole)
+
+
+def test_dimension_zero_finds_the_least_absent_word_and_past_n_is_refused():
+    rng = random.Random(43)
+    for n in range(10):
+        words = frozenset(w for w in range(1 << n) if rng.random() < 0.9)
+        absent = sorted(frozenset(range(1 << n)) - words)
+        missed = Subcube(n, (), absent[0]) if absent else None
+        assert verify_hitting(Code(n, words), 0) == HittingReport(not absent, missed)
+        for d in (n + 1, -1):
+            with pytest.raises(ValueError, match="0 <= d <= n"):
+                verify_hitting(Code(n, words), d)
+    with pytest.raises(ValueError, match="0 <= d <= n"):  # the count tables' path
+        verify_hitting(Code(30, {0, 5}), 31)
+
+
 def test_max_code_small_values():
     # ceil(2^(n+1) / 3) words fit with three per square
     for n, value in [(2, 3), (3, 6), (4, 11)]:
@@ -398,18 +473,30 @@ def block_entries(entries):
         yield
 
 
+@contextlib.contextmanager
+def flat_bits(bits):
+    """Pair the truth tables of more than 2^bits bits as bytes, which
+    otherwise only tables past 2^14 bits are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_FLAT_BITS", bits)
+        yield
+
+
 def scans_agree_with_the_oracles(code, d):
     dense = max_subcube_count(code, d)
-    dense_hit = verify_hitting(code, d)
+    hit = verify_hitting(code, d)
+    dense_hit = verify_hitting_tables(code, d)
+    with flat_bits(4):
+        bytes_hit = verify_hitting(code, d)
     with bucket_path():
         bucket = max_subcube_count(code, d)
-        bucket_hit = verify_hitting(code, d)
+        bucket_hit = verify_hitting_tables(code, d)
     assert dense == bucket
     assert (dense.max_count, dense.witness) == max_subcube_count_naive(code, d)
     missed = first_missed(code, d)
-    assert dense_hit == bucket_hit
-    assert dense_hit.missed == missed
-    assert dense_hit.hits_all == (missed is None)
+    assert hit == bytes_hit == dense_hit == bucket_hit
+    assert hit.missed == missed
+    assert hit.hits_all == (missed is None)
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["empty", "full"])
@@ -421,7 +508,7 @@ def test_empty_and_full_codes_at_every_dimension(full):
             first = Subcube(n, tuple(range(d)), 0)
             reports = [max_subcube_count(code, d), verify_hitting(code, d)]
             with bucket_path():
-                reports += [max_subcube_count(code, d), verify_hitting(code, d)]
+                reports += [max_subcube_count(code, d), verify_hitting_tables(code, d)]
             scan, hit = reports[0], reports[1]
             assert reports[2:] == [scan, hit]
             assert scan.max_count == count
@@ -541,7 +628,8 @@ def test_a_miss_inside_a_later_block_is_the_first_missed_subcube():
     with block_entries(64):
         assert [first for first, block in cube._dense_tables(code, 2)
                 if not block.all()] == [3]
-        report = verify_hitting(code, 2)
+        report = verify_hitting_tables(code, 2)
+    assert report == verify_hitting(code, 2)
     assert report.missed == first_missed(code, 2) == Subcube(6, (1, 3), 49)
 
 

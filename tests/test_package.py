@@ -139,6 +139,10 @@ print(*sorted({NUMPY_RANDOM!r} & (set(sys.modules) - bare)))
 """).split())
 
 
+# the n = 8 hitting set misses the 3-subcube ***10110
+HITTING_MISS = ["hitting", "--n", "8", "--k", "1", "--d", "3"]
+
+
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["--version"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
     (["--help"], {"hypercube_codes.cli"}, {"numpy", *HELPER_STDLIB}),
@@ -159,6 +163,9 @@ print(*sorted({NUMPY_RANDOM!r} & (set(sys.modules) - bare)))
     # the construction and the code files run on truth tables in ints
     (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"},
      {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
+    # and so does the hitting check, which reports a missed subcube here
+    (HITTING_MISS, {"hypercube_codes.codes"},
+     {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
     (["build", "--n", "10", "--modulus", "6", "--out", "{tmp}/built.txt"],
      {"hypercube_codes.codes"}, {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
     (["load", "--in", "{tmp}/code.txt"], {"hypercube_codes.codes"},
@@ -178,7 +185,7 @@ print(*sorted({NUMPY_RANDOM!r} & (set(sys.modules) - bare)))
     (["bounds-table", "--d-max", "8"], {"hypercube_codes.extremal", "hypercube_codes.gf2"},
      NUMPY_MODULES - {"hypercube_codes.gf2"} | NUMPY_FREE | INT_ONLY),
 ], ids=["version", "help", "usage-error", "constants", "partition-max", "lagrangian",
-        "density", "build-verify", "hitting", "build", "load", "verify",
+        "density", "build-verify", "hitting", "hitting-check", "build", "load", "verify",
         "search-max-code-branch-bound",
         "search-max-code-exhaustive", "basis-subsets", "bounds-table"])
 def test_each_command_imports_only_what_it_runs(tmp_path, argv, loaded, absent):
@@ -199,8 +206,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(status, sorted({loaded!r} - set(sys.modules)),
       sorted({absent!r} & (set(sys.modules) - bare)))
 """)
-    # argparse exits 2 on a usage error (the missing --d)
-    assert out.split() == ["2" if argv == ["partition-max"] else "0", "[]", "[]"]
+    # argparse exits 2 on a usage error (the missing --d), hitting on a miss
+    assert out.split() == ["2" if argv in (["partition-max"], HITTING_MISS) else "0",
+                           "[]", "[]"]
 
 
 def test_the_monte_carlo_sampler_leaves_numpy_random_unloaded():
