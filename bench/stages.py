@@ -149,17 +149,18 @@ n, d = int(n), int(d)
 code = (subcube_hitting_set(n, int(k)).code if kind == "hitting_set"
         else weight_class_code(n, d + 1, 0))
 report = verify_hitting(code, d)
-missed = report.missed and "".join("*" if i in report.missed.free
-                                   else str(report.missed.base >> i & 1) for i in range(n))
+missed = report.missed and [list(report.missed.free), report.missed.base]
 print(json.dumps([report.hits_all, missed]))
 """
 
 
-def pattern(cube) -> str | None:
-    """A subcube as the CLI writes it: * on the free coordinates."""
-    if cube is None:
+def pattern(n: int, missed) -> str | None:
+    """A missed subcube, given by its free coordinates and base, as the
+    CLI writes it: * on the free coordinates."""
+    if missed is None:
         return None
-    return "".join("*" if i in cube.free else str(cube.base >> i & 1) for i in range(cube.n))
+    free, base = missed
+    return "".join("*" if i in free else str(base >> i & 1) for i in range(n))
 
 
 def fresh(src: Path, argv: list, repeats: int, work: Path) -> tuple[float, float, str]:
@@ -201,7 +202,8 @@ def fresh_hitting(src: Path, row: tuple, repeats: int, work: Path) -> dict:
     argv = [sys.executable, "-c", HITTING_DRIVER, kind, str(n), str(k), str(d)]
     wall, rss, out = fresh(src, argv, repeats, work)
     hits_all, missed = json.loads(out)
-    return {"wall_s": wall, "peak_rss_mb": rss, "hits_all": hits_all, "missed": missed}
+    return {"wall_s": wall, "peak_rss_mb": rss, "hits_all": hits_all,
+            "missed": pattern(n, missed)}
 
 
 def in_process_hitting(row: tuple, repeats: int, fresh_row: dict) -> dict:
@@ -213,7 +215,8 @@ def in_process_hitting(row: tuple, repeats: int, fresh_row: dict) -> dict:
     for _ in range(repeats):
         report, t = timed(pkg.verify_hitting, code, d)
         times.append(t)
-    answer = {"hits_all": report.hits_all, "missed": pattern(report.missed)}
+    missed = report.missed and (report.missed.free, report.missed.base)
+    answer = {"hits_all": report.hits_all, "missed": pattern(n, missed)}
     if answer != {key: fresh_row.pop(key) for key in answer}:
         raise SystemExit(f"hitting row {row}: the fresh process disagreed")
     return {"code": kind, "n": n, "k": k, "d": d, "size": len(code),

@@ -503,7 +503,8 @@ def _first_missed(code: Code, d: int) -> Optional[Subcube]:
     chars = bytearray(b"1") * (1 << n)
     for w in code._ints():
         chars[w] = 48  # "0"
-    table = int(chars[::-1], 2)
+    chars.reverse()  # in place: a copy would double the 2^n-byte peak
+    table = int(chars, 2)
     del chars
     if d and table:
         table = walk(table, d, n, n)
@@ -556,8 +557,6 @@ def _and_pairs(table: int, m: int, c: int) -> int:
     items = memoryview(raw).cast(_ITEMS[width])
     per = 1 << (c - 3 - width)  # items per block
     pairs = len(items) // per >> 1
-    if per == 1:
-        return int.from_bytes(items[::2], "little")
     if per <= pairs:  # a strided copy per item of the block
         out = memoryview(bytearray(len(raw) >> 1)).cast(_ITEMS[width])
         for i in range(per):

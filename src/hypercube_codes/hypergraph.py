@@ -217,47 +217,16 @@ def linear_independence_density(r: int, k: int) -> Fraction:
 
 def blow_up(graph: UniformHypergraph, b: int) -> UniformHypergraph:
     """Replace each vertex v by b copies (v*b .. v*b+b-1); each edge by
-    the b^r edges choosing one copy per original vertex, within
-    DEFAULT_EDGE_BUDGET.  The edges are built in lexicographic order
-    (_blown_rows), so the constructor takes them without a sort."""
+    the b^r edges choosing one copy per original vertex, within DEFAULT_EDGE_BUDGET."""
     if b < 1:
         raise ValueError("need b >= 1")
     r = graph.r
     _check_edges(f"the blow-up by {b} would hold", len(graph.edges) * b ** r)
-    if not len(graph.edges):  # nothing to copy, so no powers of b
+    if not len(graph.edges):  # nothing to copy, so no b^r table of copies
         return UniformHypergraph(r, graph.n_vertices * b, graph.edges)
-    return UniformHypergraph(r, graph.n_vertices * b, _blown_rows(graph.edges, b))
-
-
-def _blown_rows(edges: np.ndarray, b: int) -> np.ndarray:
-    """The blow-up's rows in lexicographic order, for sorted, distinct,
-    nonempty edges: row (v_1 b + a_1, ..., v_r b + a_r) sorts by (v_1,
-    a_1, v_2, ...), so the rows are the prefix tree of the edges with
-    each child taken b times, read depth first.  The tree is expanded a
-    column at a time: the rows sharing a prefix of j columns are a run
-    of `edges`, and a blown prefix (its run, its copies a_1 .. a_j in
-    base b) has as children the runs of j + 1 columns inside its run,
-    each b times."""
-    count, r = edges.shape
-    # new[i, j]: row i starts a run of j + 1 columns
-    new = np.ones((count, r), bool)
-    new[1:] = edges[1:] != edges[:-1]
-    np.logical_or.accumulate(new, axis=1, out=new)
-    starts = np.zeros(1, np.intp)  # the runs of the level
-    run = np.zeros(1, np.intp)  # per blown prefix, in order
-    copies = np.zeros(1, np.intp)
-    for j in range(r):
-        inner = np.flatnonzero(new[:, j])
-        # the runs inside run p are the runs first[p] to first[p + 1] - 1
-        first = np.searchsorted(inner, np.append(starts, count))
-        children = np.diff(first)[run] * b
-        parent = np.repeat(np.arange(len(run)), children)
-        at = np.arange(len(parent)) - np.repeat(np.cumsum(children) - children, children)
-        run = first[run[parent]] + at // b
-        copies = copies[parent] * b + at % b
-        starts = inner
-    # the runs of r columns are single rows
-    return edges[run] * b + copies[:, None] // b ** np.arange(r - 1, -1, -1) % b
+    copies = _rows(itertools.product(range(b), repeat=r), r)
+    edges = (graph.edges[:, None, :] * b + copies).reshape(-1, r)
+    return UniformHypergraph(r, graph.n_vertices * b, edges)
 
 
 def _twin_classes(graph: UniformHypergraph) -> list[int]:

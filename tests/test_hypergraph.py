@@ -249,35 +249,6 @@ def test_linear_independence_density_to_max_bits():
         linear_independence_density(1, 64)
 
 
-def blow_up_by_sort(graph, b):
-    """blow_up as built before it ordered its rows: the b^r copies of each
-    edge side by side, sorted by the constructor."""
-    r = graph.r
-    copies = np.array(list(itertools.product(range(b), repeat=r)), np.intp)
-    return UniformHypergraph(r, graph.n_vertices * b,
-                             (graph.edges[:, None, :] * b + copies).reshape(-1, r))
-
-
-def test_blow_up_builds_its_edges_in_lexicographic_order(monkeypatch):
-    rng = random.Random(47)
-    graphs = [complete(2, 5), complete(3, 6), complete(1, 4), basis_hypergraph(3),
-              complete_multipartite([2, 1, 3]), augmented_complete(2, 4, 3),
-              UniformHypergraph(2, 7, [(0, 6), (2, 3), (2, 5)])]
-    for r in (1, 2, 3, 4):  # runs of shared prefixes with gaps between them
-        pool = list(itertools.combinations(range(8), r))
-        graphs.append(UniformHypergraph(r, 8, rng.sample(pool, min(12, len(pool)))))
-    cases = [(graph, b) for graph in graphs for b in (1, 2, 3, 5)]
-    expected = [blow_up_by_sort(graph, b) for graph, b in cases]
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("blow_up handed the constructor unsorted rows")
-
-    # the constructor sorts only rows that do not strictly increase
-    monkeypatch.setattr(np, "lexsort", no_sort)
-    for (graph, b), want in zip(cases, expected):
-        assert blow_up(graph, b) == want
-
-
 def test_blow_up_preserves_lagrangian():
     tri = complete(2, 3)
     base = lagrangian(tri, restarts=16).value
