@@ -5,9 +5,11 @@ Run from the root of a checkout, naming the source tree to measure:
 
     python3 bench/stages.py --src src --tag mytag
 
-It writes bench/BENCH_<tag>.json.  For each n (default 14 to 24, d = 5,
---modulus 6, seed 0) it records medians over --repeats in-process runs
-(time.perf_counter) of these stages:
+It writes bench/BENCH_<tag>.json.  For each n (default 13 to 16, then
+18 to 24 by twos, so that the sizes of the benchmark's scan workload,
+13 and 15, are among them; d = 5, --modulus 6, seed 0) it records
+medians over --repeats in-process runs (time.perf_counter) of these
+stages:
 
   draw_s           codes.build_layer_vectors(n)
   table_s.r<r>     gf2.independent_masks(vectors, r) for layer r's first draw
@@ -227,7 +229,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", required=True, help="the source tree to measure")
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
-    parser.add_argument("--n", type=int, nargs="+", default=[14, 16, 18, 20, 22, 24])
+    parser.add_argument("--n", type=int, nargs="+", default=[13, 14, 15, 16, 18, 20, 22, 24])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out-dir", default=str(HERE))
     args = parser.parse_args(argv)

@@ -11,7 +11,8 @@ The package splits into:
                  maximum code search
 * ``codes``      randomized layered constructions, weight-class codes,
                  hitting sets and the hitting check (a truth-table walk)
-* ``cube``       list-size verification by numpy subcube scans
+* ``cube``       list-size verification by subcube scans (byte tables in
+                 ints for small codes, numpy for the rest)
 * ``hypergraph`` uniform hypergraphs, copy containment and Lagrangians
 
 The names in ``__all__`` are loaded lazily (PEP 562): the first access

@@ -44,9 +44,10 @@ from .errors import ConstructionError, OutOfRegimeError
 # Each command imports the modules it runs when it starts, so `--version`,
 # `constants`, `partition-max`, `basis-subsets`, `bounds-table`,
 # `search-max-code`, `build`, `load`, `save` and `hitting` (its --d check
-# included) never load numpy: only the max-count scans (cube), the
-# Lagrangian and the hypergraphs do.  A --budget left out takes the
-# owning module's default then.
+# included) never load numpy, nor do `build-verify` and `verify` for
+# codes of up to 15 coordinates at d <= 6: only the other max-count scans
+# (cube), the Lagrangian and the hypergraphs do.  A --budget left out
+# takes the owning module's default then.
 if TYPE_CHECKING:
     from fractions import Fraction
     from .codes import Code
@@ -72,9 +73,10 @@ def _decimal_places(x: Fraction, places: int = 12) -> str:
     from decimal import ROUND_HALF_EVEN, Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = places + 30
-        value = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(value.quantize(Decimal(1).scaleb(-places),
-                                  rounding=ROUND_HALF_EVEN))
+        value = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
+            Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+        # a zero keeps the quantum's exponent, which str writes as 0E-12
+        return str(value) if value else f"{value:f}"
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -332,11 +334,10 @@ def _scan_budget(args) -> int:
 
 def _scan(args, code: Code, payload: dict) -> int:
     """Scan every d-subcube of the code, emit the payload with the scan's
-    fields added, and check --list-size.  cube (and numpy) load here,
-    after the code: the construction and the code files need neither,
-    and the peak RSS of build-verify --n 15 --d 5 --modulus 6 is no
-    higher than with cube imported before the build (30.7 MB each, six
-    runs on a 2-vCPU x86-64 VM)."""
+    fields added, and check --list-size.  cube loads here, after the
+    code, which the construction and the code files build without it;
+    numpy loads only for a scan past the byte tables of cube._byte_scan
+    (n > 15 or d > 6)."""
     from .cube import max_subcube_count
     report = max_subcube_count(code, args.d, budget=_scan_budget(args))
     payload["d"] = args.d

@@ -542,8 +542,8 @@ def _and_pairs(table: int, m: int, c: int) -> int:
     as bytes: for c < 3 each byte's four pairs are and-ed by a translate
     table, one for the even bytes and one for the odd, which fill the
     low and the high half of each byte out; from c = 3 the pairs are
-    blocks of 2^(c - 3) bytes, and the lower block of each pair is kept
-    by strided memoryview slices, in the widest item that divides it.
+    blocks of 2^(c - 3) bytes, and _lower_blocks keeps the lower block
+    of each pair.
     """
     if c < 3:
         raw = table.to_bytes(1 << m >> 3, "little")
@@ -552,18 +552,23 @@ def _and_pairs(table: int, m: int, c: int) -> int:
     both = table & table >> (1 << c)
     if c == m - 1:
         return both
-    raw = both.to_bytes(1 << m >> 3, "little")
-    width = min(c - 3, 3)
+    return int.from_bytes(_lower_blocks(both.to_bytes(1 << m >> 3, "little"), c - 3), "little")
+
+
+def _lower_blocks(raw: bytes, b: int):
+    """The lower block of each pair of 2^b-byte blocks of raw, joined,
+    as a bytes-like object.  The blocks are kept by strided memoryview
+    slices, in the widest item that divides a block."""
+    width = min(b, 3)
     items = memoryview(raw).cast(_ITEMS[width])
-    per = 1 << (c - 3 - width)  # items per block
+    per = 1 << (b - width)  # items per block
     pairs = len(items) // per >> 1
     if per <= pairs:  # a strided copy per item of the block
         out = memoryview(bytearray(len(raw) >> 1)).cast(_ITEMS[width])
         for i in range(per):
             out[i::per] = items[i::2 * per]
-        return int.from_bytes(out, "little")
-    return int.from_bytes(b"".join([items[i:i + per] for i in range(0, len(items), 2 * per)]),
-                          "little")
+        return out
+    return b"".join([items[i:i + per] for i in range(0, len(items), 2 * per)])
 
 
 @cache

@@ -1,37 +1,39 @@
-"""Subcube occupancy scans of a code, with numpy.
+"""Subcube occupancy scans of a code.
 
 Subcubes and their canonical order come from geometry: free sets in
 colex order, bases in increasing packed-integer order, so every scan
 reports the same witness, the first in that order.
 
-The max-count scan (`max_subcube_count`) walks dense occupancy tables
-for n <= MAX_N: the code as a 0/1 array of shape (2,)*n, and for each
-free set the table of subcube counts, each one a vectorised sum of its
-parent (the partial zeta transform of Yates 1937).  That costs about
-2 * subcube_total(n, d) array additions, whatever the code size.  The
-walk recurses over the top free coordinates and sums the rest of a
-subtree in stacked blocks, one numpy call per coordinate for a whole
-colex range of free sets, so the calls do not grow with C(n, d).  It
-holds the d + 1 tables of its path, 2^(n+1) bytes at most (32 MB at
-n = 24), plus two block levels of _BLOCK_ENTRIES entries.  Longer
-codes, which only a loaded file can give, get the same tables by
-counting the codewords' patterns on the fixed coordinates; their tables
-have 2^(n-d) entries, scanned for n - d <= MAX_N.  The hitting check
-(codes.verify_hitting) walks a truth table in pure Python and reads
-these count tables (_count_tables, _first_subcube) only for n > MAX_N.
-The oracle of both is subcube_count over every subcube, as the naive
-scans of tests/oracles.py run it.
+The max-count scan (`max_subcube_count`) sums occupancy tables, each
+free set's table of subcube counts a sum of its parent's over one more
+coordinate (the partial zeta transform of Yates 1937): about
+2 * subcube_total(n, d) additions, whatever the code size.  It takes
+one of three paths, chosen by n and d alone.  Small codes (n <=
+_BYTE_SCAN_N, d <= 6) walk tables of one-byte counters held in Python
+ints (_byte_scan), with no numpy.  Other codes with n <= MAX_N walk
+dense numpy tables: the code as a 0/1 array of shape (2,)*n, each table
+one vectorised sum of its parent.  That walk recurses over the top free
+coordinates and sums the rest of a subtree in stacked blocks, one numpy
+call per coordinate for a whole colex range of free sets, so the calls
+do not grow with C(n, d).  It holds the d + 1 tables of its path,
+2^(n+1) bytes at most (32 MB at n = 24), plus two block levels of
+_BLOCK_ENTRIES entries.  Longer codes, which only a loaded file can
+give, get the same tables by counting the codewords' patterns on the
+fixed coordinates; their tables have 2^(n-d) entries, scanned for
+n - d <= MAX_N.  numpy is imported only inside the numpy paths.  The
+hitting check (codes.verify_hitting) walks a truth table in pure Python
+and reads these count tables (_count_tables, _first_subcube) only for
+n > MAX_N.  The oracle of every scan is subcube_count over every
+subcube, as the naive scans of tests/oracles.py run it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # by name first: -X importtime does not time `from . import geometry`
-from .codes import Code
+from .codes import Code, _lower_blocks
 from . import geometry
 from ._record import Record
 from .errors import OutOfRegimeError
@@ -40,11 +42,15 @@ from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
                        free_sets_colex)
 from .gf2 import BitWord
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def subcube_count(code: Code, cube: Subcube) -> int:
     """Number of codewords inside the subcube (naive scan, the oracle)."""
     if code.n != cube.n:
         raise ValueError("code and subcube disagree on n")
+    import numpy as np
     fixed = np.uint64(((1 << cube.n) - 1) ^ cube.free_mask)
     return int(np.count_nonzero(code.array & fixed == np.uint64(cube.base)))
 
@@ -71,12 +77,10 @@ _BLOCK_ENTRIES = 1 << 16
 # words to intp in slices of this size, not the whole code.
 _INTP_SLICE = 1 << 13
 
-# each byte with its bits reversed, to lay coordinate i on axis i
-_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.intp)
-
 
 def _table_dtype(summed: int) -> type:
     """The narrowest dtype for word counts of subcubes of dimension summed."""
+    import numpy as np
     return np.uint8 if summed < 8 else np.uint16 if summed < 16 else np.uint32
 
 
@@ -94,14 +98,17 @@ def _dense_tables(code: Code, d: int) -> Iterator[tuple[int, np.ndarray]]:
     every level fits _BLOCK_ENTRIES is summed as one block instead
     (_stacked_leaves), one np.add per coordinate and level.
     """
+    import numpy as np
     n = code.n
+    # each byte with its bits reversed, to lay coordinate i on axis i
+    reverse = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.intp)
     occupancy = np.zeros(1 << n, np.uint8)
     for at in range(0, len(code), _INTP_SLICE):
         words = code.array[at:at + _INTP_SLICE].astype(np.intp)
         # the n <= MAX_N = 24 bits of each word, reversed byte by byte
-        reversed_words = (_REVERSED_BYTE[words & 255] << 16
-                          | _REVERSED_BYTE[words >> 8 & 255] << 8
-                          | _REVERSED_BYTE[words >> 16])
+        reversed_words = (reverse[words & 255] << 16
+                          | reverse[words >> 8 & 255] << 8
+                          | reverse[words >> 16])
         occupancy[reversed_words >> (24 - n)] = 1
 
     def walk(table: np.ndarray, free: tuple[int, ...]):
@@ -138,6 +145,7 @@ def _stacked_leaves(table: np.ndarray, m: int, k: int, summed: int) -> np.ndarra
     comb(c, j) rows, and with c added they are the rows of level j + 1
     from comb(c, j + 1) on, so one np.add per coordinate extends a level.
     """
+    import numpy as np
     level = table.reshape(1, -1)
     for j in range(k):
         upper = np.empty((math.comb(m - k + j + 1, j + 1), level.shape[1] // 2),
@@ -159,6 +167,7 @@ def _bucket_tables(code: Code, d: int) -> Iterator[tuple[int, np.ndarray]]:
     the fixed coordinates.  A pattern is the place values times the fixed
     bits, C(n, d) * (n - d) vector passes; float32 keeps it exact, as
     patterns stay below 2^24."""
+    import numpy as np
     n = code.n
     bits = ((code.array >> np.arange(n, dtype=np.uint64)[:, None])
             & np.uint64(1)).astype(np.float32)
@@ -189,28 +198,120 @@ def _first_subcube(n: int, d: int, first: int, block: np.ndarray,
     return _leaf_subcube(n, _colex_unrank(first + row, d), pattern)
 
 
+# Codes of at most this many coordinates are scanned on byte tables
+# (_byte_scan), the others with numpy.  At d = 5 the byte walk took
+# 11 ms at n = 13, 58 ms at n = 15 and 146 ms at n = 16, and the numpy
+# walk 3.6, 19 and 32 ms once numpy is loaded, which takes 56-160 ms of
+# a fresh process (in process, medians of five; 2-vCPU x86-64 VM).  As
+# fresh build-verify processes the byte walk ran 0.59-0.85x the numpy
+# path at n = 15 (d = 1 to 6), and 1.06-1.10x at n = 16 (d = 5 and 6).
+_BYTE_SCAN_N = 15
+# One-byte counters with a guard bit hold counts up to 2^6 (_byte_scan).
+# Two-byte counters for d = 7 to 14 ran 5-10x the numpy walk at n = 15
+# (in process, numpy loaded), so those d stay on numpy.
+_BYTE_SCAN_D = 6
+
+
+def _byte_scan(code: Code, d: int) -> VerificationReport:
+    """max_subcube_count for d <= _BYTE_SCAN_D, on tables of one-byte
+    counters held in Python ints.
+
+    Byte x of a table on m index bits counts the codewords of the
+    subcube with index x.  Pairing index bit c, t + (t >> (8 << c)), adds
+    to each counter with bit c clear its partner, and the lower block of
+    each pair of 2^c-byte blocks (_lower_blocks) is the child table, on
+    m - 1 index bits.  Free coordinates are picked from the top down, as
+    free_sets_colex orders them, so the index bits of a table are the
+    coordinates below its last pick and then the fixed ones above it,
+    and a leaf's index is its base pattern on the fixed coordinates.
+
+    Leaves are read in place from their parent's pairing sum, at the
+    counters with bit c clear: a counter reaches best when adding
+    128 - best sets its guard bit 128, so one add and one mask tell
+    whether any subcube of a free set reaches it, bit_count how many do,
+    and the lowest guard bit the least base.  A count is at most
+    2^d <= 64 and the bias at most 129, so no counter carries into the
+    next.
+    """
+    n = code.n
+    counters = bytearray(1 << n)
+    for w in code._ints():
+        counters[w] = 1
+    # the index bits of the tables the leaves are read from; for d = 0
+    # the code's table, read as the lower half at c = n
+    bits = n - d + 1
+    ones = int.from_bytes(b"\1" * (1 << bits), "little")
+    # the guard bits of the counters with index bit c clear
+    highs = [int.from_bytes((b"\x80" * (1 << c) + bytes(1 << c)) * (1 << (bits - c - 1)),
+                            "little") for c in range(bits)]
+    best, at_max, witness = -1, 0, None
+    bias = 129 * ones  # 128 - best in every counter
+
+    def leaves(sums: int, c: int, free: tuple[int, ...]) -> None:
+        nonlocal best, at_max, witness, bias
+        high = highs[c]
+        hits = (sums + bias) & high
+        if not hits:
+            return
+        above = (sums + bias - ones) & high
+        if above:  # a new maximum
+            while above:
+                best, bias, hits = best + 1, bias - ones, above
+                above = (sums + bias - ones) & high
+            x = (hits & -hits).bit_length() // 8 - 1
+            witness = free, x >> (c + 1) << c | x & ((1 << c) - 1)
+            at_max = 0
+        at_max += hits.bit_count()
+
+    def walk(table: int, k: int, m: int, free: tuple[int, ...]) -> None:
+        """Pick k more free coordinates below m; table has n - d + k
+        index bits."""
+        for c in range(k - 1, m):
+            sums = table + (table >> (8 << c))
+            if k == 1:
+                leaves(sums, c, (c,) + free)
+            else:
+                lower = _lower_blocks(sums.to_bytes(1 << (n - d + k), "little"), c)
+                walk(int.from_bytes(lower, "little"), k - 1, c, (c,) + free)
+
+    table = int.from_bytes(counters, "little")
+    del counters
+    if d:
+        walk(table, d, n, ())
+    else:
+        leaves(table, n, ())
+    free, pattern = witness
+    return VerificationReport(d, best, _leaf_subcube(n, free, pattern), at_max)
+
+
 def max_subcube_count(code: Code, d: int,
                       budget: int = DEFAULT_SCAN_BUDGET) -> VerificationReport:
     """Scan every d-subcube and report the maximum occupancy, the first
-    subcube holding it and how many subcubes hold it.  A block below the
-    best so far costs one max; one that reaches it, a count of its
-    entries equal to the best.
+    subcube holding it and how many subcubes hold it.
 
-    For n <= MAX_N the scan walks dense occupancy tables (_dense_tables):
-    each table is one vectorised sum of its parent, about
-    2 * subcube_total(n, d) array additions, independent of the code
-    size.  Free sets are summed in stacked blocks, so the numpy calls
-    number about C(n, d) / (rows per block) rather than C(n, d), and the
-    memory is the d + 1 path tables (2^(n+1) bytes at most) plus two
-    block levels of _BLOCK_ENTRIES entries.  Longer codes count the same
-    tables from their words (_bucket_tables), C(n, d) * (n - d) vector
-    passes over the code, for n - d <= MAX_N.
+    For n <= _BYTE_SCAN_N and d <= _BYTE_SCAN_D the scan walks tables of
+    one-byte counters in Python ints (_byte_scan), one pairing per free
+    set and level, and loads no numpy.  Other codes with n <= MAX_N walk
+    dense occupancy tables (_dense_tables): each table is one vectorised
+    sum of its parent, about 2 * subcube_total(n, d) array additions,
+    independent of the code size.  Free sets are summed in stacked
+    blocks, so the numpy calls number about C(n, d) / (rows per block)
+    rather than C(n, d), and the memory is the d + 1 path tables
+    (2^(n+1) bytes at most) plus two block levels of _BLOCK_ENTRIES
+    entries.  Longer codes count the same tables from their words
+    (_bucket_tables), C(n, d) * (n - d) vector passes over the code, for
+    n - d <= MAX_N.  A block below the best so far costs one max; one
+    that reaches it, a count of its entries equal to the best.
 
     Raises:
         OutOfRegimeError: if the subcube total exceeds the budget or
             n - d > MAX_N, before anything is allocated.
     """
     n = code.n
+    if n <= _BYTE_SCAN_N and d <= _BYTE_SCAN_D:
+        _check_budget(n, d, budget)
+        return _byte_scan(code, d)
+    import numpy as np
     best = -1
     at_max = 0
     witness = None
@@ -232,6 +333,7 @@ def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
     least 1."""
     if word.n != code.n:
         raise ValueError("word length does not match the code")
+    import numpy as np
     bits = np.uint64(word.bits)
     at = np.searchsorted(code.array, bits)
     if code.array[at:at + 1].tolist() != [word.bits]:

@@ -8,7 +8,7 @@ bases in increasing packed-integer order, so every scan reports the same
 witness; `subcube_at` addresses it by index.
 
 Nothing here loads numpy, so the exact code search (extremal) and
-`search-max-code` run without it; the numpy scans (cube), codes and the
+`search-max-code` run without it; the scans (cube), codes and the
 linear algebra (gf2) build on this module.
 """
 

@@ -48,6 +48,19 @@ def test_constants_interval_tightens(capsys):
     assert upper.startswith("0.2887880950")
 
 
+@pytest.mark.parametrize("t_max, key", [(2, "lower_decimal"), (64, "width_decimal")])
+def test_a_zero_decimal_is_written_in_fixed_point(capsys, t_max, key):
+    # a quantized Decimal zero keeps its exponent: str gave 0E-12
+    _, doc, _ = run_json(capsys, ["constants", "--t-max", str(t_max)])
+    assert doc["limit"][key] == "0.000000000000"
+    for fmt in ("text", "csv"):
+        code, out, _ = run(capsys, ["constants", "--t-max", str(t_max), "--format", fmt])
+        assert code == 0 and "0E-12" not in out
+    # a nonzero width keeps the form it had
+    _, doc, _ = run_json(capsys, ["constants", "--t-max", "40"])
+    assert doc["limit"]["width_decimal"] == "2.1E-11"
+
+
 def test_bounds_table_against_manifest(capsys):
     code, doc, err = run_json(capsys, ["bounds-table", "--d-max", "8"])
     assert code == 0

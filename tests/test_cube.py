@@ -427,8 +427,33 @@ def test_max_code_result_keeps_sorted_words_and_builds_the_witness():
 @contextlib.contextmanager
 def bucket_path():
     """Force the bucket scan, which otherwise runs only for n > MAX_N."""
-    with pytest.MonkeyPatch.context() as mp:
+    with numpy_path(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(cube, "MAX_N", -1)
+        yield
+
+
+@contextlib.contextmanager
+def numpy_path():
+    """Scan every code with numpy, which otherwise runs only for
+    n > _BYTE_SCAN_N or d > _BYTE_SCAN_D."""
+    def no_byte_scan(code, d):
+        raise AssertionError("the byte walk ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "_BYTE_SCAN_N", -1)
+        mp.setattr(cube, "_byte_scan", no_byte_scan)
+        yield
+
+
+@contextlib.contextmanager
+def byte_path():
+    """Scan every code with d <= _BYTE_SCAN_D by the byte walk."""
+    def no_count_tables(code, d, budget):
+        raise AssertionError("a numpy scan ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "_BYTE_SCAN_N", geometry.MAX_BITS)
+        mp.setattr(cube, "_count_tables", no_count_tables)
         yield
 
 
@@ -468,7 +493,9 @@ def test_block_budgets_agree_with_the_oracles(entries, case):
 
 @contextlib.contextmanager
 def block_entries(entries):
-    with pytest.MonkeyPatch.context() as mp:
+    """Stack at most `entries` entries per block level of the numpy walk,
+    which then scans every code."""
+    with numpy_path(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(cube, "_BLOCK_ENTRIES", entries)
         yield
 
@@ -484,6 +511,8 @@ def flat_bits(bits):
 
 def scans_agree_with_the_oracles(code, d):
     dense = max_subcube_count(code, d)
+    with numpy_path():
+        assert max_subcube_count(code, d) == dense
     hit = verify_hitting(code, d)
     dense_hit = verify_hitting_tables(code, d)
     with flat_bits(4):
@@ -499,6 +528,44 @@ def scans_agree_with_the_oracles(code, d):
     assert hit.hits_all == (missed is None)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(codes_with_dimension())
+def test_byte_walk_numpy_walk_and_naive_scan_agree(case):
+    code, d = case
+    with numpy_path():
+        report = max_subcube_count(code, d)
+    best, witness = max_subcube_count_naive(code, d)
+    assert (report.max_count, report.witness) == (best, witness)
+    assert report.subcubes_at_max == subcube_histogram(code, d)[best]
+    if d <= cube._BYTE_SCAN_D:
+        with byte_path():
+            assert max_subcube_count(code, d) == report
+
+
+@pytest.mark.parametrize("d", range(cube._BYTE_SCAN_D + 1))
+@pytest.mark.parametrize("n", [cube._BYTE_SCAN_N, cube._BYTE_SCAN_N + 1],
+                         ids=["largest-byte", "smallest-numpy"])
+def test_both_paths_agree_on_each_side_of_the_selection(n, d):
+    rng = random.Random(100 * n + d)
+    code = random_code(rng, n, rng.randint(1, 1 << (n - 1)))
+    with byte_path():
+        report = max_subcube_count(code, d)
+    with numpy_path():
+        assert max_subcube_count(code, d) == report
+    assert max_subcube_count(code, d) == report
+
+
+def test_a_full_code_brings_the_byte_counters_to_the_guard_bit():
+    # 2^6 words in every 6-subcube: each counter reaches 64, and the
+    # guard bit 128 only with the bias 128 - 64 added
+    d = cube._BYTE_SCAN_D
+    n = d + 3
+    with byte_path():
+        report = max_subcube_count(Code(n, range(1 << n)), d)
+    assert report == cube.VerificationReport(
+        d, 1 << d, Subcube(n, tuple(range(d)), 0), subcube_total(n, d))
+
+
 @pytest.mark.parametrize("full", [False, True], ids=["empty", "full"])
 def test_empty_and_full_codes_at_every_dimension(full):
     for n in range(10):
@@ -509,8 +576,10 @@ def test_empty_and_full_codes_at_every_dimension(full):
             reports = [max_subcube_count(code, d), verify_hitting(code, d)]
             with bucket_path():
                 reports += [max_subcube_count(code, d), verify_hitting_tables(code, d)]
+            with numpy_path():
+                reports += [max_subcube_count(code, d), verify_hitting(code, d)]
             scan, hit = reports[0], reports[1]
-            assert reports[2:] == [scan, hit]
+            assert reports[2:] == [scan, hit] * 2
             assert scan.max_count == count
             assert scan.witness == first
             assert scan.subcubes_at_max == subcube_total(n, d)

@@ -106,8 +106,9 @@ print(len(os.listdir("/proc/self/task")))
     assert out.split() == ["1"]
 
 
-# numpy and the package modules that load it at import, and gf2, whose
-# array walk does when called (codes loads it only for Code.array)
+# numpy and the package modules that load it at import, and cube and
+# gf2, whose numpy scans and array walk do when called (codes loads it
+# only for Code.array)
 NUMPY_MODULES = {"numpy", "hypercube_codes.cube", "hypercube_codes.gf2",
                  "hypercube_codes.hypergraph"}
 # stdlib modules that only the command helpers import, and dataclasses and
@@ -156,9 +157,14 @@ HITTING_MISS = ["hitting", "--n", "8", "--k", "1", "--d", "3"]
       *NUMPY_RANDOM}),
     (["density", "--r", "3", "--k", "4"], {"hypercube_codes.hypergraph"},
      {"hypercube_codes.codes", "hypercube_codes.cube", "hypercube_codes.extremal"}),
+    # the scans of codes up to 15 coordinates at d <= 6 walk byte tables
+    # in ints (logging only to warn)
     (["build-verify", "--n", "10", "--d", "3"],
      {"hypercube_codes.cube", "hypercube_codes.extremal"},
-     # logging only to warn
+     {"hypercube_codes.hypergraph", "logging", ZIGGURAT, *NUMPY_RANDOM, *NUMPY_FREE}),
+    # and larger ones the numpy tables
+    (["build-verify", "--n", "16", "--d", "2", "--modulus", "6"],
+     {"hypercube_codes.cube", "numpy"},
      {"hypercube_codes.hypergraph", "logging", ZIGGURAT, *NUMPY_RANDOM}),
     # the construction and the code files run on truth tables in ints
     (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"},
@@ -171,7 +177,7 @@ HITTING_MISS = ["hitting", "--n", "8", "--k", "1", "--d", "3"]
     (["load", "--in", "{tmp}/code.txt"], {"hypercube_codes.codes"},
      {"numpy", "hypercube_codes.cube", *NUMPY_RANDOM}),
     (["verify", "--in", "{tmp}/code.txt", "--d", "2"], {"hypercube_codes.cube"},
-     NUMPY_RANDOM),
+     NUMPY_RANDOM | NUMPY_FREE),
     (["search-max-code", "--n", "5", "--d", "3", "--list-size", "6"],
      {"hypercube_codes.extremal", "hypercube_codes.geometry"},
      NUMPY_MODULES | NUMPY_FREE | INT_ONLY),
@@ -185,7 +191,7 @@ HITTING_MISS = ["hitting", "--n", "8", "--k", "1", "--d", "3"]
     (["bounds-table", "--d-max", "8"], {"hypercube_codes.extremal", "hypercube_codes.gf2"},
      NUMPY_MODULES - {"hypercube_codes.gf2"} | NUMPY_FREE | INT_ONLY),
 ], ids=["version", "help", "usage-error", "constants", "partition-max", "lagrangian",
-        "density", "build-verify", "hitting", "hitting-check", "build", "load", "verify",
+        "density", "build-verify", "build-verify-numpy", "hitting", "hitting-check", "build", "load", "verify",
         "search-max-code-branch-bound",
         "search-max-code-exhaustive", "basis-subsets", "bounds-table"])
 def test_each_command_imports_only_what_it_runs(tmp_path, argv, loaded, absent):
