@@ -29,16 +29,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConstructionError", "OutOfRegimeError"),
     "geometry": ("MAX_BITS", "Subcube", "enumerate_subcubes", "free_sets_colex",
-                 "subcube_at", "subcube_total"),
+                 "subcube_total"),
     "gf2": ("BitWord", "GF2Matrix", "code_from_parity_check",
-            "count_nonsingular_submatrices", "independent_masks", "is_basis",
-            "min_distance", "orthogonal_complement", "plotkin_bound", "rank",
-            "rank_ints"),
+            "count_nonsingular_submatrices", "independent_masks", "min_distance",
+            "plotkin_bound", "rank", "rank_ints"),
     "basisprob": ("MAX_T", "SimplexPoint", "basis_probability",
                   "basis_recurrence_check", "first_draw_bound",
                   "independent_draw_probability", "limit_constant",
-                  "limit_interval", "monte_carlo_basis_probability",
-                  "prob_first_draw_unrepeated", "uniform_basis_probability"),
+                  "limit_interval", "uniform_basis_probability"),
     "extremal": ("BasisSubsetBounds", "BasisSubsetMaximum", "ListSizeBoundsRow",
                  "MaxCodeResult", "PartitionGrowthCheck", "PartitionMaximum",
                  "ShapeMaximum", "basis_subset_bounds", "list_size_bounds_table",
@@ -47,15 +45,13 @@ _EXPORTS = {
                  "product_partition_lower_bound"),
     "codes": ("DENSITY_THRESHOLD", "Code", "HittingReport", "HittingSetResult",
               "LayerAssignment", "ResidueSelection", "best_residue_subcode",
-              "build_layer_vectors", "expected_dependent_fraction", "layer_words",
-              "layered_basis_code", "load_code", "residue_subcode", "save_code",
-              "subcube_hitting_set", "verify_hitting", "weight_class_code"),
-    "cube": ("VerificationReport", "erasure_list_size", "max_subcube_count",
-             "subcube_count"),
+              "build_layer_vectors", "layer_words", "layered_basis_code",
+              "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
+              "verify_hitting", "weight_class_code"),
+    "cube": ("VerificationReport", "max_subcube_count", "subcube_count"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
-                   "basis_hypergraph", "blow_up", "complete_multipartite",
-                   "contains_copy", "lagrangian", "linear_independence_density",
-                   "linear_independence_hypergraph"),
+                   "basis_hypergraph", "contains_copy", "lagrangian",
+                   "linear_independence_density", "linear_independence_hypergraph"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

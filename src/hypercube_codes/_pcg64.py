@@ -4,12 +4,11 @@ uint64s(key) is, word for word, the next_uint64 stream of numpy's
 Generator(PCG64(SeedSequence(key))) (PCG64 is XSL-RR 128/64, O'Neill
 2014).  uint32s and next_double derive from it as numpy's next_uint32
 and next_double do, and standard_exponentials runs numpy's 256-level
-ziggurat on it, so the layer draws of codes, the Dirichlet starts of
-hypergraph.lagrangian and the Monte Carlo sampler of basisprob each
-match numpy bit for bit.  A draw costs 0.5-2 us here against 15-50 ns
-in numpy, but importing numpy.random costs a process about 6 MB of RSS
-and 10-16 ms (2-vCPU x86-64 VM), more than the few thousand draws that
-each command takes.
+ziggurat on it, so the layer draws of codes and the Dirichlet starts of
+hypergraph.lagrangian each match numpy bit for bit.  A draw costs
+0.5-2 us here against 15-50 ns in numpy, but importing numpy.random
+costs a process about 6 MB of RSS and 10-16 ms (2-vCPU x86-64 VM), more
+than the few thousand draws that each command takes.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Probability that random nonzero vectors form a basis of GF(2)^t.
 
-All closed forms are exact Fractions; Monte Carlo estimation and the
-distribution-dependent quantities accept arbitrary simplex points over
-the 2^t - 1 nonzero vectors.  basis_probability and
-monte_carlo_basis_probability import hypergraph and numpy when called,
-so the closed forms behind `constants` load no numpy.
+All closed forms are exact Fractions; basis_probability, also exact,
+accepts arbitrary simplex points over the 2^t - 1 nonzero vectors.  It
+imports hypergraph and numpy when called, so the closed forms behind
+`constants` load no numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ MAX_T = 64
 # Sum of entries of a simplex point may be off by this much (floats only;
 # rational inputs are checked exactly through the same window).
 SIMPLEX_TOL = 1e-12
-
-# samples * 2^t, the steps monte_carlo_basis_probability may take.
-DEFAULT_SAMPLE_BUDGET = 100_000_000
 
 
 def independent_draw_probability(r: int, m: int) -> Fraction:
@@ -152,65 +148,3 @@ def basis_probability(dist: SimplexPoint) -> Fraction:
         total += prod
     return Fraction(math.factorial(t) * total, denom ** t)
 
-
-def monte_carlo_basis_probability(dist: SimplexPoint, samples: int, seed: int = 0) -> float:
-    """Unbiased Monte Carlo estimate of the basis probability.
-
-    Deterministic for a fixed seed: the draws are those of numpy's
-    Generator(PCG64(SeedSequence(seed))), bit for bit (see
-    _sample_vectors).
-
-    Raises:
-        OutOfRegimeError: if samples * 2^t exceeds DEFAULT_SAMPLE_BUDGET,
-            before anything is drawn.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    t = dist.t
-    steps = samples * (1 << t)
-    if steps > DEFAULT_SAMPLE_BUDGET:
-        raise OutOfRegimeError(
-            f"{samples} samples at t = {t} take {steps} steps, "
-            f"above the budget {DEFAULT_SAMPLE_BUDGET}")
-    import numpy as np
-    draws = _sample_vectors(dist, samples, seed)
-    # t vectors are independent iff every nonempty subset has nonzero xor;
-    # walk the subsets in Gray-code order so each step flips one column
-    ok = np.ones(samples, dtype=bool)
-    cur = np.zeros(samples, dtype=np.int64)
-    for g in range(1, 1 << t):
-        flip = (g & -g).bit_length() - 1
-        cur ^= draws[:, flip]
-        ok &= cur != 0
-    return float(ok.mean())
-
-
-def _sample_vectors(dist: SimplexPoint, samples: int, seed: int):
-    """A (samples, t) int64 array of packed vectors drawn from dist: one
-    plus numpy's Generator(PCG64(SeedSequence(seed))).choice(len(p),
-    size=(samples, t), p=p) for the float probabilities p, normalised.
-    As choice does, each double of the stream of _pcg64 is placed among
-    the cumulative sums of p, scaled to end at 1.  The words become
-    doubles in numpy, as next_double makes them: the top 53 bits over
-    2^53."""
-    from itertools import islice
-
-    import numpy as np
-
-    from ._pcg64 import uint64s
-    p = np.array([float(x) for x in dist.probs], dtype=float)
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    count = samples * dist.t
-    words = np.fromiter(islice(uint64s([seed]), count), np.uint64, count)
-    uniform = (words >> np.uint64(11)) * 2.0**-53
-    draws = cdf.searchsorted(uniform, side="right").astype(np.int64)
-    return draws.reshape(samples, dist.t) + 1
-
-
-def prob_first_draw_unrepeated(dist: SimplexPoint) -> float:
-    """Probability that the first of t draws never reappears among the
-    remaining t - 1 draws: sum_v p_v (1 - p_v)^(t-1)."""
-    t = dist.t
-    return float(sum(float(p) * (1.0 - float(p)) ** (t - 1) for p in dist.probs))

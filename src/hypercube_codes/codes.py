@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from ._pcg64 import uint32s, uint64s
 from ._record import Record
-from .basisprob import independent_draw_probability, limit_interval
+from .basisprob import limit_interval
 from .errors import ConstructionError, OutOfRegimeError
 from .geometry import (DEFAULT_SCAN_BUDGET, MAX_BITS, MAX_N, Subcube, _check_budget,
                        _from01, _leaf_subcube, _to01, _weight_table)
@@ -357,14 +357,6 @@ def _check_weight_class(n: int, modulus: int, residue: int) -> None:
     if n > MAX_N:
         raise OutOfRegimeError(f"weight-class codes are enumerated for n <= {MAX_N}")
     _check_residue(modulus, residue)
-
-
-def expected_dependent_fraction(r: int, k: int) -> Fraction:
-    """Expected fraction of weight-r supports whose drawn vectors in
-    GF(2)^(r+k) are dependent; strictly below 2^-k for every r, k >= 1."""
-    if r < 1 or k < 0:
-        raise ValueError("need r >= 1 and k >= 0")
-    return 1 - independent_draw_probability(r, r + k)
 
 
 class HittingSetResult(Record):

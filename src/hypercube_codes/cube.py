@@ -1,5 +1,10 @@
 """Subcube occupancy scans of a code.
 
+The codewords that agree with a codeword outside d erased coordinates
+are those of one d-subcube, so the largest erasure list size of a
+nonempty code at d is the largest count of a d-subcube, which
+max_subcube_count reports.
+
 Subcubes and their canonical order come from geometry: free sets in
 colex order, bases in increasing packed-integer order, so every scan
 reports the same witness, the first in that order.
@@ -24,13 +29,14 @@ n - d <= MAX_N.  numpy is imported only inside the numpy paths.  The
 hitting check (codes.verify_hitting) walks a truth table in pure Python
 and reads these count tables (_count_tables, _first_subcube) only for
 n > MAX_N.  The oracle of every scan is subcube_count over every
-subcube, as the naive scans of tests/oracles.py run it.
+subcube, as the naive scans of tests/oracles.py run it; its
+erasure_list_size counts the list of one codeword and erased set.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 # by name first: -X importtime does not time `from . import geometry`
 from .codes import Code, _lower_blocks
@@ -40,7 +46,6 @@ from .errors import OutOfRegimeError
 from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
                        _colex_unrank, _fixed_coords, _leaf_subcube,
                        free_sets_colex)
-from .gf2 import BitWord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -326,22 +331,3 @@ def max_subcube_count(code: Code, d: int,
     assert witness is not None
     return VerificationReport(d, best, witness, at_max)
 
-
-def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
-    """Number of codewords agreeing with `word` outside the erased
-    coordinates.  `word` must itself be a codeword, so the count is at
-    least 1."""
-    if word.n != code.n:
-        raise ValueError("word length does not match the code")
-    import numpy as np
-    bits = np.uint64(word.bits)
-    at = np.searchsorted(code.array, bits)
-    if code.array[at:at + 1].tolist() != [word.bits]:
-        raise ValueError("word is not a codeword")
-    erased = tuple(erased)
-    if len(set(erased)) != len(erased):
-        raise ValueError("erased coordinates must be distinct")
-    if not all(0 <= c < code.n for c in erased):
-        raise ValueError("erased coordinate out of range")
-    keep = np.uint64(((1 << code.n) - 1) ^ sum(1 << c for c in erased))
-    return int(np.count_nonzero(code.array & keep == bits & keep))

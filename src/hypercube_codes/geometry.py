@@ -5,7 +5,7 @@ string whose leftmost character is coordinate 1 (_from01, _to01).  A
 d-subcube is a set of free coordinates plus a base word fixing the
 rest.  The canonical enumeration orders free sets in colex order and
 bases in increasing packed-integer order, so every scan reports the same
-witness; `subcube_at` addresses it by index.
+witness.
 
 Nothing here loads numpy, so the exact code search (extremal) and
 `search-max-code` run without it; the scans (cube), codes and the
@@ -165,13 +165,3 @@ def enumerate_subcubes(n: int, d: int,
         for pattern in range(1 << (n - d)):
             yield Subcube(n, free, _spread_base(pattern, fixed))
 
-
-def subcube_at(n: int, d: int, index: int) -> Subcube:
-    """The subcube at `index` in the canonical enumeration.  Base order
-    on ascending fixed coordinates is increasing-int, so this matches
-    enumerate_subcubes position for position."""
-    total = subcube_total(n, d)
-    if not 0 <= index < total:
-        raise ValueError(f"index must be in [0, {total})")
-    per_free = 1 << (n - d)
-    return _leaf_subcube(n, _colex_unrank(index // per_free, d), index % per_free)

@@ -300,15 +300,6 @@ def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
     return rows
 
 
-def is_basis(vectors: Sequence[BitWord]) -> bool:
-    """True iff the t given words of length t form a basis of GF(2)^t."""
-    t = len(vectors)
-    for w in vectors:
-        if w.n != t:
-            raise ValueError(f"expected words of length {t}, got length {w.n}")
-    return rank_ints(w.bits for w in vectors) == t
-
-
 class GF2Matrix(Record):
     """A rows x cols matrix over GF(2), stored column-major.
 
@@ -412,19 +403,6 @@ def _kernel_of_rows(row_ints: Sequence[int], width: int) -> list[int]:
     # free column f and each pivot whose row has bit f: distinct bits, so the sum is their or
     return [(1 << f) | sum(1 << pc for pc, pr in zip(pivot_cols, reduced) if (pr >> f) & 1)
             for f in range(width) if f not in pivot_cols]
-
-
-def orthogonal_complement(matrix: GF2Matrix) -> GF2Matrix:
-    """For a full-row-rank k x d matrix, the (d-k) x d matrix whose rows
-    span the orthogonal complement of the row space.
-
-    Raises:
-        ValueError: if the input is rank deficient.
-    """
-    kernel = _kernel_of_rows(matrix.rows_as_ints(), matrix.cols)
-    if matrix.cols - len(kernel) < matrix.rows:
-        raise ValueError("matrix must have full row rank")
-    return GF2Matrix.from_rows(matrix.cols, kernel)
 
 
 def count_nonsingular_submatrices(matrix: GF2Matrix) -> int:

@@ -1,4 +1,4 @@
-"""Uniform hypergraphs: augmentation, blow-ups, copy search, Lagrangians.
+"""Uniform hypergraphs: augmentation, copy search, Lagrangians.
 
 A UniformHypergraph holds its edges once, as one sorted (m, r) array,
 which every builder below produces and every consumer reads.  The
@@ -149,36 +149,6 @@ def augmented_complete(s: int, t: int, r: int) -> UniformHypergraph:
     return augment(complete(s, t), r)
 
 
-def complete_multipartite(class_sizes: tuple[int, ...] | list) -> UniformHypergraph:
-    """k-uniform complete multipartite hypergraph with k + 1 classes:
-    edges take at most one vertex per class.  Its edge count is
-    sum_i prod_{j != i} size_j, the partition functional, and must be
-    within DEFAULT_EDGE_BUDGET."""
-    sizes = tuple(int(a) for a in class_sizes)
-    if len(sizes) < 2 or any(a < 0 for a in sizes):
-        raise ValueError("need at least two non-negative class sizes")
-    k = len(sizes) - 1
-    # min(edge count, cap) from the products left and right of each class,
-    # each taken as min(product, cap), so no huge integer is formed
-    cap = DEFAULT_EDGE_BUDGET + 1
-
-    def times(p: int, a: int) -> int:
-        return min(p * a, cap)
-    left = itertools.accumulate(sizes[:-1], times, initial=1)
-    right = list(itertools.accumulate(sizes[:0:-1], times, initial=1))
-    count = min(sum(map(times, left, reversed(right))), cap)
-    _check_edges(f"the complete multipartite hypergraph on {len(sizes)} classes would hold",
-                 count, f"at least {cap}" if count == cap else "")
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    pools = [range(a, b) for a, b in zip(offsets, offsets[1:])]
-    # classes are numbered in order, so each product is a sorted edge;
-    # one with an empty pool has no edges but would copy the other pools
-    others = (pools[:skip] + pools[skip + 1:] for skip in range(k + 1))
-    edges = itertools.chain.from_iterable(
-        itertools.product(*pool) for pool in others if all(pool))
-    return UniformHypergraph(k, offsets[-1], _rows(edges, k))
-
-
 def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     """Edges are the independent r-subsets of the nonzero vectors of
     GF(2)^(r+k); vertex i stands for the vector i + 1.  Refused, before
@@ -213,20 +183,6 @@ def linear_independence_density(r: int, k: int) -> Fraction:
     if m > MAX_BITS:
         raise OutOfRegimeError(f"density supported for r + k <= {MAX_BITS}")
     return Fraction(_independent_count(r, m), math.comb((1 << m) - 1, r))
-
-
-def blow_up(graph: UniformHypergraph, b: int) -> UniformHypergraph:
-    """Replace each vertex v by b copies (v*b .. v*b+b-1); each edge by
-    the b^r edges choosing one copy per original vertex, within DEFAULT_EDGE_BUDGET."""
-    if b < 1:
-        raise ValueError("need b >= 1")
-    r = graph.r
-    _check_edges(f"the blow-up by {b} would hold", len(graph.edges) * b ** r)
-    if not len(graph.edges):  # nothing to copy, so no b^r table of copies
-        return UniformHypergraph(r, graph.n_vertices * b, graph.edges)
-    copies = _rows(itertools.product(range(b), repeat=r), r)
-    edges = (graph.edges[:, None, :] * b + copies).reshape(-1, r)
-    return UniformHypergraph(r, graph.n_vertices * b, edges)
 
 
 def _twin_classes(graph: UniformHypergraph) -> list[int]:

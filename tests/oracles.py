@@ -2,10 +2,12 @@
 against: the depth-first independent-subset walk, the numpy walk that
 listed independent supports before the truth-table kernel, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
-hitting check on numpy count tables that the truth-table walk replaced,
-the exhaustive partition walk, the Lagrangian polynomial, numpy's
-generator for the layer draws, the Lagrangian's starts and the Monte
-Carlo sampler, and the recurrence behind numpy's ziggurat tables."""
+erasure list size as the paper defines it, the hitting check on numpy
+count tables that the truth-table walk replaced, the exhaustive
+partition walk, the complete multipartite hypergraphs whose edges the
+partition maxima count, blow-ups and the Lagrangian polynomial, numpy's
+generator for the layer draws and the Lagrangian's starts, and the
+recurrence behind numpy's ziggurat tables."""
 
 import collections
 import itertools
@@ -20,7 +22,7 @@ from hypercube_codes.codes import Code, HittingReport
 from hypercube_codes.cube import subcube_count
 from hypercube_codes.extremal import BasisSubsetMaximum, PartitionMaximum, _check_partition_d
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
-from hypercube_codes.gf2 import GF2Matrix, _independent_walk, _picks
+from hypercube_codes.gf2 import BitWord, GF2Matrix, _independent_walk, _picks
 from hypercube_codes.hypergraph import UniformHypergraph
 
 
@@ -133,6 +135,25 @@ def max_subcube_count_naive(code: Code, d: int,
     return best, witness
 
 
+def erasure_list_size(code: Code, word: BitWord, erased: Iterable[int]) -> int:
+    """Number of codewords agreeing with `word` outside the erased
+    coordinates.  `word` must itself be a codeword, so the count is at
+    least 1."""
+    if word.n != code.n:
+        raise ValueError("word length does not match the code")
+    bits = np.uint64(word.bits)
+    at = np.searchsorted(code.array, bits)
+    if code.array[at:at + 1].tolist() != [word.bits]:
+        raise ValueError("word is not a codeword")
+    erased = tuple(erased)
+    if len(set(erased)) != len(erased):
+        raise ValueError("erased coordinates must be distinct")
+    if not all(0 <= c < code.n for c in erased):
+        raise ValueError("erased coordinate out of range")
+    keep = np.uint64(((1 << code.n) - 1) ^ sum(1 << c for c in erased))
+    return int(np.count_nonzero(code.array & keep == bits & keep))
+
+
 def verify_hitting_tables(code: Code, d: int,
                           budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
     """verify_hitting on cube's count tables, as the package ran it before
@@ -188,6 +209,26 @@ def max_partition_product_sum_naive(d: int) -> PartitionMaximum:
     return PartitionMaximum(d, best, best_parts)
 
 
+def complete_multipartite(class_sizes: tuple[int, ...]) -> UniformHypergraph:
+    """The k-uniform complete multipartite hypergraph on k + 1 classes of
+    the given sizes, numbered in order: each edge takes one vertex from
+    each class but one.  Its edge count is sum_i prod_{j != i} size_j,
+    the functional that extremal.max_partition_product_sum maximizes."""
+    offsets = list(itertools.accumulate(class_sizes, initial=0))
+    pools = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+    edges = itertools.chain.from_iterable(
+        itertools.product(*pools[:skip], *pools[skip + 1:]) for skip in range(len(pools)))
+    return UniformHypergraph(len(pools) - 1, offsets[-1], edges)
+
+
+def blow_up(graph: UniformHypergraph, b: int) -> UniformHypergraph:
+    """Each vertex v replaced by b copies (v*b .. v*b+b-1), each edge by
+    the b^r edges that take one copy of each of its vertices."""
+    copies = np.array(list(itertools.product(range(b), repeat=graph.r)))
+    edges = (graph.edges[:, None, :] * b + copies).reshape(-1, graph.r)
+    return UniformHypergraph(graph.r, graph.n_vertices * b, edges)
+
+
 def lagrangian_polynomial(graph: UniformHypergraph, x) -> float:
     """sum over edges of the product of the entries of x on the edge, in
     edge order (hypergraph.lagrangian sums its values in the same order)."""
@@ -241,12 +282,6 @@ def standard_exponential_numpy(key, size: int) -> list[float]:
 def dirichlet_numpy(key, n: int, size: int) -> list[list[float]]:
     """size rows of numpy's Dirichlet(1, ..., 1) on n coordinates."""
     return numpy_generator(key).dirichlet(np.ones(n), size=size).tolist()
-
-
-def choice_numpy(p, shape: tuple[int, int], key) -> np.ndarray:
-    """numpy's weighted choice of indices into p, the draws of the Monte
-    Carlo sampler of basisprob."""
-    return numpy_generator(key).choice(len(p), size=shape, p=p)
 
 
 # the right end of the exponential ziggurat, to 29 significant digits

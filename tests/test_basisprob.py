@@ -1,16 +1,13 @@
-"""Basis probabilities against direct tuple enumeration, the Monte Carlo
-sampler's draws against numpy's, plus the certified limit machinery."""
+"""Basis probabilities against direct tuple enumeration, plus the
+certified limit machinery."""
 
 import itertools
-import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from hypercube_codes import _pcg64, basisprob
 from hypercube_codes.basisprob import (
     SimplexPoint,
     basis_probability,
@@ -19,13 +16,10 @@ from hypercube_codes.basisprob import (
     independent_draw_probability,
     limit_constant,
     limit_interval,
-    monte_carlo_basis_probability,
-    prob_first_draw_unrepeated,
     uniform_basis_probability,
 )
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.gf2 import rank_ints
-from oracles import choice_numpy, pcg64_starting_with
 
 
 def basis_probability_by_tuples(dist):
@@ -88,6 +82,15 @@ def test_independent_draw_probability():
     hits = sum(1 for draw in itertools.product(vectors, repeat=3)
                if rank_ints(draw) == 3)
     assert independent_draw_probability(3, 4) == Fraction(hits, 15 ** 3)
+
+
+def test_dependent_draws_are_rarer_than_two_to_the_minus_k():
+    # r >= 1 uniform nonzero vectors of GF(2)^(r+k) are dependent with
+    # probability below 2^-k, and at k = 0 below 1
+    for r in (1, 2, 5, 10, 20):
+        for k in (1, 2, 4, 8):
+            assert 0 <= 1 - independent_draw_probability(r, r + k) < Fraction(1, 1 << k)
+    assert independent_draw_probability(3, 3) > 0
 
 
 def test_limit_interval_brackets_later_values():
@@ -195,91 +198,4 @@ def test_first_draw_chain():
                           for p in dist.probs)
         assert basis_probability(dist) <= repeat_free
         assert repeat_free <= first_draw_bound(t)
-        approx = prob_first_draw_unrepeated(dist)
-        assert abs(approx - float(repeat_free)) < 1e-12
 
-
-def test_monte_carlo_uniform():
-    est2 = monte_carlo_basis_probability(SimplexPoint.uniform(2), 200_000, seed=3)
-    assert abs(est2 - 2 / 3) < 0.005
-    est5 = monte_carlo_basis_probability(SimplexPoint.uniform(5), 1_000_000, seed=4)
-    assert abs(est5 - float(uniform_basis_probability(5))) < 0.005
-
-
-def test_monte_carlo_brackets_the_exact_probability():
-    # Each estimate is the mean of `samples` Bernoulli(p) draws, so it lies
-    # within five standard deviations, 5 * sqrt(p (1 - p) / samples) <= 0.008,
-    # of the exact p; the seeds are fixed, so the check is deterministic.
-    samples = 100_000
-    rng = random.Random(1618)
-    for seed in range(20):
-        t = seed % 4 + 1
-        weights = [rng.randint(0, 9) for _ in range((1 << t) - 1)]
-        weights[rng.randrange(len(weights))] += 1
-        dist = SimplexPoint.from_weights(t, weights)
-        exact = basis_probability(dist)
-        estimate = monte_carlo_basis_probability(dist, samples, seed=seed)
-        spread = math.sqrt(exact * (1 - exact) / samples)
-        assert abs(estimate - float(exact)) <= 5 * spread
-
-
-def test_monte_carlo_draws_match_numpys_choice():
-    # the packed vectors that the estimate counts, against numpy's weighted
-    # choice; zero weights, which no draw may pick, lead, sit inside and end
-    dists = [SimplexPoint.uniform(1), SimplexPoint.uniform(2),
-             SimplexPoint.from_weights(3, [1, 1, 0, 1, 0, 0, 1]),
-             SimplexPoint.from_weights(3, [1, 2, 3, 4, 5, 6, 0]),
-             SimplexPoint.from_weights(4, range(15)),
-             SimplexPoint(2, (0.1, 0.7, 0.2))]
-    for dist in dists:
-        p = np.array([float(x) for x in dist.probs])
-        p /= p.sum()
-        for seed in [*range(10), 2**64 + 5]:
-            draws = basisprob._sample_vectors(dist, 300, seed)
-            assert draws.dtype == np.int64
-            assert draws.tolist() == (choice_numpy(p, (300, dist.t), seed) + 1).tolist()
-            assert all(p[v - 1] > 0 for v in draws.flat)
-
-
-def test_the_sampler_places_boundary_doubles_as_choice_does(monkeypatch):
-    # a stream meets a double equal to a cumulative weight, or above the
-    # last one where rounding leaves that below 1, about once in 2^50
-    # draws, so both are pinned on chosen words, with numpy's PCG64 set
-    # to draw each one next: 0.25 passes over the zero weight, and the
-    # largest double below 1 picks the last vector
-    cases = [(SimplexPoint.from_weights(2, [1, 0, 3]), 0.25, 3),
-             (SimplexPoint.from_weights(3, [3, 8, 1, 2, 0, 6, 6]), 1 - 2**-53, 7)]
-    for dist, u, vector in cases:
-        p = np.array([float(x) for x in dist.probs])
-        p /= p.sum()
-        word = int(u * 2**53) << 11
-        words = pcg64_starting_with(word).random_raw(8).tolist()
-        monkeypatch.setattr(_pcg64, "uint64s", lambda key: iter(words))
-        draws = basisprob._sample_vectors(dist, 2, 0)
-        assert draws[0, 0] == vector
-        rng = np.random.Generator(pcg64_starting_with(word))
-        assert draws.tolist() == (rng.choice(len(p), size=(2, dist.t), p=p) + 1).tolist()
-    assert p.cumsum()[-1] < 1
-
-
-def test_monte_carlo_refuses_beyond_the_sample_budget(monkeypatch):
-    # 100,000 samples at t = 10 take 102,400,000 steps
-    with pytest.raises(OutOfRegimeError):
-        monte_carlo_basis_probability(SimplexPoint.uniform(10), 100_000)
-    monkeypatch.setattr(basisprob, "DEFAULT_SAMPLE_BUDGET", 80)
-    dist = SimplexPoint.uniform(3)
-    assert 0 <= monte_carlo_basis_probability(dist, 10) <= 1
-    with pytest.raises(OutOfRegimeError):
-        monte_carlo_basis_probability(dist, 11)
-
-
-def test_monte_carlo_concentrated_and_deterministic():
-    dist = SimplexPoint.from_weights(3, [1, 1, 0, 1, 0, 0, 1])
-    est = monte_carlo_basis_probability(dist, 400_000, seed=11)
-    assert abs(est - 0.375) < 0.005
-    again = monte_carlo_basis_probability(dist, 400_000, seed=11)
-    assert est == again
-    other = monte_carlo_basis_probability(dist, 400_000, seed=12)
-    assert est != other
-    with pytest.raises(ValueError):
-        monte_carlo_basis_probability(dist, 0)

@@ -12,14 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercube_codes import _pcg64, codes
-from hypercube_codes.basisprob import independent_draw_probability
 from hypercube_codes.codes import (
     DENSITY_THRESHOLD,
     Code,
     ResidueSelection,
     best_residue_subcode,
     build_layer_vectors,
-    expected_dependent_fraction,
     layer_words,
     layered_basis_code,
     load_code,
@@ -296,15 +294,6 @@ def test_weight_class_code():
     assert len(weight_class_code(4, 300, 299)) == 0
     with pytest.raises(ValueError):
         weight_class_code(4, 2, 2)
-
-
-def test_expected_dependent_fraction():
-    for r in (1, 2, 5, 10, 20):
-        for k in (1, 2, 4, 8):
-            frac = expected_dependent_fraction(r, k)
-            assert 0 <= frac < Fraction(1, 1 << k)
-            assert frac == 1 - independent_draw_probability(r, r + k)
-    assert expected_dependent_fraction(3, 0) < 1
 
 
 def test_save_load_round_trip(tmp_path):

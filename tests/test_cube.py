@@ -2,6 +2,7 @@
 checked against naive oracles."""
 
 import contextlib
+import itertools
 import json
 import math
 import random
@@ -23,7 +24,6 @@ from hypercube_codes.codes import (
     weight_class_code,
 )
 from hypercube_codes.cube import (
-    erasure_list_size,
     max_subcube_count,
     subcube_count,
 )
@@ -33,11 +33,11 @@ from hypercube_codes.geometry import (
     Subcube,
     enumerate_subcubes,
     free_sets_colex,
-    subcube_at,
     subcube_total,
 )
 from hypercube_codes.gf2 import BitWord
-from oracles import max_subcube_count_naive, subcube_histogram, verify_hitting_tables
+from oracles import (erasure_list_size, max_subcube_count_naive, subcube_histogram,
+                     verify_hitting_tables)
 
 
 def random_code(rng, n, size):
@@ -99,11 +99,12 @@ def test_enumeration_counts():
 
 
 def test_enumeration_matches_unranking():
+    # the numpy scans name their witness by its index in the enumeration
     for n, d in [(4, 2), (5, 1), (5, 3), (4, 0), (4, 4)]:
+        per_free = 1 << (n - d)
         for i, cube in enumerate(enumerate_subcubes(n, d)):
-            assert subcube_at(n, d, i) == cube
-        with pytest.raises(ValueError):
-            subcube_at(n, d, subcube_total(n, d))
+            free = geometry._colex_unrank(i // per_free, d)
+            assert geometry._leaf_subcube(n, free, i % per_free) == cube
 
 
 def test_enumeration_budget():
@@ -553,6 +554,33 @@ def test_both_paths_agree_on_each_side_of_the_selection(n, d):
     with numpy_path():
         assert max_subcube_count(code, d) == report
     assert max_subcube_count(code, d) == report
+
+
+def clustered_code(rng, n, size):
+    """size words, most of them inside one random 7-subcube, so that some
+    erasures leave lists longer than 1."""
+    free = rng.sample(range(n), min(n, 7))
+    base = rng.getrandbits(n) & ~sum(1 << c for c in free)
+    words = {base | sum(1 << c for c in free if rng.random() < 0.5)
+             for _ in range(size)}
+    words.update(rng.getrandbits(n) for _ in range(size // 4))
+    return Code(n, words)
+
+
+@pytest.mark.parametrize("n, d, side", [
+    (9, 0, "byte"), (11, 6, "byte"), (15, 2, "byte"),
+    (16, 2, "numpy"), (10, 7, "numpy"), (12, 9, "numpy")])
+def test_the_scan_maximum_is_the_largest_erasure_list(n, d, side):
+    # the paper's definition: erase d coordinates of a codeword and count
+    # the codewords that agree with it on the rest, maximized over both
+    assert (n <= cube._BYTE_SCAN_N and d <= cube._BYTE_SCAN_D) == (side == "byte")
+    rng = random.Random(10 * n + d)
+    code = clustered_code(rng, n, 40)
+    largest = max(erasure_list_size(code, BitWord(word, n), erased)
+                  for word in code.array.tolist()
+                  for erased in itertools.combinations(range(n), d))
+    assert max_subcube_count(code, d).max_count == largest
+    assert largest == 1 if d == 0 else largest > 1  # the cluster's lists
 
 
 def test_a_full_code_brings_the_byte_counters_to_the_guard_bit():

@@ -17,9 +17,7 @@ from hypercube_codes.gf2 import (
     code_from_parity_check,
     count_nonsingular_submatrices,
     independent_masks,
-    is_basis,
     min_distance,
-    orthogonal_complement,
     plotkin_bound,
     rank,
     rank_ints,
@@ -96,14 +94,6 @@ def test_rank_equals_transpose_rank():
         assert rank(m) == rank(m.transpose())
 
 
-def test_is_basis():
-    assert is_basis([BitWord.from01("10"), BitWord.from01("01")])
-    assert is_basis([BitWord.from01("11"), BitWord.from01("01")])
-    assert not is_basis([BitWord.from01("11"), BitWord.from01("11")])
-    with pytest.raises(ValueError):
-        is_basis([BitWord.from01("110")])
-
-
 def test_matrix_round_trips():
     m = GF2Matrix.from_columns(2, [1, 2, 3])
     assert m.cols == 3
@@ -111,39 +101,6 @@ def test_matrix_round_trips():
     assert m.transpose().transpose() == m
     assert GF2Matrix.from_rows(3, m.rows_as_ints()) == m
     assert [w.to01() for w in m.column_words()] == ["10", "01", "11"]
-
-
-def test_orthogonal_complement_examples():
-    # the all-ones row on two coordinates is its own complement
-    par = GF2Matrix.from_rows(2, [0b11])
-    comp = orthogonal_complement(par)
-    assert comp.rows == 1 and comp.cols == 2
-    assert comp.rows_as_ints() == [0b11]
-    # a nonsingular square matrix has a trivial complement
-    comp2 = orthogonal_complement(GF2Matrix.identity(2))
-    assert comp2.rows == 0 and comp2.cols == 2
-    with pytest.raises(ValueError):
-        orthogonal_complement(GF2Matrix.from_rows(2, [1, 1]))
-
-
-def test_orthogonal_complement_duality_exhaustive():
-    checked = 0
-    for cols in itertools.product(range(4), repeat=4):
-        m = GF2Matrix(2, cols)
-        if rank(m) < 2:
-            continue
-        comp = orthogonal_complement(m)
-        assert comp.rows == 2 and comp.cols == 4
-        for r in comp.rows_as_ints():
-            for s in m.rows_as_ints():
-                assert (r & s).bit_count() % 2 == 0
-        # complementing twice recovers the original row space (the two
-        # spaces may intersect, GF(2) has self-orthogonal vectors, but
-        # the dimension formula still forces this round trip)
-        again = orthogonal_complement(comp)
-        assert rank_ints(m.rows_as_ints() + again.rows_as_ints()) == 2
-        checked += 1
-    assert checked == 210
 
 
 @st.composite
