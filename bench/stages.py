@@ -8,8 +8,9 @@ Run from the root of a checkout, naming the source tree to measure:
 It writes bench/BENCH_<tag>.json.  For each n (default 13 to 16, then
 18 to 24 by twos, so that the sizes of the benchmark's scan workload,
 13 and 15, are among them; d = 5, --modulus 6, seed 0) it records
-medians over --repeats in-process runs (time.perf_counter) of these
-stages:
+medians over --repeats in-process runs of these stages, of the wall time
+(time.perf_counter) in `stages` and of the CPU time (time.process_time),
+which does not count time the host gives to other work, in `cpu_stages`:
 
   draw_s           codes.build_layer_vectors(n)
   table_s.r<r>     gf2.independent_masks(vectors, r) for layer r's first draw
@@ -34,9 +35,10 @@ on the hitting sets subcube_hitting_set(n, k) at (n, k, d) = (14, 2, 7),
 the weight-class codes weight_class_code(n, d + 1, 0), which meet every
 d-subcube, at (n, d) = (16, 5), (18, 5), (18, 9) and (20, 11): the rows
 whose n is among --n, all within the default scan budget.  Each row
-holds the median in-process time of the check (check_s), the median
-wall time and peak RSS of a fresh process that builds the code and runs
-the check once, and the check's hits_all and missed subcube.
+holds the median in-process wall and CPU time of the check (check_s and
+check_cpu_s), the median wall time and peak RSS of a fresh process that
+builds the code and runs the check once, and the check's hits_all and
+missed subcube.
 
 `speed` holds the median time of the pure-Python loop that
 perfbench/run.py uses as its speed probe, and `scale` the factor that
@@ -79,9 +81,15 @@ def speed_probe() -> float:
 
 
 def timed(fn, *args):
-    start = time.perf_counter()
+    """fn(*args) and its (wall, CPU) seconds."""
+    wall, cpu = time.perf_counter(), time.process_time()
     result = fn(*args)
-    return result, time.perf_counter() - start
+    return result, (time.perf_counter() - wall, time.process_time() - cpu)
+
+
+def medians(runs: dict, clock: int) -> dict:
+    """Per key, the median of one clock (0 wall, 1 CPU) over the (wall, CPU) runs."""
+    return {key: statistics.median(t[clock] for t in values) for key, values in runs.items()}
 
 
 def size_of(masks) -> int:
@@ -117,22 +125,24 @@ def in_process(n: int, repeats: int, work: Path) -> dict:
     per_r = {r: [] for r in layers}
     for _ in range(repeats):
         _, draw = timed(codes.build_layer_vectors, n, SEED)
-        tables = 0.0
+        tables = (0.0, 0.0)
         for a in draws:
             _, t = timed(independent_masks, a.vectors, a.weight)
-            tables += t
+            tables = (tables[0] + t[0], tables[1] + t[1])
             if a.retry == 0:
                 per_r[a.weight].append(t)
         (code, payload), build = timed(cli._construct_code, args, "build")
         _, save = timed(codes.save_code, args.out, code)
         report, scan = timed(cube.max_subcube_count, code, D, BUDGET)
+        rest = tuple(b - dr - t - sv for b, dr, t, sv in zip(build, draw, tables, save))
         for key, value in (("draw_s", draw), ("tables_s", tables), ("build_s", build),
-                           ("save_s", save), ("scan_s", scan),
-                           ("residue_words_s", build - draw - tables - save)):
+                           ("save_s", save), ("scan_s", scan), ("residue_words_s", rest)):
             runs[key].append(value)
-    stages = {key: statistics.median(values) for key, values in runs.items()}
-    stages["table_s"] = {f"r{r}": statistics.median(t) for r, t in per_r.items()}
-    return {"stages": stages, "draws": len(draws), "residue": payload["residue"],
+    stages, cpu_stages = medians(runs, 0), medians(runs, 1)
+    per_r = {f"r{r}": t for r, t in per_r.items()}
+    stages["table_s"], cpu_stages["table_s"] = medians(per_r, 0), medians(per_r, 1)
+    return {"stages": stages, "cpu_stages": cpu_stages, "draws": len(draws),
+            "residue": payload["residue"],
             "size": payload["size"], "size_before_residue": payload["size_before_residue"],
             "scan_max_count": report.max_count, "scan_subcubes_at_max": report.subcubes_at_max}
 
@@ -222,7 +232,9 @@ def in_process_hitting(row: tuple, repeats: int, fresh_row: dict) -> dict:
     if answer != {key: fresh_row.pop(key) for key in answer}:
         raise SystemExit(f"hitting row {row}: the fresh process disagreed")
     return {"code": kind, "n": n, "k": k, "d": d, "size": len(code),
-            "check_s": statistics.median(times), "fresh": fresh_row, **answer}
+            "check_s": statistics.median(t[0] for t in times),
+            "check_cpu_s": statistics.median(t[1] for t in times),
+            "fresh": fresh_row, **answer}
 
 
 def main(argv=None) -> int:

@@ -584,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--list-size", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the n = 5 branch and bound; "
-                        "n <= 4 is always exhaustive and certified")
+                   help="node budget of the branch and bound, counted at "
+                        "every n; a spent budget gives an uncertified answer")
 
     p = add("lagrangian", cmd_lagrangian)
     p.add_argument("--t", type=int, default=None,

@@ -19,8 +19,9 @@ still visited and the tie-break of the exhaustive walk
 closed-form lower bound from maximum-product partitions and a small
 bounds table follow.  The third finds the largest code on n <= 5
 coordinates with at most L words in every d-subcube, the vertex Turan
-number ex(n, d, L): exhaustively for n <= 4, by branch and bound under
-a node budget at n = 5, over the canonical subcube index of geometry.
+number ex(n, d, L), by one branch and bound over the canonical subcube
+index of geometry.  Its node budget counts at every n; tests/oracles.py
+keeps the exhaustive loop over all subsets for n <= 4 as its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from ._record import Record
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, _shown
 from .geometry import MAX_BITS, MAX_N, enumerate_subcubes
 
 # gf2, codes, basisprob and fractions are imported by the functions that
@@ -45,7 +46,7 @@ if TYPE_CHECKING:
 # Cap on (candidate matrices) * (column subsets per matrix) for the
 # exhaustive basis-subset search.
 DEFAULT_WORK_BUDGET = 20_000_000
-# Search nodes of the n = 5 branch and bound of max_code_search.
+# Search nodes of the branch and bound of max_code_search, at every n.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -94,10 +95,10 @@ def _search_refusal(k: int, d: int, work_budget: int) -> Optional[str]:
     GF2Matrix witness holds; both are checked before 2^k is formed."""
     if k >= MAX_BITS or d > MAX_BITS:
         return (f"the basis-subset search takes k <= {MAX_BITS - 1} and "
-                f"d <= {MAX_BITS}, got (k={k}, d={d})")
+                f"d <= {MAX_BITS}, got (k={_shown(k)}, d={_shown(d)})")
     size = _search_size(k, d)
     if size > work_budget:
-        return f"search size {size} for (k={k}, d={d}) exceeds budget {work_budget}"
+        return f"search size {size} for (k={k}, d={d}) exceeds budget {_shown(work_budget)}"
     return None
 
 
@@ -322,7 +323,7 @@ def max_basis_subsets_any_k(d: int) -> ShapeMaximum:
     for k in ks:
         refusal = _search_refusal(k, d, DEFAULT_WORK_BUDGET)
         if refusal:
-            raise OutOfRegimeError(f"shape maximum at d={d}: {refusal}")
+            raise OutOfRegimeError(f"shape maximum at d={_shown(d)}: {refusal}")
     values = [max_basis_subsets(k, d).value for k in ks]
     return ShapeMaximum(d, max(values), values.index(max(values)) + 1)
 
@@ -512,9 +513,10 @@ class MaxCodeResult(Record):
 def max_code_search(n: int, d: int, list_size: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> MaxCodeResult:
     """Largest code on n coordinates with at most list_size words in
-    every d-subcube.  Exhaustive and certified for n <= 4; branch and
-    bound at n = 5 under node_budget.  When list_size >= 2^d every word
-    is a codeword, and the 2^n listed words count against node_budget.
+    every d-subcube, by branch and bound for n <= 5; node_budget counts
+    at every n, and a spent budget leaves the best code found,
+    uncertified.  When list_size >= 2^d every word is a codeword, and
+    the 2^n listed words count against node_budget.
 
     Raises:
         OutOfRegimeError: for n >= 6 unless every word is a codeword; and
@@ -533,37 +535,15 @@ def max_code_search(n: int, d: int, list_size: int,
             raise OutOfRegimeError(f"every one of the 2^{n} words is a codeword; "
                                    f"listing them exceeds the node budget {node_budget}")
         return MaxCodeResult(n, 1 << n, tuple(range(1 << n)), True)
-    if n <= 4:
-        return _max_code_exhaustive(n, d, list_size)
-    if n == 5:
-        return _max_code_branch_bound(n, d, list_size, node_budget)
-    raise OutOfRegimeError("exact search supported for n <= 5")
-
-
-def _subcube_vertices(n: int, d: int) -> list[tuple[int, ...]]:
-    """The vertices of every d-subcube, listed at its canonical index."""
-    return [tuple(cube.vertices()) for cube in enumerate_subcubes(n, d)]
-
-
-def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
-    masks = [sum(1 << v for v in vertices) for vertices in _subcube_vertices(n, d)]
-    best = -1
-    best_set = 0
-    for subset in range(1 << (1 << n)):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        if all((subset & m).bit_count() <= list_size for m in masks):
-            best = size
-            best_set = subset
-    words = tuple(v for v in range(1 << n) if (best_set >> v) & 1)
-    return MaxCodeResult(n, best, words, True)
+    if n > 5:
+        raise OutOfRegimeError("exact search supported for n <= 5")
+    return _max_code_branch_bound(n, d, list_size, node_budget)
 
 
 def _max_code_branch_bound(n: int, d: int, list_size: int,
                            node_budget: int) -> MaxCodeResult:
     order = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
-    cubes = _subcube_vertices(n, d)
+    cubes = [tuple(cube.vertices()) for cube in enumerate_subcubes(n, d)]
     num_buckets = 1 << (n - d)
     # bucket b is the canonical subcube index, free-set rank * num_buckets
     # + base pattern; each vertex lies in one bucket per free set

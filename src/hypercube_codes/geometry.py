@@ -19,7 +19,7 @@ import math
 from typing import Iterator
 
 from ._record import Record
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, _shown, _shown_power
 
 # Hard cap on vector length.  Single place to widen if longer words are
 # ever needed; everything else derives its limits from this constant.
@@ -102,8 +102,11 @@ def free_sets_colex(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """d-subsets of range(n) in colexicographic order.
 
     Colex order of the free sets is lex order of their complements read
-    from the top coordinate down.
+    from the top coordinate down.  Refused past MAX_BITS coordinates
+    before range(n) is listed.
     """
+    if n > MAX_BITS:
+        raise ValueError(f"n must be in [0, {MAX_BITS}]")
     if d > n:
         return
     coords = set(range(n))
@@ -146,9 +149,13 @@ def subcube_total(n: int, d: int) -> int:
 
 
 def _check_budget(n: int, d: int, budget: int) -> None:
+    # 2^(n-d) alone exceeds the budget: the total (125 MB at n = 10^9) is not formed
+    if 0 <= d <= n - max(64, budget.bit_length()):
+        raise OutOfRegimeError(f"at least {_shown_power(n - d)} subcubes exceed "
+                               f"the budget {_shown(budget)}")
     total = subcube_total(n, d)
     if total > budget:
-        raise OutOfRegimeError(f"{total} subcubes exceed the budget {budget}")
+        raise OutOfRegimeError(f"{_shown(total)} subcubes exceed the budget {_shown(budget)}")
 
 
 def enumerate_subcubes(n: int, d: int,
@@ -158,6 +165,7 @@ def enumerate_subcubes(n: int, d: int,
 
     Raises:
         OutOfRegimeError: if the total exceeds the budget.
+        ValueError: past MAX_BITS coordinates, before any subcube is built.
     """
     _check_budget(n, d, budget)
     for free in free_sets_colex(n, d):

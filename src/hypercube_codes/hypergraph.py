@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _pcg64
 from ._record import Record
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, _shown, _shown_power
 from .gf2 import MAX_BITS, _independent_rows
 
 DEFAULT_COPY_BUDGET = 5_000_000
@@ -108,10 +108,8 @@ def _check_edges(what: str, edges: int, shown: str = "") -> None:
     DEFAULT_EDGE_BUDGET.  The message shows `shown`, else the count, or
     past 2^64 the power of two below it."""
     if edges > DEFAULT_EDGE_BUDGET:
-        bits = edges.bit_length()
-        shown = shown or (f"at least 2^{bits - 1}" if bits > 64 else str(edges))
-        raise OutOfRegimeError(
-            f"{what} {shown} edges, over the edge budget {DEFAULT_EDGE_BUDGET}")
+        raise OutOfRegimeError(f"{what} {shown or _shown(edges)} edges, "
+                               f"over the edge budget {DEFAULT_EDGE_BUDGET}")
 
 
 def _rows(tuples, r: int) -> np.ndarray:
@@ -123,11 +121,11 @@ def complete(r: int, t: int) -> UniformHypergraph:
     """All r-subsets of t vertices, within DEFAULT_EDGE_BUDGET."""
     if not 1 <= r <= t:
         raise ValueError("need 1 <= r <= t")
-    what = f"the complete {r}-uniform hypergraph on {t} vertices would hold"
+    what = f"the complete {_shown(r)}-uniform hypergraph on {_shown(t)} vertices would hold"
     s = min(r, t - r)
     bits = DEFAULT_EDGE_BUDGET.bit_length()
     if s > bits:  # C(t, s) >= 2^s is over the budget; the slow math.comb is skipped
-        _check_edges(what, 1 << bits, f"at least 2^{s}")
+        _check_edges(what, 1 << bits, f"at least {_shown_power(s)}")
     _check_edges(what, math.comb(t, s))
     return UniformHypergraph(r, t, _rows(itertools.combinations(range(t), r), r))
 
@@ -158,10 +156,10 @@ def linear_independence_hypergraph(r: int, k: int) -> UniformHypergraph:
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     m = r + k
-    what = f"the linear-independence hypergraph (r={r}, k={k}) would hold"
+    what = f"the linear-independence hypergraph (r={_shown(r)}, k={_shown(k)}) would hold"
     bits = DEFAULT_EDGE_BUDGET.bit_length()
     if m > bits:  # the count, at least 2^m - 1 > 2^bits, is not formed
-        _check_edges(what, 1 << bits, f"at least 2^{m} - 1")
+        _check_edges(what, 1 << bits, f"at least {_shown_power(m)} - 1")
     _check_edges(what, _independent_count(r, m))
     rows = _independent_rows(np.arange(1, 1 << m, dtype=np.uint32), r)
     return UniformHypergraph(r, (1 << m) - 1, rows)
@@ -438,7 +436,8 @@ def lagrangian(graph: UniformHypergraph, restarts: int = 64,
         raise ValueError("need restarts >= 1")
     n = graph.n_vertices
     m = len(graph.edges)
-    _check_edges(f"{restarts} restarts x ({m} edges + {n} vertices) =", restarts * (m + n))
+    _check_edges(f"{_shown(restarts)} restarts x ({m} edges + {_shown(n)} vertices) =",
+                 restarts * (m + n))
     if not m:
         return LagrangianResult(0.0, (0.0,) * n, 0)
     columns = graph.edges.T.copy()

@@ -3,8 +3,9 @@ against: the depth-first independent-subset walk, the numpy walk that
 listed independent supports before the truth-table kernel, the one-walk-per-
 candidate basis-subset search, the per-subcube occupancy scans, the
 erasure list size as the paper defines it, the hitting check on numpy
-count tables that the truth-table walk replaced, the exhaustive
-partition walk, the complete multipartite hypergraphs whose edges the
+count tables that the truth-table walk replaced, the exhaustive vertex
+Turan search over every subset of a cube on at most 4 coordinates, the
+exhaustive partition walk, the complete multipartite hypergraphs whose edges the
 partition maxima count, blow-ups and the Lagrangian polynomial, numpy's
 generator for the layer draws and the Lagrangian's starts, and the
 recurrence behind numpy's ziggurat tables."""
@@ -20,7 +21,8 @@ import numpy as np
 from hypercube_codes import cube
 from hypercube_codes.codes import Code, HittingReport
 from hypercube_codes.cube import subcube_count
-from hypercube_codes.extremal import BasisSubsetMaximum, PartitionMaximum, _check_partition_d
+from hypercube_codes.extremal import (BasisSubsetMaximum, MaxCodeResult, PartitionMaximum,
+                                      _check_partition_d)
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
 from hypercube_codes.gf2 import BitWord, GF2Matrix, _independent_walk, _picks
 from hypercube_codes.hypergraph import UniformHypergraph
@@ -118,6 +120,25 @@ def max_basis_subsets_naive(k: int, d: int) -> BasisSubsetMaximum:
             best = count
             best_cols = tuple(cols)
     return BasisSubsetMaximum(k, d, best, GF2Matrix(k, best_cols))
+
+
+def _max_code_exhaustive(n: int, d: int, list_size: int) -> MaxCodeResult:
+    """Oracle for the branch and bound of extremal.max_code_search at
+    n <= 4: of all 2^(2^n) subsets of the cube, the first largest in
+    integer order with at most list_size words in every d-subcube,
+    always certified."""
+    masks = [sum(1 << v for v in cube.vertices()) for cube in enumerate_subcubes(n, d)]
+    best = -1
+    best_set = 0
+    for subset in range(1 << (1 << n)):
+        size = subset.bit_count()
+        if size <= best:
+            continue
+        if all((subset & m).bit_count() <= list_size for m in masks):
+            best = size
+            best_set = subset
+    words = tuple(v for v in range(1 << n) if (best_set >> v) & 1)
+    return MaxCodeResult(n, best, words, True)
 
 
 def max_subcube_count_naive(code: Code, d: int,

@@ -191,7 +191,7 @@ def test_criterion_06_pairwise_product_lower_bounds():
 
 
 def test_criterion_07_exhaustive_max_code_sizes():
-    with criterion(7, "exhaustive 2-subcube list-3 maxima", 60.0):
+    with criterion(7, "certified 2-subcube list-3 maxima", 60.0):
         for n in (2, 3, 4):
             result = max_code_search(n, 2, 3)
             assert result.certified

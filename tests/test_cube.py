@@ -36,8 +36,8 @@ from hypercube_codes.geometry import (
     subcube_total,
 )
 from hypercube_codes.gf2 import BitWord
-from oracles import (erasure_list_size, max_subcube_count_naive, subcube_histogram,
-                     verify_hitting_tables)
+from oracles import (_max_code_exhaustive, erasure_list_size, max_subcube_count_naive,
+                     subcube_histogram, verify_hitting_tables)
 
 
 def random_code(rng, n, size):
@@ -357,7 +357,7 @@ def test_max_code_budget_degrades_to_uncertified():
 
 
 @pytest.mark.parametrize("n, d, list_size, budget, size, words, certified", [
-    (4, 2, 3, 2_000_000, 11, [0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 14], True),
+    (4, 2, 3, 2_000_000, 11, [0, 1, 2, 4, 7, 9, 10, 11, 12, 13, 14], True),
     (5, 2, 3, 2_000_000, 22, [0, 1, 2, 4, 7, 9, 10, 11, 12, 13, 14, 17, 18,
                               19, 20, 21, 22, 24, 27, 29, 30, 31], True),
     (5, 3, 6, 2_000_000, 24, [0, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15, 17, 18,
@@ -371,6 +371,23 @@ def test_max_code_witnesses_are_pinned(n, d, list_size, budget, size, words,
     result = max_code_search(n, d, list_size, node_budget=budget)
     assert (result.max_size, sorted(result.witness.words), result.certified) \
         == (size, words, certified)
+
+
+@pytest.mark.parametrize("n, d, list_size", [
+    (n, d, list_size) for n in range(1, 5) for d in range(n + 1)
+    for list_size in range(1, 1 << d)])
+def test_the_branch_and_bound_matches_the_exhaustive_search(n, d, list_size):
+    # all 42 cases below the whole-cube shortcut at n <= 4
+    result = max_code_search(n, d, list_size)
+    assert result.max_size == _max_code_exhaustive(n, d, list_size).max_size
+    assert result.certified
+    assert len(result.words) == result.max_size
+    assert max_subcube_count(result.witness, d).max_count <= list_size
+
+
+def test_the_node_budget_counts_below_n_5():
+    empty = max_code_search(4, 2, 3, node_budget=0)
+    assert (empty.max_size, empty.words, empty.certified) == (0, (), False)
 
 
 def test_max_code_complement_hits_every_square():
@@ -677,7 +694,6 @@ def test_tables_past_max_n_fixed_coordinates_are_refused(n, d, budget):
 
 
 def test_max_code_search_rejects_a_negative_budget():
-    # n <= 4 never spends the budget, but a negative one is still an error
     for n in (4, 5):
         with pytest.raises(ValueError, match="node_budget"):
             max_code_search(n, 2, 3, node_budget=-7)
