@@ -10,9 +10,10 @@ The package splits into:
                  partition maxima), assembling bound tables, and the exact
                  maximum code search
 * ``codes``      randomized layered constructions, weight-class codes,
-                 hitting sets and the hitting check (a truth-table walk)
-* ``cube``       list-size verification by subcube scans (byte tables in
-                 ints for small codes, numpy for the rest)
+                 hitting sets, and code files
+* ``cube``       the subcube walks: list-size scans (byte tables in ints
+                 for small codes, numpy for the rest) and the hitting
+                 check (a truth-table walk)
 * ``hypergraph`` uniform hypergraphs, copy containment and Lagrangians
 
 The names in ``__all__`` are loaded lazily (PEP 562): the first access
@@ -43,12 +44,12 @@ _EXPORTS = {
                  "max_basis_subsets", "max_basis_subsets_any_k", "max_code_search",
                  "max_partition_product_sum", "partition_growth_check",
                  "product_partition_lower_bound"),
-    "codes": ("DENSITY_THRESHOLD", "Code", "HittingReport", "HittingSetResult",
-              "LayerAssignment", "ResidueSelection", "best_residue_subcode",
-              "build_layer_vectors", "layer_words", "layered_basis_code",
-              "load_code", "residue_subcode", "save_code", "subcube_hitting_set",
-              "verify_hitting", "weight_class_code"),
-    "cube": ("VerificationReport", "max_subcube_count", "subcube_count"),
+    "codes": ("DENSITY_THRESHOLD", "Code", "HittingSetResult", "LayerAssignment",
+              "ResidueSelection", "best_residue_subcode", "build_layer_vectors",
+              "layer_words", "layered_basis_code", "load_code", "residue_subcode",
+              "save_code", "subcube_hitting_set", "weight_class_code"),
+    "cube": ("HittingReport", "VerificationReport", "max_subcube_count", "subcube_count",
+             "verify_hitting"),
     "hypergraph": ("LagrangianResult", "UniformHypergraph", "augmented_complete",
                    "basis_hypergraph", "contains_copy", "lagrangian",
                    "linear_independence_density", "linear_independence_hypergraph"),

@@ -471,7 +471,7 @@ def cmd_hitting(args) -> int:
     """Build a small set meeting subcubes; optionally verify coverage."""
     if args.d is None and args.budget is not None:
         raise ValueError("--budget applies only with --d")
-    from .codes import _check_hitting, save_code, subcube_hitting_set, verify_hitting
+    from .codes import _check_hitting, save_code, subcube_hitting_set
     if args.d is not None:
         from .geometry import _check_budget
         # the scan's budget refuses by n and d alone, so before the build
@@ -494,6 +494,7 @@ def cmd_hitting(args) -> int:
     }
     failures = []
     if args.d is not None:
+        from .cube import verify_hitting
         report = verify_hitting(code, args.d, budget=_scan_budget(args))
         payload["d"] = args.d
         payload["hits_all"] = report.hits_all

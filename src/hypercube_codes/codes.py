@@ -1,4 +1,4 @@
-"""Construction of dense codes with bounded subcube occupancy.
+"""Construction of dense codes with bounded subcube occupancy, and code files.
 
 A Code holds its words once: sorted and distinct, as the bytes of native
 uint64; Code.array views them as a read-only numpy array, built on first
@@ -8,7 +8,7 @@ whose support vectors form a basis; a layer that keeps too few words is
 redrawn, up to MAX_RETRIES times.  Taking the best weight-residue
 subcode then caps how many codewords any small subcube can hold.  A
 complement variant, keeping the dependent supports, produces subcube
-hitting sets, and verify_hitting checks a set against every d-subcube.
+hitting sets, which cube.verify_hitting checks.
 
 Both work on truth tables: the words of a layer or of a residue class
 on n <= MAX_N coordinates as a 2^n-bit int whose bit w is set when word
@@ -16,10 +16,9 @@ w is in the set, as gf2.independent_masks gives each layer.  A size is
 a popcount and a union an or, so the residue class is chosen from the
 layer sizes, and only the class kept is listed as words (_table_code).
 The layer vectors come from _pcg64's stream and equal, bit for bit,
-numpy's Generator(PCG64(SeedSequence(key))).integers.  The hitting
-check walks the truth table of the set's complement.  Nothing here
-imports numpy but Code.array and the hitting check of codes longer than
-MAX_N.  File round-tripping for codes lives here as well.
+numpy's Generator(PCG64(SeedSequence(key))).integers.  save_code and
+load_code write and read codes as 0/1 text.  Nothing here imports numpy
+but Code.array.
 """
 
 from __future__ import annotations
@@ -29,17 +28,16 @@ import warnings
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, count, islice, repeat
 from operator import add, and_, lt
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._pcg64 import uint32s, uint64s
 from ._record import Record
 from .basisprob import limit_interval
 from .errors import ConstructionError, OutOfRegimeError
-from .geometry import (DEFAULT_SCAN_BUDGET, MAX_BITS, MAX_N, Subcube, _check_budget,
-                       _from01, _leaf_subcube, _to01, _weight_table)
+from .geometry import MAX_BITS, MAX_N, _from01, _to01, _weight_table
 from .gf2 import independent_masks
 
 if TYPE_CHECKING:
@@ -412,165 +410,6 @@ def subcube_hitting_set(n: int, k: int, seed: int = 0) -> HittingSetResult:
     if not met:
         _warn("hitting set size %d misses the target %d", len(code), target)
     return HittingSetResult(code, cutoff, target, met)
-
-
-class HittingReport(Record):
-    hits_all: bool
-    missed: Optional[Subcube]
-
-
-def verify_hitting(code: Code, d: int,
-                   budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
-    """Does the set meet every d-subcube?  On failure the first missed
-    subcube in canonical order is reported.
-
-    For n <= MAX_N the check walks the truth table of the code's
-    complement (_first_missed), in pure Python.  Longer codes, which
-    only files and the API give, are checked on the count tables of
-    cube (numpy), which stop at the first block of free sets with an
-    empty subcube.
-
-    Raises:
-        ValueError: unless 0 <= d <= n.
-        OutOfRegimeError: if the subcube total exceeds the budget, or
-            for n > MAX_N if n - d > MAX_N, before anything is allocated.
-    """
-    n = code.n
-    if n > MAX_N:
-        from .cube import _count_tables, _first_subcube
-        for first, block in _count_tables(code, d, budget):
-            if not block.all():
-                return HittingReport(False, _first_subcube(n, d, first, block, 0))
-        return HittingReport(True, None)
-    _check_budget(n, d, budget)
-    missed = _first_missed(code, d)
-    return HittingReport(missed is None, missed)
-
-
-# Tables of at most 2^_FLAT_BITS bits are paired in place: an and with a
-# shifted copy and a mask, three int operations, where halving a table
-# (_and_pairs) also converts it to bytes and back.  A table paired in
-# place keeps its size in its whole subtree, so the threshold trades the
-# two: over the hitting sets and weight-class codes of bench/stages.py,
-# 14 gave the least total time of 12 to 15 (2-vCPU x86-64 VM).
-_FLAT_BITS = 14
-
-
-def _first_missed(code: Code, d: int) -> Optional[Subcube]:
-    """The first d-subcube in canonical order that holds no codeword,
-    for n <= MAX_N, or None.
-
-    The complement's truth table has bit x set when word x is not in the
-    code.  Pairing coordinate c (_and_pairs) gives the table of the
-    1-subcubes with free coordinate c that hold no codeword, indexed by
-    the other coordinates; pairing again, those of dimension 2, and so
-    on.  The walk picks the free coordinates from the top down, as
-    free_sets_colex orders them, so the first nonzero table at depth d
-    is that of the first free set with a missed subcube, and its lowest
-    set bit the least base.  A zero table ends its subtree: no subcube
-    containing a met one is missed.  Tables of at most 2^_FLAT_BITS bits are
-    paired in place instead of halved: the entries whose index has the
-    picked bit set are masked out, so the picks made there keep their
-    index bits, which the base drops at the end.
-    """
-    n = code.n
-    flat = min(n, _FLAT_BITS)  # the index bits of a table paired in place
-    masks = _clear_bit_masks(flat)
-    path: list[int] = []  # the free coordinates picked, from the top down
-
-    def walk(table: int, k: int, m: int, stop: int) -> int:
-        """The first nonzero table k picks below stop under `table`, of
-        m index bits, or 0."""
-        for c in range(k - 1, stop):
-            child = (table & table >> (1 << c) & masks[c] if m <= flat
-                     else _and_pairs(table, m, c))
-            if child:
-                path.append(c)
-                found = child if k == 1 else walk(child, k - 1, m - 1, c)
-                if found:
-                    return found
-                path.pop()
-        return 0
-
-    chars = bytearray(b"1") * (1 << n)
-    for w in code._ints():
-        chars[w] = 48  # "0"
-    chars.reverse()  # in place: a copy would double the 2^n-byte peak
-    table = int(chars, 2)
-    del chars
-    if d and table:
-        table = walk(table, d, n, n)
-    if not table:
-        return None
-    x = (table & -table).bit_length() - 1
-    for c in path[n - flat:]:  # the picks made in place, from the top down
-        x = x >> (c + 1) << c | x & ((1 << c) - 1)
-    return _leaf_subcube(n, tuple(reversed(path)), x)
-
-
-def _clear_bit_masks(m: int) -> list[int]:
-    """For each c < m, the 2^m-bit int with bit x set when bit c of x is
-    clear, built by doubling."""
-    masks = []
-    for c in range(m):
-        mask, width = (1 << (1 << c)) - 1, 2 << c
-        while width < 1 << m:
-            mask |= mask << width
-            width <<= 1
-        masks.append(mask)
-    return masks
-
-
-# memoryview formats of 1, 2, 4 and 8 bytes
-_ITEMS = "BHIQ"
-
-
-def _and_pairs(table: int, m: int, c: int) -> int:
-    """The 2^(m-1)-bit table whose entry x is the and of the entries of
-    `table` (2^m bits, m >= 4) at x with a 0 and with a 1 inserted as
-    index bit c.
-
-    Index bit c = m - 1 is cut by a shift.  Below it the table is read
-    as bytes: for c < 3 each byte's four pairs are and-ed by a translate
-    table, one for the even bytes and one for the odd, which fill the
-    low and the high half of each byte out; from c = 3 the pairs are
-    blocks of 2^(c - 3) bytes, and _lower_blocks keeps the lower block
-    of each pair.
-    """
-    if c < 3:
-        raw = table.to_bytes(1 << m >> 3, "little")
-        return (int.from_bytes(raw[::2].translate(_pair_bytes(c, 0)), "little")
-                | int.from_bytes(raw[1::2].translate(_pair_bytes(c, 4)), "little"))
-    both = table & table >> (1 << c)
-    if c == m - 1:
-        return both
-    return int.from_bytes(_lower_blocks(both.to_bytes(1 << m >> 3, "little"), c - 3), "little")
-
-
-def _lower_blocks(raw: bytes, b: int):
-    """The lower block of each pair of 2^b-byte blocks of raw, joined,
-    as a bytes-like object.  The blocks are kept by strided memoryview
-    slices, in the widest item that divides a block."""
-    width = min(b, 3)
-    items = memoryview(raw).cast(_ITEMS[width])
-    per = 1 << (b - width)  # items per block
-    pairs = len(items) // per >> 1
-    if per <= pairs:  # a strided copy per item of the block
-        out = memoryview(bytearray(len(raw) >> 1)).cast(_ITEMS[width])
-        for i in range(per):
-            out[i::per] = items[i::2 * per]
-        return out
-    return b"".join([items[i:i + per] for i in range(0, len(items), 2 * per)])
-
-
-@cache
-def _pair_bytes(c: int, shift: int) -> bytes:
-    """The translate table of _and_pairs for bit c < 3: byte v maps to
-    the four ands of its bits x and x + 2^c, x with bit c clear, in
-    order, shifted left by `shift`."""
-    low = [x for x in range(8) if not x >> c & 1]
-    return bytes(sum((v >> x & v >> x + (1 << c) & 1) << i for i, x in enumerate(low)) << shift
-                 for v in range(256))
 
 
 def save_code(path, code: Code) -> None:

@@ -1,9 +1,10 @@
-"""Subcube occupancy scans of a code.
+"""The two subcube walks of a code: occupancy scans and the hitting check.
 
 The codewords that agree with a codeword outside d erased coordinates
 are those of one d-subcube, so the largest erasure list size of a
 nonempty code at d is the largest count of a d-subcube, which
-max_subcube_count reports.
+max_subcube_count reports.  verify_hitting asks the converse question
+of the vertex Turan problem: does the set meet every d-subcube?
 
 Subcubes and their canonical order come from geometry: free sets in
 colex order, bases in increasing packed-integer order, so every scan
@@ -25,30 +26,40 @@ do not grow with C(n, d).  It holds the d + 1 tables of its path,
 _BLOCK_ENTRIES entries.  Longer codes, which only a loaded file can
 give, get the same tables by counting the codewords' patterns on the
 fixed coordinates; their tables have 2^(n-d) entries, scanned for
-n - d <= MAX_N.  numpy is imported only inside the numpy paths.  The
-hitting check (codes.verify_hitting) walks a truth table in pure Python
-and reads these count tables (_count_tables, _first_subcube) only for
-n > MAX_N.  The oracle of every scan is subcube_count over every
-subcube, as the naive scans of tests/oracles.py run it; its
-erasure_list_size counts the list of one codeword and erased set.
+n - d <= MAX_N.
+
+The hitting check (`verify_hitting`) walks, for n <= MAX_N, the truth
+table of the code's complement in pure Python (_first_missed): each
+pick ands a table with itself shifted and halves it, as the byte scan
+halves its counters (_lower_blocks), and a zero table ends its subtree.
+Longer codes are checked on the count tables (_count_tables), which
+stop at the first block with an empty subcube.
+
+numpy is imported only inside the numpy paths, and Code only for type
+checking, so this module loads neither.  The oracle of every scan is
+subcube_count over every subcube, as the naive scans of tests/oracles.py
+run it; its erasure_list_size counts the list of one codeword and erased
+set.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator
+from functools import cache
+from typing import TYPE_CHECKING, Iterator, Optional
 
-# by name first: -X importtime does not time `from . import geometry`
-from .codes import Code, _lower_blocks
-from . import geometry
 from ._record import Record
 from .errors import OutOfRegimeError
+# by name first: -X importtime does not time `from . import geometry`
 from .geometry import (DEFAULT_SCAN_BUDGET, MAX_N, Subcube, _check_budget,
-                       _colex_unrank, _fixed_coords, _leaf_subcube,
+                       _clear_bit_masks, _colex_unrank, _fixed_coords, _leaf_subcube,
                        free_sets_colex)
+from . import geometry
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .codes import Code
 
 
 def subcube_count(code: Code, cube: Subcube) -> int:
@@ -331,3 +342,147 @@ def max_subcube_count(code: Code, d: int,
     assert witness is not None
     return VerificationReport(d, best, witness, at_max)
 
+
+class HittingReport(Record):
+    hits_all: bool
+    missed: Optional[Subcube]
+
+
+def verify_hitting(code: Code, d: int,
+                   budget: int = DEFAULT_SCAN_BUDGET) -> HittingReport:
+    """Does the set meet every d-subcube?  On failure the first missed
+    subcube in canonical order is reported.
+
+    For n <= MAX_N the check walks the truth table of the code's
+    complement (_first_missed), in pure Python.  Longer codes, which
+    only files and the API give, are checked on the count tables
+    (_count_tables, numpy), which stop at the first block of free sets
+    with an empty subcube.
+
+    Raises:
+        ValueError: unless 0 <= d <= n.
+        OutOfRegimeError: if the subcube total exceeds the budget, or
+            for n > MAX_N if n - d > MAX_N, before anything is allocated.
+    """
+    n = code.n
+    if n > MAX_N:
+        for first, block in _count_tables(code, d, budget):
+            if not block.all():
+                return HittingReport(False, _first_subcube(n, d, first, block, 0))
+        return HittingReport(True, None)
+    _check_budget(n, d, budget)
+    missed = _first_missed(code, d)
+    return HittingReport(missed is None, missed)
+
+
+# Tables of at most 2^_FLAT_BITS bits are paired in place: an and with a
+# shifted copy and a mask, three int operations, where halving a table
+# (_and_pairs) also converts it to bytes and back.  A table paired in
+# place keeps its size in its whole subtree, so the threshold trades the
+# two: over the hitting sets and weight-class codes of bench/stages.py,
+# 14 gave the least total time of 12 to 15 (2-vCPU x86-64 VM).
+_FLAT_BITS = 14
+
+
+def _first_missed(code: Code, d: int) -> Optional[Subcube]:
+    """The first d-subcube in canonical order that holds no codeword,
+    for n <= MAX_N, or None.
+
+    The complement's truth table has bit x set when word x is not in the
+    code.  Pairing coordinate c (_and_pairs) gives the table of the
+    1-subcubes with free coordinate c that hold no codeword, indexed by
+    the other coordinates; pairing again, those of dimension 2, and so
+    on.  The walk picks the free coordinates from the top down, as
+    free_sets_colex orders them, so the first nonzero table at depth d
+    is that of the first free set with a missed subcube, and its lowest
+    set bit the least base.  A zero table ends its subtree: no subcube
+    containing a met one is missed.  Tables of at most 2^_FLAT_BITS bits are
+    paired in place instead of halved: the entries whose index has the
+    picked bit set are masked out, so the picks made there keep their
+    index bits, which the base drops at the end.
+    """
+    n = code.n
+    flat = min(n, _FLAT_BITS)  # the index bits of a table paired in place
+    masks = _clear_bit_masks(flat)
+    path: list[int] = []  # the free coordinates picked, from the top down
+
+    def walk(table: int, k: int, m: int, stop: int) -> int:
+        """The first nonzero table k picks below stop under `table`, of
+        m index bits, or 0."""
+        for c in range(k - 1, stop):
+            child = (table & table >> (1 << c) & masks[c] if m <= flat
+                     else _and_pairs(table, m, c))
+            if child:
+                path.append(c)
+                found = child if k == 1 else walk(child, k - 1, m - 1, c)
+                if found:
+                    return found
+                path.pop()
+        return 0
+
+    chars = bytearray(b"1") * (1 << n)
+    for w in code._ints():
+        chars[w] = 48  # "0"
+    chars.reverse()  # in place: a copy would double the 2^n-byte peak
+    table = int(chars, 2)
+    del chars
+    if d and table:
+        table = walk(table, d, n, n)
+    if not table:
+        return None
+    x = (table & -table).bit_length() - 1
+    for c in path[n - flat:]:  # the picks made in place, from the top down
+        x = x >> (c + 1) << c | x & ((1 << c) - 1)
+    return _leaf_subcube(n, tuple(reversed(path)), x)
+
+
+# memoryview formats of 1, 2, 4 and 8 bytes
+_ITEMS = "BHIQ"
+
+
+def _and_pairs(table: int, m: int, c: int) -> int:
+    """The 2^(m-1)-bit table whose entry x is the and of the entries of
+    `table` (2^m bits, m >= 4) at x with a 0 and with a 1 inserted as
+    index bit c.
+
+    Index bit c = m - 1 is cut by a shift.  Below it the table is read
+    as bytes: for c < 3 each byte's four pairs are and-ed by a translate
+    table, one for the even bytes and one for the odd, which fill the
+    low and the high half of each byte out; from c = 3 the pairs are
+    blocks of 2^(c - 3) bytes, and _lower_blocks keeps the lower block
+    of each pair.
+    """
+    if c < 3:
+        raw = table.to_bytes(1 << m >> 3, "little")
+        return (int.from_bytes(raw[::2].translate(_pair_bytes(c, 0)), "little")
+                | int.from_bytes(raw[1::2].translate(_pair_bytes(c, 4)), "little"))
+    both = table & table >> (1 << c)
+    if c == m - 1:
+        return both
+    return int.from_bytes(_lower_blocks(both.to_bytes(1 << m >> 3, "little"), c - 3), "little")
+
+
+def _lower_blocks(raw: bytes, b: int):
+    """The lower block of each pair of 2^b-byte blocks of raw, joined,
+    as a bytes-like object.  The blocks are kept by strided memoryview
+    slices, in the widest item that divides a block."""
+    width = min(b, 3)
+    items = memoryview(raw).cast(_ITEMS[width])
+    per = 1 << (b - width)  # items per block
+    pairs = len(items) // per >> 1
+    if per <= pairs:  # a strided copy per item of the block
+        out = memoryview(bytearray(len(raw) >> 1)).cast(_ITEMS[width])
+        for i in range(per):
+            out[i::per] = items[i::2 * per]
+        return out
+    return b"".join([items[i:i + per] for i in range(0, len(items), 2 * per)])
+
+
+@cache
+def _pair_bytes(c: int, shift: int) -> bytes:
+    """The translate table of _and_pairs for bit c < 3: byte v maps to
+    the four ands of its bits x and x + 2^c, x with bit c clear, in
+    order, shifted left by `shift`."""
+    low = [x for x in range(8) if not x >> c & 1]
+    return bytes(sum((v >> x & v >> x + (1 << c) & 1) << i for i, x in enumerate(low)) << shift
+                 for v in range(256))

@@ -271,11 +271,18 @@ def _most_copies(copies: dict[int, int], u: int, most: int) -> int:
 def basis_subset_bounds(k: int, d: int,
                         work_budget: int = DEFAULT_WORK_BUDGET) -> BasisSubsetBounds:
     """Bounds on the basis-subset maximum computable without the full
-    search at (k, d)."""
+    search at (k, d).
+
+    Raises:
+        OutOfRegimeError: for k > MAX_T, past which basisprob has no
+            basis probability, before any Fraction is formed.
+    """
     from fractions import Fraction
-    from .basisprob import uniform_basis_probability
+    from .basisprob import MAX_T, uniform_basis_probability
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
+    if k > MAX_T:
+        raise OutOfRegimeError(f"basis-subset bounds take k <= {MAX_T}, got k={_shown(k)}")
     p = uniform_basis_probability(k)
     expected = p * math.comb(d, k)
     random_lower = -((-expected.numerator) // expected.denominator)

@@ -63,6 +63,19 @@ def _weight_table(n: int, r: int) -> int:
     return tables[r]
 
 
+def _clear_bit_masks(m: int) -> list[int]:
+    """For each c < m, the 2^m-bit int with bit x set when bit c of x is
+    clear, built by doubling."""
+    masks = []
+    for c in range(m):
+        mask, width = (1 << (1 << c)) - 1, 2 << c
+        while width < 1 << m:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return masks
+
+
 class Subcube(Record):
     """free: strictly increasing coordinates allowed to vary; base: the
     packed word fixing the remaining coordinates (zero on free ones)."""

@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import Record
 from .errors import OutOfRegimeError
-from .geometry import MAX_BITS, _from01, _to01, _weight_table
+from .geometry import MAX_BITS, _clear_bit_masks, _from01, _to01, _weight_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,8 +105,8 @@ def _independent_walk(vectors: np.ndarray, r: int) -> list[tuple[np.ndarray, np.
     pair: the last pick (a position) of each independent (j + 1)-prefix,
     and the number of these prefixes that extend each row of level j (at
     j = 0, the empty prefix).  Rows stay in lexicographic order of their
-    positions, so a row's children are consecutive and _picks reads the
-    subsets back in itertools.combinations order.
+    positions, so a row's children are consecutive and _independent_rows
+    reads the subsets back in itertools.combinations order.
 
     Each row carries its tail: the vectors at every later position,
     reduced by its prefix so that no entry has a pivot (the
@@ -151,30 +151,6 @@ def _independent_walk(vectors: np.ndarray, r: int) -> list[tuple[np.ndarray, np.
     return levels
 
 
-def _below(levels: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
-    """The number of the walk's subsets below each row, level by level
-    from the one before the last down to the first.  A row's children
-    are consecutive, so it sums one run of their numbers."""
-    import numpy as np
-    below = levels[-1][1]
-    yield below
-    for _, kids in levels[-2:0:-1]:
-        total = np.concatenate(([0], np.cumsum(below)))
-        below = np.diff(total[np.cumsum(kids)], prepend=0)
-        yield below
-
-
-def _picks(levels: list[tuple[np.ndarray, np.ndarray]],
-           table: np.ndarray) -> Iterator[np.ndarray]:
-    """table[pick] for each subset's pick at every level, from the last
-    level to the first: a level's entries, each repeated once per subset
-    below it."""
-    import numpy as np
-    yield table[levels[-1][0]]
-    for (pick, _), below in zip(levels[-2::-1], _below(levels)):
-        yield np.repeat(table[pick], below)
-
-
 # Coordinates inside one block of an independent-support table: the
 # kernel's int operations run on 2^16-bit (8 KB) blocks, which stay in
 # cache, rather than on the whole 2^n-bit table (2 MB at n = 24).
@@ -187,16 +163,8 @@ def _block_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     each coordinate i, the supports without i, which the upward closure
     shifts onto those with it; and the weight table of each weight
     0..k."""
-    size = 1 << k
-    without = []
-    for i in range(k):
-        h = 1 << i
-        mask, period = (1 << h) - 1, 2 * h
-        while period < size:
-            mask |= mask << period
-            period *= 2
-        without.append(mask)
-    return (1 << size) - 1, tuple(without), tuple(_weight_table(k, w) for w in range(k + 1))
+    return ((1 << (1 << k)) - 1, tuple(_clear_bit_masks(k)),
+            tuple(_weight_table(k, w) for w in range(k + 1)))
 
 
 def independent_masks(vectors: Iterable[int], r: int) -> int:
@@ -291,13 +259,11 @@ def _independent_rows(vectors: np.ndarray, r: int) -> np.ndarray:
     subset, in itertools.combinations order, of the smallest unsigned
     dtype that holds n.  The caller bounds C(n, r)."""
     import numpy as np
-    n = len(vectors)
-    index = np.arange(n, dtype=np.min_scalar_type(n))
-    levels = _independent_walk(vectors, r)
-    rows = np.empty((len(levels[-1][0]), r), dtype=index.dtype)
-    for j, column in zip(range(r - 1, -1, -1), _picks(levels, index)):
-        rows[:, j] = column
-    return rows
+    dtype = np.min_scalar_type(len(vectors))
+    columns = []  # of each prefix, level by level
+    for pick, kids in _independent_walk(vectors, r):
+        columns = [np.repeat(column, kids) for column in columns] + [pick.astype(dtype)]
+    return np.column_stack(columns)
 
 
 class GF2Matrix(Record):

@@ -19,12 +19,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from hypercube_codes import cube
-from hypercube_codes.codes import Code, HittingReport
-from hypercube_codes.cube import subcube_count
+from hypercube_codes.codes import Code
+from hypercube_codes.cube import HittingReport, subcube_count
 from hypercube_codes.extremal import (BasisSubsetMaximum, MaxCodeResult, PartitionMaximum,
                                       _check_partition_d)
 from hypercube_codes.geometry import DEFAULT_SCAN_BUDGET, Subcube, enumerate_subcubes
-from hypercube_codes.gf2 import BitWord, GF2Matrix, _independent_walk, _picks
+from hypercube_codes.gf2 import BitWord, GF2Matrix, _independent_rows
 from hypercube_codes.hypergraph import UniformHypergraph
 
 
@@ -95,11 +95,7 @@ def independent_masks_numpy(vectors: Iterable[int], r: int) -> np.ndarray:
         return np.zeros(1, dtype=np.uint32)  # the empty support
     vecs = np.array(vectors[::-1], dtype=np.uint32)
     bits = np.left_shift(np.uint32(1), np.arange(n - 1, -1, -1, dtype=np.uint32))
-    picks = _picks(_independent_walk(vecs, r), bits)
-    masks = next(picks)
-    for bit in picks:
-        masks |= bit
-    return masks[::-1]
+    return np.bitwise_or.reduce(bits[_independent_rows(vecs, r)], axis=1)[::-1]
 
 
 def table_masks(table: int) -> list[int]:

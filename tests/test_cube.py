@@ -12,20 +12,20 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercube_codes import codes, cube, geometry
+from hypercube_codes import cube, geometry
 from hypercube_codes.codes import (
     Code,
     best_residue_subcode,
     build_layer_vectors,
     layered_basis_code,
-    HittingReport,
     subcube_hitting_set,
-    verify_hitting,
     weight_class_code,
 )
 from hypercube_codes.cube import (
+    HittingReport,
     max_subcube_count,
     subcube_count,
+    verify_hitting,
 )
 from hypercube_codes.errors import OutOfRegimeError
 from hypercube_codes.extremal import max_code_search
@@ -245,7 +245,7 @@ def test_verify_hitting_dimension_zero():
 
 
 def entrywise_pairs(table, m, c):
-    """codes._and_pairs one entry at a time."""
+    """cube._and_pairs one entry at a time."""
     low = (x for x in range(1 << m) if not x >> c & 1)
     return sum((table >> x & table >> (x | 1 << c) & 1) << j for j, x in enumerate(low))
 
@@ -258,10 +258,10 @@ def test_byte_pairing_matches_the_entrywise_pairing():
         for c in range(m):
             for table in (rng.getrandbits(1 << m), (1 << (1 << m)) - 1,
                           1 << rng.randrange(1 << m), 0):
-                assert codes._and_pairs(table, m, c) == entrywise_pairs(table, m, c)
+                assert cube._and_pairs(table, m, c) == entrywise_pairs(table, m, c)
 
 
-BITS = pytest.mark.parametrize("bits", [codes._FLAT_BITS, 4], ids=["in-place", "bytes"])
+BITS = pytest.mark.parametrize("bits", [cube._FLAT_BITS, 4], ids=["in-place", "bytes"])
 
 
 @BITS
@@ -523,7 +523,7 @@ def flat_bits(bits):
     """Pair the truth tables of more than 2^bits bits as bytes, which
     otherwise only tables past 2^14 bits are."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "_FLAT_BITS", bits)
+        mp.setattr(cube, "_FLAT_BITS", bits)
         yield
 
 

@@ -113,6 +113,15 @@ print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("hyp
     assert out.split() == ["False", "['hypercube_codes']"]
 
 
+def test_cube_import_loads_neither_numpy_nor_codes():
+    out = python("""
+import sys
+import hypercube_codes.cube
+print(sorted({"numpy", "hypercube_codes.codes"} & set(sys.modules)))
+""")
+    assert out.split() == ["[]"]
+
+
 def test_cli_sets_one_blas_thread_unless_preset():
     # cli itself loads no numpy, so the variable is in place before the
     # first command that does
@@ -204,9 +213,10 @@ HITTING_MISS = ["hitting", "--n", "8", "--k", "1", "--d", "3"]
     # the construction and the code files run on truth tables in ints
     (["hitting", "--n", "8", "--k", "1"], {"hypercube_codes.codes"},
      {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
-    # and so does the hitting check, which reports a missed subcube here
-    (HITTING_MISS, {"hypercube_codes.codes"},
-     {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
+    # and so does the hitting check of cube, which reports a missed
+    # subcube here
+    (HITTING_MISS, {"hypercube_codes.codes", "hypercube_codes.cube"},
+     {"numpy", ZIGGURAT, *NUMPY_RANDOM}),
     (["build", "--n", "10", "--modulus", "6", "--out", "{tmp}/built.txt"],
      {"hypercube_codes.codes"}, {"numpy", "hypercube_codes.cube", ZIGGURAT, *NUMPY_RANDOM}),
     (["load", "--in", "{tmp}/code.txt"], {"hypercube_codes.codes"},

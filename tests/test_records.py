@@ -9,8 +9,8 @@ import pytest
 from hypercube_codes._record import Record
 from hypercube_codes.basisprob import SimplexPoint
 from hypercube_codes.codes import (Code, LayerAssignment, best_residue_subcode,
-                                   build_layer_vectors, subcube_hitting_set, verify_hitting)
-from hypercube_codes.cube import max_subcube_count
+                                   build_layer_vectors, subcube_hitting_set)
+from hypercube_codes.cube import max_subcube_count, verify_hitting
 from hypercube_codes.extremal import (MaxCodeResult, basis_subset_bounds,
                                       list_size_bounds_table, max_basis_subsets,
                                       max_basis_subsets_any_k, max_code_search,
